@@ -244,12 +244,18 @@ class CouplingTable:
             raise KeyError("LOS state is only recorded for terminal pairs")
         return bool(self.ue_ue_los[i, j])
 
-    def has_entry(self, tx, rx) -> bool:
-        try:
-            self._indices(tx, rx)
-            return True
-        except KeyError:
-            return False
+    def loss_matrix_db(self, links) -> np.ndarray:
+        """Entry [g, f]: loss from link g's terminal transmitter to link f's
+        receiver (a terminal or a sector). Each link's (tx, rx) endpoints are
+        resolved once; the matrix is then one gather."""
+        resolved = [self._indices(tx, rx) for tx, rx in links]
+        if any(kind == "su" for kind, _, _ in resolved):
+            raise KeyError("link transmitters must be terminals")
+        n_rx = len(self.rx_ue_ids)
+        rows = [row for _, row, _ in resolved]
+        cols = [col + n_rx if kind == "us" else col for kind, _, col in resolved]
+        from_terminals = np.hstack((self.ue_ue_loss_db, self.ue_sector_loss_db))
+        return from_terminals[np.ix_(rows, cols)]
 
 
 def build_coupling_table(

@@ -10,7 +10,7 @@ identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -113,22 +113,29 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def validate(self) -> None:
+        # Every message names its config key(s); parse_config reports the line.
         if self.experiment not in ("sinr", "throughput"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for key in (f.name for f in fields(self) if f.type in ("float", "tuple[float, ...]")):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key} must be finite")
         if self.isd_m <= 0:
             raise ValueError("isd_m must be positive")
         if self.n_rings < 0:
             raise ValueError("n_rings must be >= 0")
         if self.n_cellular_per_sector < 0 or self.n_d2d_tx_per_sector < 0:
-            raise ValueError("terminal counts must be >= 0")
+            raise ValueError("n_cellular_per_sector and n_d2d_tx_per_sector must be >= 0")
+        n_tx = self.n_cellular_per_sector + self.n_d2d_tx_per_sector
+        if self.experiment == "throughput" and n_tx == 0:
+            raise ValueError("throughput runs need n_cellular_per_sector + n_d2d_tx_per_sector > 0")
         if not 0.0 < self.min_d2d_dist_m < self.d2d_range_m:
             raise ValueError("need 0 < min_d2d_dist_m < d2d_range_m")
         if any(not 0.0 <= a <= 1.0 for a in self.alpha_list):
-            raise ValueError("alpha values must be in [0, 1]")
+            raise ValueError("alpha_list values must be in [0, 1]")
         if bool(self.alpha_list) != bool(self.snr_target_db_list):
             raise ValueError("alpha_list and snr_target_db_list must both be set or both empty")
         if not (self.alpha_list or self.no_power_control):
-            raise ValueError("power-control sweep is empty")
+            raise ValueError("power-control sweep is empty: set alpha_list or no_power_control")
         if self.n_drops < 1:
             raise ValueError("n_drops must be >= 1")
         if self.n_subframes < 1:
@@ -300,28 +307,25 @@ def expected_sinr_sample_count(cfg: ExperimentConfig, n_sectors: int) -> int:
 
 
 def _throughput_rows(drop_index, sector_flows, result) -> np.ndarray:
-    flows = sorted((f for fl in sector_flows.values() for f in fl), key=lambda f: f.id)
-    chunk = np.zeros(len(flows), dtype=THROUGHPUT_SAMPLE_DTYPE)
-    for i, f in enumerate(flows):
-        chunk[i] = (drop_index, f.id, f.role, result.throughput_bps[f.id])
+    """One row per flow, in the ascending flow id order of the PF result."""
+    role = {f.id: f.role for fl in sector_flows.values() for f in fl}
+    chunk = np.zeros(len(role), dtype=THROUGHPUT_SAMPLE_DTYPE)
+    chunk["drop"] = drop_index
+    chunk["flow"] = list(result.throughput_bps)
+    chunk["role"] = [role[i] for i in result.throughput_bps]
+    chunk["throughput_bps"] = list(result.throughput_bps.values())
     return chunk
 
 
-def run_throughput_experiment(
-    cfg: ExperimentConfig, k_d2d: int
-) -> tuple[ExperimentReport, ExperimentReport]:
+def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, ExperimentReport]:
     """Paired baseline/offload PF runs on identical drops.
 
     Baseline: every transmitter is a cellular flow through its serving sector.
-    Offload: per sector, the first k_d2d pair transmitters (in drop order)
+    Offload: per sector, the first cfg.k_d2d pair transmitters (in drop order)
     send directly to their dropped peers instead. The power-control setting is
     the first entry of the sweep.
     """
     cfg.validate()
-    if not 0 <= k_d2d <= cfg.n_d2d_tx_per_sector:
-        raise ValueError(
-            f"k_d2d must be in [0, {cfg.n_d2d_tx_per_sector}], got {k_d2d}"
-        )
     layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
     setting = sweep_settings(cfg)[0]
     ch_cfg = ChannelConfig(carrier_ghz=cfg.carrier_ghz, d2d_offset_db=cfg.d2d_offset_db)
@@ -332,51 +336,41 @@ def run_throughput_experiment(
     for drop in range(cfg.n_drops):
         cell, pairs, table, _ = build_drop(cfg, layout, drop, ch_cfg)
 
-        def flows_for(offload: bool) -> dict[int, list[Flow]]:
+        def flows_for(k_d2d: int) -> dict[int, list[Flow]]:
             out: dict[int, list[Flow]] = {}
             for u in cell:
                 out.setdefault(u.home_sector, []).append(
-                    Flow(u.id, u.id, sector_endpoint(u.home_sector))
+                    Flow(u.id, sector_endpoint(u.home_sector))
                 )
             offloaded: dict[int, int] = {}
             for tx, rx in pairs:
                 s = tx.home_sector
-                if offload and offloaded.get(s, 0) < k_d2d:
+                if offloaded.get(s, 0) < k_d2d:
                     dest = ue_endpoint(rx.id)
                     offloaded[s] = offloaded.get(s, 0) + 1
                 else:
                     dest = sector_endpoint(s)
-                out.setdefault(s, []).append(Flow(tx.id, tx.id, dest))
-            return {s: sorted(fl, key=lambda f: f.id) for s, fl in out.items()}
+                out.setdefault(s, []).append(Flow(tx.id, dest))
+            return out
 
-        flows_base = flows_for(False)
-        flows_off = flows_for(True)
+        flows_base = flows_for(0)
+        flows_off = flows_for(cfg.k_d2d)
         res_base = run_pf_uplink(flows_base, cfg.n_subframes, rc, pc, table)
         res_off = run_pf_uplink(flows_off, cfg.n_subframes, rc, pc, table)
         base_chunks.append(_throughput_rows(drop, flows_base, res_base))
         off_chunks.append(_throughput_rows(drop, flows_off, res_off))
 
-    empty = np.zeros(0, dtype=THROUGHPUT_SAMPLE_DTYPE)
-    baseline = ExperimentReport(
-        "throughput",
-        (setting,),
-        np.concatenate(base_chunks) if base_chunks else empty,
-        run_label="baseline",
+    return tuple(
+        ExperimentReport("throughput", (setting,), np.concatenate(chunks), run_label=label)
+        for label, chunks in (("baseline", base_chunks), ("offload", off_chunks))
     )
-    offload = ExperimentReport(
-        "throughput",
-        (setting,),
-        np.concatenate(off_chunks) if off_chunks else empty,
-        run_label="offload",
-    )
-    return baseline, offload
 
 
 def run_experiment(cfg: ExperimentConfig):
     """CLI dispatch: one report for sinr, a (baseline, offload) pair otherwise."""
     if cfg.experiment == "sinr":
         return run_sinr_experiment(cfg)
-    return run_throughput_experiment(cfg, cfg.k_d2d)
+    return run_throughput_experiment(cfg)
 
 
 def percentile(samples, p: float) -> float:

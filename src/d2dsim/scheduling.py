@@ -11,6 +11,13 @@ Grants at subframe t are chosen from SINRs computed against the transmitters
 granted at t-1 (noise-only at t=0); the rates actually served use the grants
 concurrently active at t. That one-subframe lag avoids a grant/interference
 fixed point.
+
+A `Flow` is an immutable (id, destination) record; terminal `id` is its
+transmitter. The PF state lives in arrays indexed by position in flow id
+order: one flows x flows coupling matrix gathered from the drop's table, and
+per-flow averages. Each subframe makes one `pf_select` call (a first-occurrence
+argmax per sector over a padded sectors x flows matrix) and one `pf_update`
+call (a vector EMA step).
 """
 
 from __future__ import annotations
@@ -109,43 +116,41 @@ def assign_d2d_slots(
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Flow:
-    """One scheduled traffic source: a terminal transmitting either to its
+    """One scheduled traffic source: terminal `id` transmitting either to its
     serving sector or directly to its peer."""
 
     id: int
-    tx_ue: int
     destination: tuple  # ("sector", index) or ("ue", peer id)
-    avg_rate_bps: float = 0.0
 
     @property
     def role(self) -> str:
         return "d2d" if self.destination[0] == UE_NODE else "cellular"
 
 
-def pf_select(flows: Sequence[Flow], inst_rate_bps: Mapping[int, float]) -> int:
-    """Flow id maximizing inst/avg rate; ties go to the lowest id."""
-    if not flows:
-        raise ValueError("pf_select needs at least one flow")
-    best_id = None
-    best_metric = -math.inf
-    for f in sorted(flows, key=lambda f: f.id):
-        if f.avg_rate_bps <= 0:
-            raise ValueError(f"flow {f.id} has non-positive average rate")
-        metric = inst_rate_bps[f.id] / f.avg_rate_bps
-        if metric > best_metric:
-            best_metric = metric
-            best_id = f.id
-    return best_id
+def pf_select(
+    inst_rate_bps: np.ndarray, avg_rate_bps: np.ndarray, slots: np.ndarray
+) -> np.ndarray:
+    """Position of the flow maximizing inst/avg rate in each row of `slots`.
+
+    `slots` is a (sectors x max flows) matrix of flow positions, padded at the
+    end of each row with -1. Rows list their flows in id order, so the
+    first-occurrence argmax gives ties to the lowest id.
+    """
+    if slots.size == 0 or np.any(slots[:, 0] < 0):
+        raise ValueError("pf_select needs at least one flow per row")
+    if np.any(avg_rate_bps <= 0):
+        raise ValueError("PF average rates must be positive")
+    metric = np.append(inst_rate_bps / avg_rate_bps, -np.inf)  # slot -1 -> -inf
+    return slots[np.arange(len(slots)), metric[slots].argmax(axis=1)]
 
 
-def pf_update(flow: Flow, served_rate_bps: float, t_c: int) -> Flow:
+def pf_update(avg_rate_bps: np.ndarray, served_rate_bps: np.ndarray, t_c: int) -> np.ndarray:
     """Exponential moving average step; served rate is 0 when not scheduled."""
     if t_c < 1:
         raise ValueError(f"t_c must be >= 1, got {t_c}")
-    flow.avg_rate_bps = (1.0 - 1.0 / t_c) * flow.avg_rate_bps + served_rate_bps / t_c
-    return flow
+    return (1.0 - 1.0 / t_c) * avg_rate_bps + served_rate_bps / t_c
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,8 @@ def run_pf_uplink(
     table: CouplingTable,
     t_c: int = 100,
 ) -> PfResult:
-    """Run the PF loop and return per-flow throughput over n_subframes.
+    """Run the PF loop and return per-flow throughput over n_subframes, keyed
+    by flow id in ascending order.
 
     Each flow's transmit power is fixed up front by open-loop power control
     against its own link coupling, with the noise term taken at its own
@@ -172,78 +178,60 @@ def run_pf_uplink(
     if n_subframes < 1:
         raise ValueError(f"n_subframes must be >= 1, got {n_subframes}")
     sectors = sorted(s for s in sector_flows if sector_flows[s])
-    flows: list[Flow] = [f for s in sectors for f in sector_flows[s]]
+    # PF state is indexed by position in flow id order; slots lists each
+    # sector's positions in ascending order, padded with -1.
+    flows = sorted((f for s in sectors for f in sector_flows[s]), key=lambda f: f.id)
     n_flows = len(flows)
     if n_flows == 0:
         return PfResult({}, {})
     pos_of = {f.id: i for i, f in enumerate(flows)}
-    pos_by_sector = [
-        np.array([pos_of[f.id] for f in sector_flows[s]], dtype=int) for s in sectors
-    ]
-    sector_of_pos = np.zeros(n_flows, dtype=int)
-    for si, positions in enumerate(pos_by_sector):
-        sector_of_pos[positions] = si
+    rows = [sorted(pos_of[f.id] for f in sector_flows[s]) for s in sectors]
+    width = max(len(r) for r in rows)
+    slots = np.array([r + [-1] * (width - len(r)) for r in rows])
+    sector_of_pos = np.empty(n_flows, dtype=int)
+    for si, r in enumerate(rows):
+        sector_of_pos[r] = si
 
-    own_loss = np.array(
-        [table.loss_db(ue_endpoint(f.tx_ue), f.destination) for f in flows]
-    )
+    # loss_db[g, f]: loss from flow g's transmitter to flow f's receiver.
+    loss_db = table.loss_matrix_db([(ue_endpoint(f.id), f.destination) for f in flows])
+    own_loss = loss_db.diagonal()
     noise_dbm = np.array([receiver_noise_dbm(rc, f.destination) for f in flows])
-    p_dbm = np.array(
-        [
-            open_loop_tx_power(replace(pc, noise_dbm=noise_dbm[i]), own_loss[i])
-            for i, f in enumerate(flows)
-        ]
-    )
+    p_dbm = open_loop_tx_power(replace(pc, noise_dbm=noise_dbm), own_loss)
     p_lin = 10.0 ** (p_dbm / 10.0)
     noise_lin = 10.0 ** (noise_dbm / 10.0)
     signal_lin = p_lin * 10.0 ** (-own_loss / 10.0)
-    # coupling_lin[g, f]: power flow g's transmitter lands at flow f's receiver.
-    coupling_lin = np.empty((n_flows, n_flows))
-    for g, src in enumerate(flows):
-        src_ep = ue_endpoint(src.tx_ue)
-        for f, dst in enumerate(flows):
-            coupling_lin[g, f] = p_lin[g] * 10.0 ** (-table.loss_db(src_ep, dst.destination) / 10.0)
-
-    for i, f in enumerate(flows):
-        snr_db = 10.0 * math.log10(signal_lin[i] / noise_lin[i])
-        f.avg_rate_bps = max(rate_from_sinr(snr_db, rc.bandwidth_hz, rc), 1.0)
+    coupling_lin = p_lin[:, None] * 10.0 ** (-loss_db / 10.0)
+    # libm log10 here, numpy's SIMD log10 in the loop: at t=0 both see the
+    # same SNRs, and their last-bit differences decide near-tied first grants.
+    # Keeping both keeps published outputs byte-stable.
+    snr_db = 10.0 * np.array([math.log10(r) for r in (signal_lin / noise_lin).tolist()])
+    avg = np.maximum(rate_from_sinr(snr_db, rc.bandwidth_hz, rc), 1.0)
 
     bits = np.zeros(n_flows)
     grant_count = np.zeros(n_flows, dtype=int)
-    prev_grants: list[int] = []
+    interference = np.zeros(n_flows)
     all_pos = np.arange(n_flows)
 
-    for t in range(n_subframes):
+    for _ in range(n_subframes):
         # Grants use the previous subframe's interference snapshot
         # (noise-only at t=0); service uses the grants concurrent at t.
-        if prev_grants:
-            total = coupling_lin[prev_grants].sum(axis=0)
-            own = coupling_lin[np.asarray(prev_grants)[sector_of_pos], all_pos]
-            interference = np.maximum(total - own, 0.0)
-        else:
-            interference = np.zeros(n_flows)
         est_sinr_db = 10.0 * np.log10(signal_lin / (noise_lin + interference))
-        inst = rate_from_sinr(est_sinr_db, rc.bandwidth_hz, rc)
+        grants = pf_select(rate_from_sinr(est_sinr_db, rc.bandwidth_hz, rc), avg, slots)
 
-        grants = []
-        for si, s in enumerate(sectors):
-            rates = {flows[p].id: float(inst[p]) for p in pos_by_sector[si]}
-            grants.append(pos_of[pf_select(sector_flows[s], rates)])
-
-        served = np.zeros(n_flows)
         grant_total = coupling_lin[grants].sum(axis=0)
-        for p in grants:
-            other = max(grant_total[p] - coupling_lin[p, p], 0.0)
-            sinr_db = 10.0 * math.log10(signal_lin[p] / (noise_lin[p] + other))
-            served[p] = rate_from_sinr(sinr_db, rc.bandwidth_hz, rc)
-            bits[p] += served[p] * SUBFRAME_S
-            grant_count[p] += 1
-        for i, f in enumerate(flows):
-            pf_update(f, float(served[i]), t_c)
-        prev_grants = grants
+        other = np.maximum(grant_total[grants] - coupling_lin[grants, grants], 0.0)
+        sinr_db = 10.0 * np.log10(signal_lin[grants] / (noise_lin[grants] + other))
+        served = np.zeros(n_flows)
+        served[grants] = rate_from_sinr(sinr_db, rc.bandwidth_hz, rc)
+        bits[grants] += served[grants] * SUBFRAME_S
+        grant_count[grants] += 1
+        avg = pf_update(avg, served, t_c)
+        own = coupling_lin[grants[sector_of_pos], all_pos]
+        interference = np.maximum(grant_total - own, 0.0)
 
+    ids = [f.id for f in flows]
     duration_s = n_subframes * SUBFRAME_S
     return PfResult(
-        throughput_bps={f.id: float(bits[i] / duration_s) for i, f in enumerate(flows)},
-        granted_subframes={f.id: int(grant_count[i]) for i, f in enumerate(flows)},
+        throughput_bps=dict(zip(ids, (bits / duration_s).tolist())),
+        granted_subframes=dict(zip(ids, grant_count.tolist())),
     )

@@ -138,7 +138,7 @@ def test_criterion_5_offload_gain_trends():
     gains, offloads = {}, {}
     for k in (1, 3, 5, 7, 9):
         cfg = replace(base_cfg, k_d2d=k)
-        baseline, offload = d.run_throughput_experiment(cfg, k)
+        baseline, offload = d.run_throughput_experiment(cfg)
         gains[k] = d.throughput_summary(baseline, offload)
         offloads[k] = offload.samples
     elapsed = time.perf_counter() - start

@@ -231,6 +231,8 @@ class TestCouplingTable:
             table.loss_db(ue_endpoint(9999), ue_endpoint(pairs[0][1].id))
         with pytest.raises(KeyError):
             table.loss_db(ue_endpoint(pairs[0][0].id), sector_endpoint(999))
+        with pytest.raises(KeyError):
+            table.loss_matrix_db([(sector_endpoint(0), ue_endpoint(pairs[0][0].id))])
 
     def test_deterministic_given_stream(self):
         _, _, _, _, t1 = _drop_with_table(seed=8)

@@ -91,6 +91,13 @@ class TestParseConfig:
             parse_config(write_cfg(tmp_path, text))
         assert err.value.line == 3
 
+    def test_non_finite_list_reports_its_own_line(self, tmp_path):
+        text = "isd_m = 500\nalpha_list = nan\nsnr_target_db_list = 10\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert err.value.line == 2
+        assert "alpha_list must be finite" in str(err.value)
+
     def test_echo_round_trips(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, SMALL_TPUT))
         echoed = "\n".join(config_echo_lines(cfg)) + "\n"

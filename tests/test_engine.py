@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -222,11 +225,11 @@ TPUT = ExperimentConfig(
 
 class TestThroughputExperiment:
     def test_zero_offload_is_identical(self):
-        base, off = run_throughput_experiment(TPUT, 0)
+        base, off = run_throughput_experiment(replace(TPUT, k_d2d=0))
         assert np.array_equal(base.samples, off.samples)
 
     def test_roles_and_flow_counts(self):
-        base, off = run_throughput_experiment(TPUT, 2)
+        base, off = run_throughput_experiment(TPUT)
         assert base.samples.size == 3 * 3 * 6  # drops x sectors x flows
         assert np.all(base.samples["role"] == "cellular")
         per_drop_d2d = np.sum(off.samples["role"] == "d2d") / 3
@@ -234,7 +237,7 @@ class TestThroughputExperiment:
 
     def test_rejects_out_of_range_k(self):
         with pytest.raises(ValueError):
-            run_throughput_experiment(TPUT, 7)
+            run_throughput_experiment(replace(TPUT, k_d2d=7))
 
     def test_paired_runs_share_geometry_and_shadowing(self):
         lay = build_hex_grid(TPUT.isd_m, TPUT.n_rings, TPUT.wraparound)
@@ -245,13 +248,13 @@ class TestThroughputExperiment:
         assert np.array_equal(t1.ue_ue_los, t2.ue_ue_los)
 
     def test_deterministic(self):
-        b1, o1 = run_throughput_experiment(TPUT, 2)
-        b2, o2 = run_throughput_experiment(TPUT, 2)
+        b1, o1 = run_throughput_experiment(TPUT)
+        b2, o2 = run_throughput_experiment(TPUT)
         assert np.array_equal(b1.samples, b2.samples)
         assert np.array_equal(o1.samples, o2.samples)
 
     def test_summary_recomputable(self):
-        base, off = run_throughput_experiment(TPUT, 2)
+        base, off = run_throughput_experiment(TPUT)
         s = throughput_summary(base, off)
         b = base.samples["throughput_bps"]
         o = off.samples["throughput_bps"]
@@ -277,7 +280,7 @@ class TestThroughputExperiment:
             k_d2d=3,
             seed=9,
         )
-        base, off = run_throughput_experiment(cfg, 3)
+        base, off = run_throughput_experiment(cfg)
         assert np.any(base.samples["throughput_bps"] == 0.0)
         s = throughput_summary(base, off)
         assert np.isinf(s["gain_p5"]) or np.isnan(s["gain_p5"]) or s["gain_p5"] >= 0
@@ -300,7 +303,7 @@ class TestThroughputExperiment:
             k_d2d=0,
             seed=41,
         )
-        base, _ = run_throughput_experiment(cfg, 0)
+        base, _ = run_throughput_experiment(cfg)
         lay = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
         totals = np.zeros(3)
         for drop in range(cfg.n_drops):
@@ -328,6 +331,21 @@ class TestConfigValidation:
             ExperimentConfig(alpha_list=(), snr_target_db_list=(), no_power_control=False).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(n_drops=0).validate()
+        # Non-finite values, reported under their own key.
+        for key, value in (
+            ("isd_m", math.nan),
+            ("d2d_range_m", math.inf),
+            ("min_d2d_dist_m", math.nan),
+            ("carrier_ghz", math.inf),
+            ("d2d_offset_db", -math.inf),
+            ("alpha_list", (0.8, math.nan)),
+            ("snr_target_db_list", (math.inf, 10.0, 15.0)),
+        ):
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig(**{key: value}).validate()
+        # A throughput run with no transmitters has no flows to schedule.
+        with pytest.raises(ValueError, match="n_d2d_tx_per_sector"):
+            replace(TPUT, n_d2d_tx_per_sector=0, k_d2d=0).validate()
 
     def test_sweep_composition(self):
         cfg = ExperimentConfig()

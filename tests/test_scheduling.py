@@ -1,13 +1,27 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from d2dsim.channel import sector_endpoint, ue_endpoint
-from d2dsim.radio import PowerControlConfig, RadioConfig, rate_from_sinr, thermal_noise_dbm
+from d2dsim.engine import ExperimentConfig, build_drop
+from d2dsim.layout import build_hex_grid
+from d2dsim.radio import (
+    PowerControlConfig,
+    RadioConfig,
+    open_loop_tx_power,
+    rate_from_sinr,
+    receiver_noise_dbm,
+    thermal_noise_dbm,
+)
 from d2dsim.scheduling import (
     ORTHOGONAL_TDM,
+    SUBFRAME_S,
     UNCOORDINATED,
     CoordinationMode,
     Flow,
+    PfResult,
     assign_d2d_slots,
     cycle_length,
     pf_select,
@@ -24,8 +38,8 @@ class FakeTable:
     def __init__(self, losses):
         self.losses = dict(losses)
 
-    def loss_db(self, tx, rx):
-        return self.losses[(tx, rx)]
+    def loss_matrix_db(self, links):
+        return np.array([[self.losses[(tx, rx)] for _, rx in links] for tx, _ in links])
 
 
 class TestSlotAssignment:
@@ -85,56 +99,67 @@ class TestSlotAssignment:
             assign_d2d_slots(UNCOORDINATED, {0: [1]}, 0)
 
 
+def _select(avg_by_id, inst_by_id):
+    """pf_select on one sector laid out as run_pf_uplink lays it out: flows in
+    id order. Returns the granted flow id."""
+    ids = sorted(avg_by_id)
+    inst = np.array([inst_by_id[i] for i in ids])
+    avg = np.array([avg_by_id[i] for i in ids])
+    (pos,) = pf_select(inst, avg, np.arange(len(ids))[None, :])
+    return ids[pos]
+
+
 class TestPfSelect:
     def test_single_flow(self):
-        f = Flow(3, 3, sector_endpoint(0), avg_rate_bps=1e6)
-        assert pf_select([f], {3: 5e6}) == 3
+        assert _select({3: 1e6}, {3: 5e6}) == 3
 
     def test_prefers_larger_ratio(self):
-        a = Flow(1, 1, sector_endpoint(0), avg_rate_bps=1.0)
-        b = Flow(2, 2, sector_endpoint(0), avg_rate_bps=2.0)
-        assert pf_select([a, b], {1: 10.0, 2: 10.0}) == 1
+        assert _select({1: 1.0, 2: 2.0}, {1: 10.0, 2: 10.0}) == 1
 
     def test_tie_breaks_to_lowest_id(self):
-        a = Flow(4, 4, sector_endpoint(0), avg_rate_bps=1.0)
-        b = Flow(2, 2, sector_endpoint(0), avg_rate_bps=1.0)
-        assert pf_select([a, b], {2: 3.0, 4: 3.0}) == 2
+        assert _select({4: 1.0, 2: 1.0}, {2: 3.0, 4: 3.0}) == 2
 
     def test_invariant_to_rescaling(self):
         rng = np.random.default_rng(0)
-        flows = [Flow(i, i, sector_endpoint(0), avg_rate_bps=float(rng.uniform(1, 9))) for i in range(6)]
+        avg = {i: float(rng.uniform(1, 9)) for i in range(6)}
         inst = {i: float(rng.uniform(1e5, 1e7)) for i in range(6)}
-        pick = pf_select(flows, inst)
+        pick = _select(avg, inst)
         scaled = {i: 17.3 * v for i, v in inst.items()}
-        assert pf_select(flows, scaled) == pick
+        assert _select(avg, scaled) == pick
 
     def test_rejects_bad_state(self):
         with pytest.raises(ValueError):
-            pf_select([], {})
+            pf_select(np.zeros(0), np.zeros(0), np.zeros((1, 0), dtype=int))
         with pytest.raises(ValueError):
-            pf_select([Flow(0, 0, sector_endpoint(0), avg_rate_bps=0.0)], {0: 1.0})
+            _select({0: 0.0}, {0: 1.0})
+
+    def test_one_grant_per_row_and_padding_never_wins(self):
+        inst = np.array([1.0, 5.0, 2.0, 2.0, 9.0])
+        avg = np.ones(5)
+        slots = np.array([[0, 1, -1], [2, 3, 4], [2, 3, -1]])
+        assert pf_select(inst, avg, slots).tolist() == [1, 4, 2]
+        with pytest.raises(ValueError):
+            pf_select(inst, avg, np.array([[0, 1], [-1, -1]]))
 
 
 class TestPfUpdate:
     def test_fixed_point(self):
-        f = Flow(0, 0, sector_endpoint(0), avg_rate_bps=3e6)
-        pf_update(f, 3e6, 100)
-        assert f.avg_rate_bps == pytest.approx(3e6, rel=1e-12)
+        avg = pf_update(np.array([3e6]), np.array([3e6]), 100)
+        assert avg[0] == pytest.approx(3e6, rel=1e-12)
 
     def test_decay_step(self):
-        f = Flow(0, 0, sector_endpoint(0), avg_rate_bps=1e6)
-        pf_update(f, 0.0, 100)
-        assert f.avg_rate_bps == pytest.approx(0.99e6, rel=1e-12)
+        avg = pf_update(np.array([1e6]), np.array([0.0]), 100)
+        assert avg[0] == pytest.approx(0.99e6, rel=1e-12)
 
     def test_converges_to_constant_service(self):
-        f = Flow(0, 0, sector_endpoint(0), avg_rate_bps=1.0)
+        avg = np.array([1.0])
         for _ in range(2000):  # >> t_c
-            pf_update(f, 5e6, 100)
-        assert f.avg_rate_bps == pytest.approx(5e6, rel=0.01)
+            avg = pf_update(avg, np.array([5e6]), 100)
+        assert avg[0] == pytest.approx(5e6, rel=0.01)
 
     def test_rejects_bad_tc(self):
         with pytest.raises(ValueError):
-            pf_update(Flow(0, 0, sector_endpoint(0), avg_rate_bps=1.0), 0.0, 0)
+            pf_update(np.array([1.0]), np.array([0.0]), 0)
 
 
 def _isolated_sector(n_flows, loss_to_enb, seed=0):
@@ -142,7 +167,7 @@ def _isolated_sector(n_flows, loss_to_enb, seed=0):
     losses = {}
     flows = []
     for i in range(n_flows):
-        flows.append(Flow(i, i, sector_endpoint(0)))
+        flows.append(Flow(i, sector_endpoint(0)))
         losses[(ue_endpoint(i), sector_endpoint(0))] = loss_to_enb[i]
     return {0: flows}, FakeTable(losses)
 
@@ -171,8 +196,6 @@ class TestRunPfUplink:
         pc = PowerControlConfig(snr_target_db=12.0, noise_dbm=None, alpha=1.0)
         res = run_pf_uplink(sector_flows, 500, RC, pc, table)
         noise = thermal_noise_dbm(RC.bandwidth_hz, RC.noise_figure_enb_db)
-        from d2dsim.radio import open_loop_tx_power
-
         p = open_loop_tx_power(
             PowerControlConfig(snr_target_db=12.0, noise_dbm=noise, alpha=1.0), loss
         )
@@ -189,8 +212,8 @@ class TestRunPfUplink:
         }
         table = FakeTable(losses)
         pc = PowerControlConfig(snr_target_db=0.0, noise_dbm=None, alpha=0.0, enabled=False)
-        base = run_pf_uplink({0: [Flow(0, 0, sector_endpoint(0))]}, 200, RC, pc, table)
-        off = run_pf_uplink({0: [Flow(0, 0, ue_endpoint(1))]}, 200, RC, pc, table)
+        base = run_pf_uplink({0: [Flow(0, sector_endpoint(0))]}, 200, RC, pc, table)
+        off = run_pf_uplink({0: [Flow(0, ue_endpoint(1))]}, 200, RC, pc, table)
         assert off.throughput_bps[0] > base.throughput_bps[0]
         # and each matches the single-link rate oracle
         for res, loss, nf in (
@@ -208,7 +231,7 @@ class TestRunPfUplink:
         for s in range(3):
             flows[s] = []
             for _ in range(4):
-                flows[s].append(Flow(fid, fid, sector_endpoint(s)))
+                flows[s].append(Flow(fid, sector_endpoint(s)))
                 for s2 in range(3):
                     losses[(ue_endpoint(fid), sector_endpoint(s2))] = 100.0 + 5 * s2
                 fid += 1
@@ -225,3 +248,162 @@ class TestRunPfUplink:
         res = run_pf_uplink(sector_flows, 1000, RC, pc, table)
         for v in res.throughput_bps.values():
             assert 0.0 <= v <= RC.spectral_cap_bps_hz * RC.bandwidth_hz
+
+
+# The scalar PF loop as it stood before the array rewrite: mutable flows
+# stepped one at a time and endpoints resolved on every CouplingTable.loss_db
+# call. It is kept as the oracle of the array loop; it also counts the
+# subframe-sector decisions that were exact ties at the maximum metric.
+
+
+class _ScalarFlow:
+    def __init__(self, flow):
+        self.id = flow.id
+        self.tx_ue = flow.id
+        self.destination = flow.destination
+        self.avg_rate_bps = 0.0
+
+
+def _scalar_pf_select(flows, inst_rate_bps, ties):
+    best_id = None
+    best_metric = -math.inf
+    metrics = []
+    for f in sorted(flows, key=lambda f: f.id):
+        metric = inst_rate_bps[f.id] / f.avg_rate_bps
+        metrics.append(metric)
+        if metric > best_metric:
+            best_metric = metric
+            best_id = f.id
+    ties[0] += metrics.count(best_metric) > 1
+    return best_id
+
+
+def _scalar_pf_update(flow, served_rate_bps, t_c):
+    flow.avg_rate_bps = (1.0 - 1.0 / t_c) * flow.avg_rate_bps + served_rate_bps / t_c
+
+
+def _scalar_pf_uplink(sector_flows, n_subframes, rc, pc, table, t_c=100):
+    sector_flows = {s: [_ScalarFlow(f) for f in fl] for s, fl in sector_flows.items()}
+    sectors = sorted(s for s in sector_flows if sector_flows[s])
+    flows = [f for s in sectors for f in sector_flows[s]]
+    n_flows = len(flows)
+    pos_of = {f.id: i for i, f in enumerate(flows)}
+    pos_by_sector = [
+        np.array([pos_of[f.id] for f in sector_flows[s]], dtype=int) for s in sectors
+    ]
+    sector_of_pos = np.zeros(n_flows, dtype=int)
+    for si, positions in enumerate(pos_by_sector):
+        sector_of_pos[positions] = si
+
+    own_loss = np.array(
+        [table.loss_db(ue_endpoint(f.tx_ue), f.destination) for f in flows]
+    )
+    noise_dbm = np.array([receiver_noise_dbm(rc, f.destination) for f in flows])
+    p_dbm = np.array(
+        [
+            open_loop_tx_power(replace(pc, noise_dbm=noise_dbm[i]), own_loss[i])
+            for i, f in enumerate(flows)
+        ]
+    )
+    p_lin = 10.0 ** (p_dbm / 10.0)
+    noise_lin = 10.0 ** (noise_dbm / 10.0)
+    signal_lin = p_lin * 10.0 ** (-own_loss / 10.0)
+    coupling_lin = np.empty((n_flows, n_flows))
+    for g, src in enumerate(flows):
+        src_ep = ue_endpoint(src.tx_ue)
+        for f, dst in enumerate(flows):
+            coupling_lin[g, f] = p_lin[g] * 10.0 ** (-table.loss_db(src_ep, dst.destination) / 10.0)
+
+    for i, f in enumerate(flows):
+        snr_db = 10.0 * math.log10(signal_lin[i] / noise_lin[i])
+        f.avg_rate_bps = max(rate_from_sinr(snr_db, rc.bandwidth_hz, rc), 1.0)
+
+    bits = np.zeros(n_flows)
+    grant_count = np.zeros(n_flows, dtype=int)
+    prev_grants = []
+    all_pos = np.arange(n_flows)
+    ties = [0]
+
+    for t in range(n_subframes):
+        if prev_grants:
+            total = coupling_lin[prev_grants].sum(axis=0)
+            own = coupling_lin[np.asarray(prev_grants)[sector_of_pos], all_pos]
+            interference = np.maximum(total - own, 0.0)
+        else:
+            interference = np.zeros(n_flows)
+        est_sinr_db = 10.0 * np.log10(signal_lin / (noise_lin + interference))
+        inst = rate_from_sinr(est_sinr_db, rc.bandwidth_hz, rc)
+
+        grants = []
+        for si, s in enumerate(sectors):
+            rates = {flows[p].id: float(inst[p]) for p in pos_by_sector[si]}
+            grants.append(pos_of[_scalar_pf_select(sector_flows[s], rates, ties)])
+
+        served = np.zeros(n_flows)
+        grant_total = coupling_lin[grants].sum(axis=0)
+        for p in grants:
+            other = max(grant_total[p] - coupling_lin[p, p], 0.0)
+            sinr_db = 10.0 * math.log10(signal_lin[p] / (noise_lin[p] + other))
+            served[p] = rate_from_sinr(sinr_db, rc.bandwidth_hz, rc)
+            bits[p] += served[p] * SUBFRAME_S
+            grant_count[p] += 1
+        for i, f in enumerate(flows):
+            _scalar_pf_update(f, float(served[i]), t_c)
+        prev_grants = grants
+
+    duration_s = n_subframes * SUBFRAME_S
+    result = PfResult(
+        throughput_bps={f.id: float(bits[i] / duration_s) for i, f in enumerate(flows)},
+        granted_subframes={f.id: int(grant_count[i]) for i, f in enumerate(flows)},
+    )
+    return result, ties[0]
+
+
+def _mixed_drop_flows():
+    """A real 21-sector drop with cellular and direct flows and unequal flow
+    counts per sector; odd sectors list their flows in reverse id order."""
+    cfg = ExperimentConfig(
+        experiment="throughput",
+        isd_m=500.0,
+        n_rings=1,
+        wraparound=True,
+        n_cellular_per_sector=2,
+        n_d2d_tx_per_sector=4,
+        d2d_range_m=50.0,
+        seed=5,
+    )
+    layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
+    cell, pairs, table, _ = build_drop(cfg, layout, 0)
+    flows = {}
+    for u in cell:
+        flows.setdefault(u.home_sector, []).append(Flow(u.id, sector_endpoint(u.home_sector)))
+    for j, (tx, rx) in enumerate(pairs):
+        direct = j % cfg.n_d2d_tx_per_sector < 2
+        dest = ue_endpoint(rx.id) if direct else sector_endpoint(tx.home_sector)
+        flows[tx.home_sector].append(Flow(tx.id, dest))
+    flows = {s: fl[: len(fl) - s % 3] for s, fl in flows.items()}
+    flows = {s: fl[::-1] if s % 2 else fl for s, fl in flows.items()}
+    assert layout.n_sectors == 21
+    assert len({len(fl) for fl in flows.values()}) == 3
+    return flows, table
+
+
+@pytest.mark.parametrize(
+    "pc",
+    [
+        PowerControlConfig(snr_target_db=0.0, noise_dbm=None, alpha=0.0, enabled=False),
+        PowerControlConfig(snr_target_db=10.0, noise_dbm=None, alpha=1.0),
+    ],
+    ids=["max_power", "open_loop"],
+)
+def test_array_loop_matches_scalar_oracle_on_a_real_drop(pc):
+    sector_flows, table = _mixed_drop_flows()
+    roles = {f.role for fl in sector_flows.values() for f in fl}
+    assert roles == {"cellular", "d2d"}
+    expected, ties = _scalar_pf_uplink(sector_flows, 300, RC, pc, table)
+    got = run_pf_uplink(sector_flows, 300, RC, pc, table)
+    assert ties > 0
+    assert got.granted_subframes == expected.granted_subframes
+    assert list(got.throughput_bps) == sorted(expected.throughput_bps)
+    for fid, tput in expected.throughput_bps.items():
+        assert got.throughput_bps[fid] == pytest.approx(tput, rel=1e-12, abs=0.0)
