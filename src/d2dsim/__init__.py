@@ -16,7 +16,6 @@ from .layout import (
     drop_cellular_ues,
     drop_d2d_pairs,
     hex_circumradius,
-    point_in_sector_region,
     sector_of_point,
     wrap_distance,
 )

@@ -159,29 +159,48 @@ def _write_manifest(path: str, cfg: ExperimentConfig, duration_s: float) -> None
         fh.write(f"# duration_s = {duration_s:.3f}\n")
 
 
+# Rows joined into one string per write: bounds the text held in memory.
+_CHUNK_ROWS = 1 << 16
+
+
+def _row_chunks(*columns):
+    """The rows of equally long array columns, as zips of Python scalars,
+    _CHUNK_ROWS rows at a time."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        yield zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in columns))
+
+
+# Float cells use f"{v:.6g}" on Python floats, the format _fmt applies.
 def _write_sinr_csv(path: str, report: ExperimentReport) -> None:
+    heads = [
+        f"{si},,," if s.is_no_pc else f"{si},{_fmt(s.alpha)},{_fmt(s.snr_target_db)},"
+        for si, s in enumerate(report.settings)
+    ]
+    samples = report.samples
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("setting_id,alpha,snr_target_db,drop,sector,link,sinr_db\n")
-        settings = report.settings
-        for row in report.samples:
-            s = settings[int(row["setting_id"])]
-            alpha = "" if s.is_no_pc else _fmt(s.alpha)
-            target = "" if s.is_no_pc else _fmt(s.snr_target_db)
-            fh.write(
-                f"{int(row['setting_id'])},{alpha},{target},{int(row['drop'])},"
-                f"{int(row['sector'])},{int(row['link'])},{_fmt(float(row['sinr_db']))}\n"
-            )
+        for rows in _row_chunks(
+            samples["setting_id"], samples["drop"], samples["sector"],
+            samples["link"], samples["sinr_db"],
+        ):
+            fh.write("".join([
+                f"{heads[si]}{drop},{sector},{link},{v:.6g}\n"
+                for si, drop, sector, link, v in rows
+            ]))
 
 
 def _write_throughput_csv(path: str, baseline, offload) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("run,drop,flow,role,throughput_bps\n")
         for report in (baseline, offload):
-            for row in report.samples:
-                fh.write(
-                    f"{report.run_label},{int(row['drop'])},{int(row['flow'])},"
-                    f"{row['role']},{_fmt(float(row['throughput_bps']))}\n"
-                )
+            samples, run = report.samples, report.run_label
+            for rows in _row_chunks(
+                samples["drop"], samples["flow"], samples["role"], samples["throughput_bps"]
+            ):
+                fh.write("".join([
+                    f"{run},{drop},{flow},{role},{v:.6g}\n"
+                    for drop, flow, role, v in rows
+                ]))
 
 
 def _sinr_summary_text(report: ExperimentReport) -> str:

@@ -229,13 +229,18 @@ def _sinr_drop_samples(cfg, layout, settings, ch_cfg, rc, drop_index) -> np.ndar
     tx_sector = np.array([tx.home_sector for tx, _ in pairs], dtype=np.int32)
     own_loss = table.ue_ue_loss_db[d2d_rows, peer_cols]
 
+    gain = table.ue_ue_gain_lin
+    # Per slot: the active links, their peer columns, the active transmitters'
+    # gains at those receivers and each link's own gain. Gathered once per
+    # drop; only the powers change with the sweep setting.
     pair_index = {int(t): j for j, t in enumerate(tx_ids)}
-    active_sel = []
+    active = []
     for slot in slots:
         ids = [t for s in sorted(slot.active) for t in slot.active[s]]
-        active_sel.append(np.array([pair_index[t] for t in ids], dtype=int))
+        sel = np.array([pair_index[t] for t in ids], dtype=int)
+        rows, cols = d2d_rows[sel], peer_cols[sel]
+        active.append((sel, cols, gain[np.ix_(rows, cols)], gain[rows, cols]))
 
-    gain = table.ue_ue_gain_lin
     noise_ue_dbm = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_ue_db)
     noise_enb_dbm = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_enb_db)
     noise_lin = 10.0 ** (noise_ue_dbm / 10.0)
@@ -258,13 +263,12 @@ def _sinr_drop_samples(cfg, layout, settings, ch_cfg, rc, drop_index) -> np.ndar
             cell_at_rx = (10.0 ** (p_cell / 10.0)) @ gain[cell_rows]
         else:
             cell_at_rx = np.zeros(gain.shape[1])
-        for sel in active_sel:
-            rows = d2d_rows[sel]
-            cols = peer_cols[sel]
-            received = p_lin[sel] @ gain[np.ix_(rows, cols)] + cell_at_rx[cols]
-            signal = p_lin[sel] * gain[rows, cols]
+        for sel, cols, cross_gain, own_gain in active:
+            received = p_lin[sel] @ cross_gain + cell_at_rx[cols]
+            signal = p_lin[sel] * own_gain
             interference = np.maximum(received - signal, 0.0)
-            sinr_db = 10.0 * np.log10(signal / (interference + noise_lin))
+            with np.errstate(divide="ignore"):  # a zero signal is reported below
+                sinr_db = 10.0 * np.log10(signal / (interference + noise_lin))
             chunk = np.zeros(len(sel), dtype=SINR_SAMPLE_DTYPE)
             chunk["setting_id"] = si
             chunk["drop"] = drop_index
@@ -272,7 +276,13 @@ def _sinr_drop_samples(cfg, layout, settings, ch_cfg, rc, drop_index) -> np.ndar
             chunk["link"] = tx_ids[sel]
             chunk["sinr_db"] = sinr_db
             chunks.append(chunk)
-    return np.concatenate(chunks)
+    samples = np.concatenate(chunks)
+    if not np.isfinite(samples["sinr_db"]).all():
+        raise ValueError(
+            f"drop {drop_index}: SINR samples are not finite: d2d_range_m or "
+            "d2d_offset_db puts a direct link's pathloss beyond floating-point range"
+        )
+    return samples
 
 
 def run_sinr_experiment(cfg: ExperimentConfig) -> ExperimentReport:

@@ -9,7 +9,16 @@ kite-shaped third of the hexagon around its boresight.
 Wraparound uses the classic 7-image technique: the finite cluster of
 ``1 + sum(6r)`` sites tiles the plane when translated by the six lattice
 vectors ``rot60^k((n_rings+1)*u + n_rings*v)``, so every distance is taken as
-the minimum over the identity and those six translations.
+the minimum over the identity and those six translations. The search over
+the seven images compares squared distances and settles near ties with
+``hypot``, so distances and image indices are the floats a per-image
+``hypot`` search gives.
+
+Terminal positions are drawn one at a time by a rejection sampler, whose order
+of draws defines the random stream. The home sectors of D2D receivers draw no
+random numbers, so ``drop_d2d_pairs`` looks them up for all receivers at once
+after the sampling loop (``sectors_of_points``): one receivers x sites
+distance matrix per drop instead of one per receiver.
 """
 
 from __future__ import annotations
@@ -151,42 +160,55 @@ def pairwise_wrap_distance(
     """Distance matrix (n, m) of min-over-offsets |a - (b + t)|.
 
     Also returns the index of the offset attaining the minimum (identity wins
-    ties), so callers can recover the geometry of the wrapped link.
+    ties), so callers can recover the geometry of the wrapped link. Both are
+    the floats a search over ``hypot(a - (b + t))`` per offset gives: the
+    search runs on squared distances, pairs whose two closest images lie within
+    rounding of each other are settled by ``hypot`` over all offsets, and one
+    ``hypot`` on the winning image gives the distance.
     """
     a = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b = np.asarray(b_xy, dtype=float).reshape(-1, 2)
     offs = layout.offset_xy
-    best_d = None
-    best_k = None
-    for k in range(offs.shape[0]):
-        dx = a[:, 0:1] - (b[None, :, 0] + offs[k, 0])
-        dy = a[:, 1:2] - (b[None, :, 1] + offs[k, 1])
-        d = np.hypot(dx, dy)
-        if best_d is None:
-            best_d = d
-            best_k = np.zeros(d.shape, dtype=np.int8)
-        else:
-            closer = d < best_d
-            best_d = np.where(closer, d, best_d)
-            best_k = np.where(closer, np.int8(k), best_k)
-    return best_d, best_k
+    ax, ay = a[:, 0:1], a[:, 1:2]
+    best_k = np.zeros((a.shape[0], b.shape[0]), dtype=np.int8)
+    second_d2 = np.full(best_k.shape, np.inf)
+    # A square overflows only past ~1e154 m; inf then counts as a near tie.
+    with np.errstate(over="ignore"):
+        best_d2 = None
+        for k, (tx, ty) in enumerate(offs):
+            dx = ax - (b[:, 0] + tx)
+            dy = ay - (b[:, 1] + ty)
+            d2 = np.multiply(dx, dx, out=dx)
+            d2 += np.multiply(dy, dy, out=dy)
+            if best_d2 is None:
+                best_d2 = d2
+                continue
+            closer = d2 < best_d2
+            # k grows along the loop, so max(best, k * closer) moves exactly
+            # the strictly closer entries to offset k.
+            np.maximum(best_k, closer.view(np.int8) * np.int8(k), out=best_k)
+            np.minimum(second_d2, np.maximum(best_d2, d2, out=dy), out=second_d2)
+            np.minimum(best_d2, d2, out=best_d2)
+        # Squares carry a few ulps of rounding (more when subnormal); a wider
+        # gap orders the hypot values the same way.
+        i, j = np.nonzero(second_d2 <= best_d2 * (1.0 + 1e-12) + 1e-300)
+    if i.size:
+        # argmin takes the first minimum, so the identity wins exact ties.
+        best_k[i, j] = np.argmin(
+            np.hypot(
+                a[i, 0:1] - (b[j, 0:1] + offs[:, 0]),
+                a[i, 1:2] - (b[j, 1:2] + offs[:, 1]),
+            ),
+            axis=1,
+        )
+    dx = ax - (b[:, 0] + offs[best_k, 0])
+    dy = ay - (b[:, 1] + offs[best_k, 1])
+    return np.hypot(dx, dy), best_k
 
 
 def wrap_distance(a: Point, b: Point, layout: NetworkLayout) -> float:
     d, _ = pairwise_wrap_distance([a], [b], layout)
     return float(d[0, 0])
-
-
-def wrap_vector(frm: Point, to: Point, layout: NetworkLayout) -> tuple[float, float]:
-    """Displacement from ``frm`` to the nearest wrap image of ``to``."""
-    best = None
-    for t in layout.wrap_offsets:
-        dx = to.x + t.x - frm.x
-        dy = to.y + t.y - frm.y
-        d2 = dx * dx + dy * dy
-        if best is None or d2 < best[0]:
-            best = (d2, dx, dy)
-    return best[1], best[2]
 
 
 def _in_hexagon(dx: float, dy: float, isd: float) -> bool:
@@ -203,28 +225,29 @@ def _face_of_angle(angle_deg: float) -> int:
     return int(((angle_deg + 30.0) % 360.0) // 120.0)
 
 
-def point_in_sector_region(p: Point, sector_index: int, layout: NetworkLayout) -> bool:
-    sec = layout.sectors[sector_index]
-    site = layout.sites[sec.site_index]
-    dx, dy = p.x - site.x, p.y - site.y
-    if not _in_hexagon(dx, dy, layout.isd):
-        return False
-    ang = math.degrees(math.atan2(dy, dx))
-    return _face_of_angle(ang) == sector_index % 3
+def sectors_of_points(xy, layout: NetworkLayout) -> np.ndarray:
+    """Sector geometrically containing each point: nearest site under
+    wraparound, then the wedge matching the azimuth of the wrapped
+    displacement. One distance matrix serves every point; the wedge uses libm
+    ``atan2`` per point, the same call the sampler makes."""
+    pts = np.asarray(xy, dtype=float).reshape(-1, 2)
+    d, k = pairwise_wrap_distance(pts, layout.site_xy, layout)
+    site_idx = np.argmin(d, axis=1)
+    t = layout.offset_xy[k[np.arange(pts.shape[0]), site_idx]]
+    site = layout.site_xy[site_idx]
+    # A point is compared against the site image site + t, i.e. p - t against site.
+    dx = pts[:, 0] - t[:, 0] - site[:, 0]
+    dy = pts[:, 1] - t[:, 1] - site[:, 1]
+    faces = [
+        _face_of_angle(math.degrees(math.atan2(y, x)))
+        for x, y in zip(dx.tolist(), dy.tolist())
+    ]
+    return 3 * site_idx + np.array(faces, dtype=site_idx.dtype)
 
 
 def sector_of_point(p: Point, layout: NetworkLayout) -> int:
-    """Sector geometrically containing p: nearest site under wraparound, then
-    the wedge matching the azimuth of the wrapped displacement."""
-    d, k = pairwise_wrap_distance([p], layout.site_xy, layout)
-    site_idx = int(np.argmin(d[0]))
-    t = layout.offset_xy[int(k[0, site_idx])]
-    site = layout.sites[site_idx]
-    # p is compared against the site image site + t, i.e. p - t against site.
-    dx = p.x - t[0] - site.x
-    dy = p.y - t[1] - site.y
-    ang = math.degrees(math.atan2(dy, dx))
-    return 3 * site_idx + _face_of_angle(ang)
+    """Sector geometrically containing p (see ``sectors_of_points``)."""
+    return int(sectors_of_points([p], layout)[0])
 
 
 def _sample_point_in_sector(
@@ -276,7 +299,8 @@ def drop_d2d_pairs(
     the transmitter plus a polar offset: angle uniform on [0, 2pi), radius
     ``d2d_range * sqrt(u)`` redrawn until it is at least ``min_dist``, which
     is area-uniform over the annulus. The receiver's home sector is whichever
-    sector geometrically contains it, which may differ from the transmitter's.
+    sector geometrically contains it, which may differ from the transmitter's;
+    it is looked up for all receivers in one batch after the sampling loop.
     """
     if n_tx_per_sector < 0:
         raise ValueError(f"n_tx_per_sector must be >= 0, got {n_tx_per_sector}")
@@ -285,7 +309,7 @@ def drop_d2d_pairs(
             f"need 0 < min_dist < d2d_range, got min_dist={min_dist}, "
             f"d2d_range={d2d_range}"
         )
-    pairs = []
+    txs, rx_points = [], []
     uid = start_id
     for s in range(layout.n_sectors):
         for _ in range(n_tx_per_sector):
@@ -295,10 +319,13 @@ def drop_d2d_pairs(
                 r = d2d_range * math.sqrt(rng.uniform(0.0, 1.0))
                 if r >= min_dist:
                     break
-            rx_pos = Point(tx_pos.x + r * math.cos(theta), tx_pos.y + r * math.sin(theta))
-            rx_sector = sector_of_point(rx_pos, layout)
-            tx = UeRecord(uid, tx_pos, Role.D2D_TX, s, peer=uid + 1)
-            rx = UeRecord(uid + 1, rx_pos, Role.D2D_RX, rx_sector, peer=uid)
-            pairs.append((tx, rx))
+            rx_points.append(
+                Point(tx_pos.x + r * math.cos(theta), tx_pos.y + r * math.sin(theta))
+            )
+            txs.append(UeRecord(uid, tx_pos, Role.D2D_TX, s, peer=uid + 1))
             uid += 2
-    return pairs
+    rx_sectors = sectors_of_points(rx_points, layout).tolist()
+    return [
+        (tx, UeRecord(tx.id + 1, pos, Role.D2D_RX, sector, peer=tx.id))
+        for tx, pos, sector in zip(txs, rx_points, rx_sectors)
+    ]

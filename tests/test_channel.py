@@ -21,6 +21,19 @@ from d2dsim.layout import Point, Role, UeRecord, build_hex_grid, drop_cellular_u
 CFG = ChannelConfig()
 
 
+def wrap_vector(frm, to, layout):
+    """Displacement from ``frm`` to the nearest wrap image of ``to``: a scalar
+    oracle for the wrapped geometry behind the uplink entries."""
+    best = None
+    for t in layout.wrap_offsets:
+        dx = to.x + t.x - frm.x
+        dy = to.y + t.y - frm.y
+        d2 = dx * dx + dy * dy
+        if best is None or d2 < best[0]:
+            best = (d2, dx, dy)
+    return best[1], best[2]
+
+
 class TestLosProbability:
     def test_short_range_is_certain(self):
         assert los_probability(10.0) == 1.0
@@ -182,8 +195,6 @@ class TestCouplingTable:
         assert table.loss_db(tx_ep, rx_ep) == pytest.approx(expected, rel=1e-12)
 
     def test_uplink_entry_recomposes(self):
-        from d2dsim.layout import wrap_vector
-
         lay, cfg, ues, pairs, table = _drop_with_table(seed=4)
         tx = pairs[0][0]
         sector = 4

@@ -3,8 +3,16 @@ import csv
 import numpy as np
 import pytest
 
-from d2dsim.cli import ConfigError, config_echo_lines, main, parse_config
-from d2dsim.engine import ExperimentConfig, expected_sinr_sample_count
+from d2dsim import cli
+from d2dsim.cli import ConfigError, _fmt, config_echo_lines, main, parse_config
+from d2dsim.engine import (
+    SINR_SAMPLE_DTYPE,
+    THROUGHPUT_SAMPLE_DTYPE,
+    ExperimentConfig,
+    ExperimentReport,
+    PowerSetting,
+    expected_sinr_sample_count,
+)
 from d2dsim.layout import build_hex_grid
 from d2dsim.scheduling import CoordinationMode
 
@@ -196,3 +204,96 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["d2d_range_m", "d2d_offset_db"])
+    def test_non_finite_sinr_exits_1_naming_both_keys(self, tmp_path, capsys, key):
+        # Both push the direct-link pathloss past float range: the signal is 0
+        # and every SINR sample would be -inf.
+        text = (
+            "experiment = sinr\nn_rings = 1\nn_d2d_tx_per_sector = 2\nn_drops = 1\n"
+            f"{key} = 1e308\nout_dir = {tmp_path}/out\n"
+        )
+        assert main([write_cfg(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "d2d_range_m" in captured.err and "d2d_offset_db" in captured.err
+        assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+# The per-row writers the columnar ones replaced, kept as the byte oracle.
+
+
+def _write_sinr_csv_oracle(path, report):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("setting_id,alpha,snr_target_db,drop,sector,link,sinr_db\n")
+        settings = report.settings
+        for row in report.samples:
+            s = settings[int(row["setting_id"])]
+            alpha = "" if s.is_no_pc else _fmt(s.alpha)
+            target = "" if s.is_no_pc else _fmt(s.snr_target_db)
+            fh.write(
+                f"{int(row['setting_id'])},{alpha},{target},{int(row['drop'])},"
+                f"{int(row['sector'])},{int(row['link'])},{_fmt(float(row['sinr_db']))}\n"
+            )
+
+
+def _write_throughput_csv_oracle(path, baseline, offload):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("run,drop,flow,role,throughput_bps\n")
+        for report in (baseline, offload):
+            for row in report.samples:
+                fh.write(
+                    f"{report.run_label},{int(row['drop'])},{int(row['flow'])},"
+                    f"{row['role']},{_fmt(float(row['throughput_bps']))}\n"
+                )
+
+
+_AWKWARD = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-5, 999999.5, 1e16,
+    -12.3456789, 5e-324, 1.7976931348623157e308, 123456.5, 0.1,
+]
+
+
+def _values(n):
+    return np.resize(np.array(_AWKWARD), n)
+
+
+class TestColumnarEmission:
+    # More rows than one write chunk, so rows cross a chunk boundary.
+    N_ROWS = cli._CHUNK_ROWS + 7
+
+    @pytest.mark.parametrize("n_rows", [0, 1, N_ROWS], ids=["empty", "one_row", "two_chunks"])
+    def test_sinr_csv_bytes_equal_per_row_oracle(self, tmp_path, n_rows):
+        settings = (
+            PowerSetting(0.8, -5.5),
+            PowerSetting(1.0, 1e-5),
+            PowerSetting(None, None),
+        )
+        samples = np.zeros(n_rows, dtype=SINR_SAMPLE_DTYPE)
+        samples["setting_id"] = np.arange(n_rows) % len(settings)
+        samples["drop"] = np.arange(n_rows) // 1000
+        samples["sector"] = np.arange(n_rows) % 57
+        samples["link"] = 2**31 - 1 - np.arange(n_rows)
+        samples["sinr_db"] = _values(n_rows)
+        report = ExperimentReport("sinr", settings, samples)
+        cli._write_sinr_csv(tmp_path / "new.csv", report)
+        _write_sinr_csv_oracle(tmp_path / "old.csv", report)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_throughput_csv_bytes_equal_per_row_oracle(self, tmp_path):
+        def report(label, n_rows):
+            samples = np.zeros(n_rows, dtype=THROUGHPUT_SAMPLE_DTYPE)
+            samples["drop"] = np.arange(n_rows) // 30
+            samples["flow"] = np.arange(n_rows) % 30
+            samples["role"] = np.where(np.arange(n_rows) % 3 == 0, "d2d", "cellular")
+            samples["throughput_bps"] = _values(n_rows)[::-1]
+            return ExperimentReport(
+                "throughput", (PowerSetting(None, None),), samples, run_label=label
+            )
+
+        baseline, offload = report("baseline", self.N_ROWS), report("offload", 5)
+        cli._write_throughput_csv(tmp_path / "new.csv", baseline, offload)
+        _write_throughput_csv_oracle(tmp_path / "old.csv", baseline, offload)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -2,20 +2,72 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from d2dsim.layout import (
     MIN_UE_UE_DISTANCE_M,
     Point,
     Role,
+    _face_of_angle,
+    _in_hexagon,
     build_hex_grid,
     drop_cellular_ues,
     drop_d2d_pairs,
     hex_circumradius,
-    point_in_sector_region,
+    pairwise_wrap_distance,
     sector_of_point,
+    sectors_of_points,
     wrap_distance,
 )
+
+
+# Reference oracles: the per-offset hypot search and the one-point sector
+# lookup that the array code must reproduce bit for bit, and the sector
+# region membership test.
+
+
+def _wrap_distance_oracle(a_xy, b_xy, layout):
+    a = np.asarray(a_xy, dtype=float).reshape(-1, 2)
+    b = np.asarray(b_xy, dtype=float).reshape(-1, 2)
+    offs = layout.offset_xy
+    best_d = None
+    best_k = None
+    for k in range(offs.shape[0]):
+        dx = a[:, 0:1] - (b[None, :, 0] + offs[k, 0])
+        dy = a[:, 1:2] - (b[None, :, 1] + offs[k, 1])
+        d = np.hypot(dx, dy)
+        if best_d is None:
+            best_d = d
+            best_k = np.zeros(d.shape, dtype=np.int8)
+        else:
+            closer = d < best_d
+            best_d = np.where(closer, d, best_d)
+            best_k = np.where(closer, np.int8(k), best_k)
+    return best_d, best_k
+
+
+def _sector_of_point_oracle(p, layout):
+    d, k = _wrap_distance_oracle([p], layout.site_xy, layout)
+    site_idx = int(np.argmin(d[0]))
+    t = layout.offset_xy[int(k[0, site_idx])]
+    site = layout.sites[site_idx]
+    dx = p.x - t[0] - site.x
+    dy = p.y - t[1] - site.y
+    ang = math.degrees(math.atan2(dy, dx))
+    return 3 * site_idx + _face_of_angle(ang)
+
+
+def point_in_sector_region(p, sector_index, layout):
+    sec = layout.sectors[sector_index]
+    site = layout.sites[sec.site_index]
+    dx, dy = p.x - site.x, p.y - site.y
+    if not _in_hexagon(dx, dy, layout.isd):
+        return False
+    ang = math.degrees(math.atan2(dy, dx))
+    return _face_of_angle(ang) == sector_index % 3
 
 
 @pytest.mark.parametrize("n_rings,n_sites", [(0, 1), (1, 7), (2, 19), (3, 37)])
@@ -157,7 +209,7 @@ def test_d2d_pair_distances_and_linkage():
         assert tx.role is Role.D2D_TX and rx.role is Role.D2D_RX
         assert tx.peer == rx.id and rx.peer == tx.id
         assert point_in_sector_region(tx.position, tx.home_sector, lay)
-        assert rx.home_sector == sector_of_point(rx.position, lay)
+        assert rx.home_sector == _sector_of_point_oracle(rx.position, lay)
 
 
 def test_d2d_rejects_bad_min_distance():
@@ -208,3 +260,103 @@ def test_sector_of_point_agrees_with_membership():
 
 def test_min_ue_ue_distance_constant():
     assert MIN_UE_UE_DISTANCE_M == 3.0
+
+
+# Property tests of the array geometry against the oracles above.
+
+_layouts = st.builds(
+    build_hex_grid,
+    isd=st.sampled_from([1.0, 333.3, 500.0, 1732.0]),
+    n_rings=st.integers(0, 3),
+    wraparound=st.booleans(),
+)
+
+
+def _points(data, lay, max_rows=12):
+    # Out to about two cluster widths, so many points are closest to an image.
+    span = (2 * lay.n_rings + 2) * lay.isd
+    n = data.draw(st.integers(1, max_rows))
+    return data.draw(
+        hnp.arrays(np.float64, (n, 2), elements=st.floats(-span, span, width=64))
+    )
+
+
+def _assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@given(st.data(), _layouts)
+def test_wrap_distance_bit_equals_hypot_oracle(data, lay):
+    a, b = _points(data, lay), _points(data, lay)
+    d, k = pairwise_wrap_distance(a, b, lay)
+    d_ref, k_ref = _wrap_distance_oracle(a, b, lay)
+    _assert_bit_equal(d, d_ref)
+    _assert_bit_equal(k, k_ref)
+
+
+@pytest.mark.parametrize("isd", [1.0, 500.0, 1732.0])
+@pytest.mark.parametrize("n_rings", [1, 2, 3])
+def test_wrap_distance_on_the_site_lattice_keeps_identity_ties(isd, n_rings):
+    # Sites and the midpoints between a site and every image of every site:
+    # a midpoint is equally far from both ends, so exact ties abound.
+    lay = build_hex_grid(isd, n_rings, True)
+    sites, offs = lay.site_xy, lay.offset_xy
+    mids = (sites[:, None, None] + sites[None, :, None] + offs[None, None]) / 2
+    mids = np.unique(mids.reshape(-1, 2), axis=0)
+    n_ties = 0
+    for a, b in ((sites, sites), (sites, lay.sector_site_xy), (mids, sites), (mids, mids)):
+        d, k = pairwise_wrap_distance(a, b, lay)
+        d_ref, k_ref = _wrap_distance_oracle(a, b, lay)
+        _assert_bit_equal(d, d_ref)
+        _assert_bit_equal(k, k_ref)
+        per_image = np.stack([
+            np.hypot(a[:, 0:1] - (b[:, 0] + t[0]), a[:, 1:2] - (b[:, 1] + t[1]))
+            for t in offs
+        ])
+        identity_tie = (per_image[0] == d) & (per_image[1:] == d).any(axis=0)
+        assert np.all(k[identity_tie] == 0)
+        n_ties += int(identity_tie.sum())
+    assert np.all(np.diag(pairwise_wrap_distance(sites, sites, lay)[0]) == 0.0)
+    assert n_ties > 0
+
+
+@given(st.data(), _layouts)
+def test_wrap_distance_is_symmetric_and_at_most_plain(data, lay):
+    a, b = _points(data, lay), _points(data, lay)
+    d_ab, _ = pairwise_wrap_distance(a, b, lay)
+    d_ba, _ = pairwise_wrap_distance(b, a, lay)
+    np.testing.assert_allclose(d_ab, d_ba.T, rtol=1e-12, atol=1e-12 * lay.isd)
+    plain = np.hypot(a[:, 0:1] - b[:, 0], a[:, 1:2] - b[:, 1])
+    assert np.all(d_ab <= plain)
+
+
+@given(st.data(), _layouts)
+def test_sectors_of_points_equals_scalar_oracle(data, lay):
+    xy = _points(data, lay, max_rows=30)
+    got = sectors_of_points(xy, lay)
+    assert got.tolist() == [_sector_of_point_oracle(Point(x, y), lay) for x, y in xy.tolist()]
+    assert [sector_of_point(Point(x, y), lay) for x, y in xy.tolist()] == got.tolist()
+
+
+@given(
+    _layouts,
+    st.data(),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+)
+def test_sectors_of_points_inside_the_cluster_match_the_region(lay, data, u, v):
+    site = data.draw(st.integers(0, lay.n_sites - 1))
+    radius = hex_circumradius(lay.isd)
+    dx, dy = u * radius, v * radius
+    # Keep clear of the cell edge, where two cells share the boundary.
+    assume(_in_hexagon(dx * 1.001, dy * 1.001, lay.isd))
+    p = Point(lay.sites[site].x + dx, lay.sites[site].y + dy)
+    (sector,) = sectors_of_points([p], lay).tolist()
+    assert sector // 3 == site
+    assert point_in_sector_region(p, sector, lay)
+
+
+def test_sectors_of_points_accepts_no_points():
+    lay = build_hex_grid(500.0, 1, True)
+    assert sectors_of_points([], lay).shape == (0,)
