@@ -47,12 +47,9 @@ from .scheduling import (
     CoordinationMode,
     Flow,
     PfResult,
-    SlotAssignment,
-    assign_d2d_slots,
-    cycle_length,
+    activation_pattern,
     pf_select,
     pf_update,
-    positions_per_tx,
     run_pf_uplink,
     spatial_reuse,
 )

@@ -195,12 +195,6 @@ class CouplingTable:
         """Linear power gain 10^(-loss/10) of every terminal pair entry."""
         return 10.0 ** (-self.ue_ue_loss_db / 10.0)
 
-    def tx_row(self, ue_id: int) -> int:
-        return self._tx_row[ue_id]
-
-    def rx_col(self, ue_id: int) -> int:
-        return self._rx_col[ue_id]
-
     def _indices(self, tx, rx) -> tuple[str, int, int]:
         tk, ti = tx
         rk, ri = rx

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import __version__
 from .engine import (
@@ -64,27 +64,16 @@ def _format_coordination(mode: CoordinationMode) -> str:
     return mode.kind
 
 
-_PARSERS = {
-    "experiment": str,
-    "isd_m": float,
-    "n_rings": int,
-    "wraparound": _parse_bool,
-    "n_cellular_per_sector": int,
-    "n_d2d_tx_per_sector": int,
-    "d2d_range_m": float,
-    "min_d2d_dist_m": float,
-    "coordination": _parse_coordination,
-    "alpha_list": _parse_float_list,
-    "snr_target_db_list": _parse_float_list,
-    "no_power_control": _parse_bool,
-    "n_drops": int,
-    "n_subframes": int,
-    "k_d2d": int,
-    "seed": int,
-    "carrier_ghz": float,
-    "d2d_offset_db": float,
-    "out_dir": str,
+# One parser per declared field type; keys follow the field order.
+_TYPE_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "CoordinationMode": _parse_coordination,
+    "tuple[float, ...]": _parse_float_list,
 }
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 CONFIG_KEYS = tuple(_PARSERS)
 
@@ -112,9 +101,8 @@ def parse_config(path: str) -> ExperimentConfig:
             except (ValueError, TypeError) as exc:
                 raise ConfigError(lineno, f"bad value for {key!r}: {exc}") from exc
             key_lines[key] = lineno
-    cfg = ExperimentConfig(**values)
     try:
-        cfg.validate()
+        return ExperimentConfig(**values)
     except ValueError as exc:
         # Attribute the contradiction to the most relevant configured line.
         line = 0
@@ -123,7 +111,6 @@ def parse_config(path: str) -> ExperimentConfig:
                 line = key_lines[key]
                 break
         raise ConfigError(line, str(exc)) from exc
-    return cfg
 
 
 def _fmt(value) -> str:
@@ -273,18 +260,20 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-
     start = time.perf_counter()
     try:
-        cfg.validate()
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
         result = run_experiment(cfg)
         summary = emit_reports(result, cfg, cfg.out_dir, time.perf_counter() - start)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: reduce n_rings, the per-sector terminal "
+              "counts or n_drops", file=sys.stderr)
         return 1
     if not args.quiet:
         sys.stdout.write(summary)

@@ -32,9 +32,7 @@ from .scheduling import (
     UNCOORDINATED,
     CoordinationMode,
     Flow,
-    assign_d2d_slots,
-    cycle_length,
-    positions_per_tx,
+    activation_pattern,
     run_pf_uplink,
 )
 
@@ -112,6 +110,9 @@ class ExperimentConfig:
     d2d_offset_db: float = -10.0
     out_dir: str = "runs"
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         # Every message names its config key(s); parse_config reports the line.
         if self.experiment not in ("sinr", "throughput"):
@@ -156,8 +157,6 @@ def sweep_settings(cfg: ExperimentConfig) -> list[PowerSetting]:
     ]
     if cfg.no_power_control:
         settings.append(PowerSetting(None, None))
-    if not settings:
-        raise ValueError("power-control sweep is empty")
     return settings
 
 
@@ -182,20 +181,13 @@ def _setting_pc(setting: PowerSetting, noise_dbm: Optional[float]) -> PowerContr
     )
 
 
-def build_drop(
-    cfg: ExperimentConfig,
-    layout: NetworkLayout,
-    drop_index: int,
-    ch_cfg: Optional[ChannelConfig] = None,
-):
+def build_drop(cfg: ExperimentConfig, layout: NetworkLayout, drop_index: int):
     """Drop all terminals and freeze the coupling table for one drop index.
 
     The baseline and offload throughput runs both start from this, which is
     what guarantees them identical geometry and shadowing.
     """
-    ch = ch_cfg or ChannelConfig(
-        carrier_ghz=cfg.carrier_ghz, d2d_offset_db=cfg.d2d_offset_db
-    )
+    ch = ChannelConfig(carrier_ghz=cfg.carrier_ghz, d2d_offset_db=cfg.d2d_offset_db)
     rng = np.random.default_rng(drop_stream_seed(cfg.seed, drop_index))
     cell = drop_cellular_ues(layout, cfg.n_cellular_per_sector, rng)
     pairs = drop_d2d_pairs(
@@ -211,44 +203,41 @@ def build_drop(
     return cell, pairs, table, ues
 
 
-def _sinr_drop_samples(cfg, layout, settings, ch_cfg, rc, drop_index) -> np.ndarray:
-    cell, pairs, table, _ = build_drop(cfg, layout, drop_index, ch_cfg)
+def _sinr_drop_samples(cfg, layout, settings, rc, drop_index) -> np.ndarray:
+    cell, pairs, table, _ = build_drop(cfg, layout, drop_index)
     if not pairs:
         return np.zeros(0, dtype=SINR_SAMPLE_DTYPE)
 
-    mode = cfg.coordination
-    n_tx = cfg.n_d2d_tx_per_sector
-    txs_by_sector: dict[int, list[int]] = {}
-    for tx, _rx in pairs:
-        txs_by_sector.setdefault(tx.home_sector, []).append(tx.id)
-    slots = assign_d2d_slots(mode, txs_by_sector, cycle_length(mode, n_tx))
-
-    d2d_rows = np.array([table.tx_row(tx.id) for tx, _ in pairs])
-    peer_cols = np.array([table.rx_col(rx.id) for _, rx in pairs])
+    # Pairs are dropped sector by sector, n_tx each. Table rows are the
+    # cellular terminals, then the pair transmitters in drop order; columns
+    # are the pair receivers in drop order. So link j is row n_cell + j and
+    # column j.
+    n_cell = len(cell)
+    links = np.arange(len(pairs))
     tx_ids = np.array([tx.id for tx, _ in pairs], dtype=np.int32)
     tx_sector = np.array([tx.home_sector for tx, _ in pairs], dtype=np.int32)
-    own_loss = table.ue_ue_loss_db[d2d_rows, peer_cols]
+    own_loss = table.ue_ue_loss_db[n_cell + links, links]
 
     gain = table.ue_ue_gain_lin
-    # Per slot: the active links, their peer columns, the active transmitters'
-    # gains at those receivers and each link's own gain. Gathered once per
-    # drop; only the powers change with the sweep setting.
-    pair_index = {int(t): j for j, t in enumerate(tx_ids)}
+    # Per subframe of the cycle: the active links (sector-major, positions
+    # ascending), the active transmitters' gains at their receivers and each
+    # link's own gain. Gathered once per drop; only the powers change with
+    # the sweep setting.
+    pattern = activation_pattern(cfg.coordination, cfg.n_d2d_tx_per_sector)
+    sector_base = links[:: cfg.n_d2d_tx_per_sector, None]
     active = []
-    for slot in slots:
-        ids = [t for s in sorted(slot.active) for t in slot.active[s]]
-        sel = np.array([pair_index[t] for t in ids], dtype=int)
-        rows, cols = d2d_rows[sel], peer_cols[sel]
-        active.append((sel, cols, gain[np.ix_(rows, cols)], gain[rows, cols]))
+    for on_air in pattern:
+        sel = (sector_base + on_air).ravel()
+        rows = n_cell + sel
+        active.append((sel, gain[np.ix_(rows, sel)], gain[rows, sel]))
 
     noise_ue_dbm = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_ue_db)
     noise_enb_dbm = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_enb_db)
     noise_lin = 10.0 ** (noise_ue_dbm / 10.0)
 
     if cell:
-        cell_rows = np.array([table.tx_row(u.id) for u in cell])
         cell_loss = table.ue_sector_loss_db[
-            cell_rows, np.array([u.home_sector for u in cell])
+            np.arange(n_cell), np.array([u.home_sector for u in cell])
         ]
     chunks = []
     for si, setting in enumerate(settings):
@@ -260,11 +249,11 @@ def _sinr_drop_samples(cfg, layout, settings, ch_cfg, rc, drop_index) -> np.ndar
             p_cell = np.asarray(
                 open_loop_tx_power(_setting_pc(setting, noise_enb_dbm), cell_loss)
             )
-            cell_at_rx = (10.0 ** (p_cell / 10.0)) @ gain[cell_rows]
+            cell_at_rx = (10.0 ** (p_cell / 10.0)) @ gain[:n_cell]
         else:
             cell_at_rx = np.zeros(gain.shape[1])
-        for sel, cols, cross_gain, own_gain in active:
-            received = p_lin[sel] @ cross_gain + cell_at_rx[cols]
+        for sel, cross_gain, own_gain in active:
+            received = p_lin[sel] @ cross_gain + cell_at_rx[sel]
             signal = p_lin[sel] * own_gain
             interference = np.maximum(received - signal, 0.0)
             with np.errstate(divide="ignore"):  # a zero signal is reported below
@@ -289,13 +278,11 @@ def run_sinr_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Per drop: build the geometry, freeze couplings, set powers for every
     sweep setting, and record each direct link's SINR at every activation
     pattern position. All cochannel transmitters interfere."""
-    cfg.validate()
     layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
     settings = sweep_settings(cfg)
-    ch_cfg = ChannelConfig(carrier_ghz=cfg.carrier_ghz, d2d_offset_db=cfg.d2d_offset_db)
     rc = RadioConfig()
     chunks = [
-        _sinr_drop_samples(cfg, layout, settings, ch_cfg, rc, drop)
+        _sinr_drop_samples(cfg, layout, settings, rc, drop)
         for drop in range(cfg.n_drops)
     ]
     samples = (
@@ -305,15 +292,10 @@ def run_sinr_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def expected_sinr_sample_count(cfg: ExperimentConfig, n_sectors: int) -> int:
-    """Sample accounting: drops x sectors x links x positions-per-link, per
+    """Sample accounting: drops x sectors x activation-pattern entries, per
     sweep setting."""
-    per_setting = (
-        cfg.n_drops
-        * n_sectors
-        * cfg.n_d2d_tx_per_sector
-        * positions_per_tx(cfg.coordination, cfg.n_d2d_tx_per_sector)
-    )
-    return per_setting * len(sweep_settings(cfg))
+    pattern = activation_pattern(cfg.coordination, cfg.n_d2d_tx_per_sector)
+    return cfg.n_drops * n_sectors * pattern.size * len(sweep_settings(cfg))
 
 
 def _throughput_rows(drop_index, sector_flows, result) -> np.ndarray:
@@ -335,16 +317,14 @@ def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, 
     send directly to their dropped peers instead. The power-control setting is
     the first entry of the sweep.
     """
-    cfg.validate()
     layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
     setting = sweep_settings(cfg)[0]
-    ch_cfg = ChannelConfig(carrier_ghz=cfg.carrier_ghz, d2d_offset_db=cfg.d2d_offset_db)
     rc = RadioConfig()
     pc = _setting_pc(setting, None)
 
     base_chunks, off_chunks = [], []
     for drop in range(cfg.n_drops):
-        cell, pairs, table, _ = build_drop(cfg, layout, drop, ch_cfg)
+        cell, pairs, table, _ = build_drop(cfg, layout, drop)
 
         def flows_for(k_d2d: int) -> dict[int, list[Flow]]:
             out: dict[int, list[Flow]] = {}

@@ -4,7 +4,7 @@ scheduler with direct-link offload.
 Coordination decides which D2D transmitters are simultaneously on the air:
 all of them (uncoordinated), one per sector in round-robin (orthogonal TDM),
 or k per sector rotating through the transmitter list so everyone gets equal
-airtime (spatial reuse).
+airtime (spatial reuse). One activation pattern array encodes all three.
 
 The PF scheduler grants one flow per sector per subframe for the whole band.
 Grants at subframe t are chosen from SINRs computed against the transmitters
@@ -60,60 +60,21 @@ def spatial_reuse(k: int) -> CoordinationMode:
     return CoordinationMode("reuse", k)
 
 
-def active_slot_indices(mode: CoordinationMode, n_tx: int, subframe: int) -> tuple[int, ...]:
-    """Positions (within a sector's transmitter list) on the air at a subframe."""
-    if n_tx <= 0:
-        return ()
-    if mode.kind == "uncoordinated":
-        return tuple(range(n_tx))
-    if mode.kind == "tdm":
-        return (subframe % n_tx,)
-    k = min(mode.k, n_tx)
-    start = (subframe * k) % n_tx
-    return tuple(sorted((start + j) % n_tx for j in range(k)))
+def activation_pattern(mode: CoordinationMode, n_tx: int) -> np.ndarray:
+    """Positions within a sector's transmitter list on the air in each
+    subframe of one cycle, as a (cycle x k) array with ascending rows.
 
-
-def cycle_length(mode: CoordinationMode, n_tx: int) -> int:
-    """Subframes after which the activation pattern repeats."""
-    if n_tx <= 0 or mode.kind == "uncoordinated":
-        return 1
-    if mode.kind == "tdm":
-        return n_tx
-    k = min(mode.k, n_tx)
-    return n_tx // math.gcd(n_tx, k)
-
-
-def positions_per_tx(mode: CoordinationMode, n_tx: int) -> int:
-    """How many subframes of one cycle each transmitter is active in."""
-    if n_tx <= 0:
-        return 0
-    if mode.kind in ("uncoordinated", "tdm"):
-        return 1
-    k = min(mode.k, n_tx)
-    return k // math.gcd(n_tx, k)
-
-
-@dataclass(frozen=True)
-class SlotAssignment:
-    subframe_index: int
-    active: dict[int, tuple[int, ...]]  # sector -> transmitting UE ids
-
-
-def assign_d2d_slots(
-    mode: CoordinationMode,
-    d2d_txs_by_sector: Mapping[int, Sequence[int]],
-    n_subframes: int,
-) -> list[SlotAssignment]:
-    if n_subframes < 1:
-        raise ValueError(f"n_subframes must be >= 1, got {n_subframes}")
-    out = []
-    for t in range(n_subframes):
-        active = {}
-        for sector, txs in d2d_txs_by_sector.items():
-            idx = active_slot_indices(mode, len(txs), t)
-            active[sector] = tuple(txs[i] for i in idx)
-        out.append(SlotAssignment(t, active))
-    return out
+    Every mode is one rotation: subframe t activates positions
+    (t*k + j) mod n_tx for j < k, with k = n_tx (uncoordinated), 1 (TDM) or
+    min(k, n_tx) (reuse). The pattern repeats after n_tx // gcd(n_tx, k)
+    subframes, in which each transmitter is on the air equally often.
+    """
+    if n_tx < 0:
+        raise ValueError(f"n_tx must be >= 0, got {n_tx}")
+    k = min({"uncoordinated": n_tx, "tdm": 1}.get(mode.kind, mode.k), n_tx)
+    cycle = n_tx // math.gcd(n_tx, k) if n_tx else 1
+    starts = np.arange(cycle)[:, None] * k
+    return np.sort((starts + np.arange(k)) % max(n_tx, 1), axis=1)
 
 
 @dataclass(frozen=True)

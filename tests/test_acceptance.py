@@ -233,9 +233,8 @@ def _power_control_invariants_ok():
 
 
 def _tdm_has_no_intra_sector_overlap_ok():
-    txs = {s: list(range(s * 50, s * 50 + 10)) for s in range(6)}
-    slots = d.assign_d2d_slots(d.ORTHOGONAL_TDM, txs, 500)
-    return all(len(v) <= 1 for slot in slots for v in slot.active.values())
+    pattern = d.activation_pattern(d.ORTHOGONAL_TDM, 10)
+    return all(len(pattern[t % len(pattern)]) <= 1 for t in range(500))
 
 
 def _metrics_match_naive_ok():

@@ -205,6 +205,26 @@ class TestMain:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    def test_invalid_seed_override_exits_1(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, SMALL_SINR + f"out_dir = {tmp_path}/s\n")
+        assert main([cfg_path, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s").exists()
+
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        cfg_path = write_cfg(tmp_path, SMALL_SINR + f"out_dir = {tmp_path}/m\n")
+        assert main([cfg_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("key", ["d2d_range_m", "d2d_offset_db"])
     def test_non_finite_sinr_exits_1_naming_both_keys(self, tmp_path, capsys, key):
         # Both push the direct-link pathloss past float range: the signal is 0

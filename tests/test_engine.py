@@ -29,6 +29,7 @@ from d2dsim.radio import (
 from d2dsim.scheduling import ORTHOGONAL_TDM, UNCOORDINATED, spatial_reuse
 
 from d2dsim.engine import _setting_pc  # engine-internal, exercised on purpose
+from test_scheduling import active_slot_indices, cycle_length  # per-mode oracle
 
 
 SMALL = ExperimentConfig(
@@ -148,15 +149,22 @@ class TestSinrExperiment:
             t = tdm.samples["sinr_db"][tdm.samples["setting_id"] == si]
             assert fraction_above(t, -6.0) >= fraction_above(u, -6.0)
 
-    def test_samples_match_reference_sinr_op(self):
-        # engine's vectorized path against the scalar operation, per sample
+    @pytest.mark.parametrize(
+        "mode",
+        [UNCOORDINATED, ORTHOGONAL_TDM, spatial_reuse(2)],
+        ids=["uncoordinated", "tdm", "reuse:2"],
+    )
+    def test_samples_match_reference_sinr_op(self, mode):
+        # engine's vectorized path against the scalar operation, per sample;
+        # each sample's active set is the per-mode oracle rule at its cycle
+        # position, so a wrong table row or column under TDM or reuse shows
         cfg = ExperimentConfig(
             experiment="sinr",
             isd_m=500.0,
-            n_rings=0,
-            wraparound=False,
+            n_rings=1,
             n_cellular_per_sector=2,
-            n_d2d_tx_per_sector=2,
+            n_d2d_tx_per_sector=3,
+            coordination=mode,
             n_drops=2,
             seed=5,
         )
@@ -166,10 +174,27 @@ class TestSinrExperiment:
         settings = sweep_settings(cfg)
         noise_ue = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_ue_db)
         noise_enb = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_enb_db)
+        n_tx = cfg.n_d2d_tx_per_sector
         for drop in (0, 1):
             cell, pairs, table, _ = build_drop(cfg, lay, drop)
             peer = {tx.id: rx.id for tx, rx in pairs}
-            powers = {}
+            txs_by_sector = {}
+            for tx, _ in pairs:
+                txs_by_sector.setdefault(tx.home_sector, []).append(tx.id)
+            # Samples come per setting, then per cycle position, then per
+            # sector and position: the order the oracle rule gives.
+            expected_links, active_sets = [], []
+            for t in range(cycle_length(mode, n_tx)):
+                on_air = [
+                    txs_by_sector[s][i]
+                    for s in sorted(txs_by_sector)
+                    for i in active_slot_indices(mode, n_tx, t)
+                ]
+                expected_links += on_air
+                active = {ue_endpoint(i) for i in on_air} | {ue_endpoint(u.id) for u in cell}
+                active_sets += [active] * len(on_air)
+            sel = rep.samples[rep.samples["drop"] == drop]
+            assert sel.size == len(settings) * len(expected_links)
             for si, setting in enumerate(settings):
                 p = {}
                 for tx, rx in pairs:
@@ -178,23 +203,19 @@ class TestSinrExperiment:
                 for u in cell:
                     pl = table.loss_db(ue_endpoint(u.id), sector_endpoint(u.home_sector))
                     p[ue_endpoint(u.id)] = open_loop_tx_power(_setting_pc(setting, noise_enb), pl)
-                powers[si] = p
-            sel = rep.samples[rep.samples["drop"] == drop]
-            active = {ue_endpoint(tx.id) for tx, _ in pairs} | {
-                ue_endpoint(u.id) for u in cell
-            }
-            for row in sel:
-                si = int(row["setting_id"])
-                tx_id = int(row["link"])
-                oracle = compute_sinr(
-                    ue_endpoint(peer[tx_id]),
-                    ue_endpoint(tx_id),
-                    active,
-                    powers[si],
-                    table,
-                    noise_ue,
-                )
-                assert row["sinr_db"] == pytest.approx(oracle, rel=1e-9)
+                rows = sel[sel["setting_id"] == si]
+                assert rows["link"].tolist() == expected_links
+                for row, active in zip(rows, active_sets, strict=True):
+                    tx_id = int(row["link"])
+                    oracle = compute_sinr(
+                        ue_endpoint(peer[tx_id]),
+                        ue_endpoint(tx_id),
+                        active,
+                        p,
+                        table,
+                        noise_ue,
+                    )
+                    assert row["sinr_db"] == pytest.approx(oracle, rel=1e-9)
 
     def test_summary_recomputable_from_samples(self):
         rep = run_sinr_experiment(SMALL)

@@ -22,11 +22,9 @@ from d2dsim.scheduling import (
     CoordinationMode,
     Flow,
     PfResult,
-    assign_d2d_slots,
-    cycle_length,
+    activation_pattern,
     pf_select,
     pf_update,
-    positions_per_tx,
     run_pf_uplink,
     spatial_reuse,
 )
@@ -42,53 +40,94 @@ class FakeTable:
         return np.array([[self.losses[(tx, rx)] for _, rx in links] for tx, _ in links])
 
 
+# The per-mode rules the activation pattern replaced, kept as its oracle.
+def active_slot_indices(mode: CoordinationMode, n_tx: int, subframe: int) -> tuple[int, ...]:
+    """Positions (within a sector's transmitter list) on the air at a subframe."""
+    if n_tx <= 0:
+        return ()
+    if mode.kind == "uncoordinated":
+        return tuple(range(n_tx))
+    if mode.kind == "tdm":
+        return (subframe % n_tx,)
+    k = min(mode.k, n_tx)
+    start = (subframe * k) % n_tx
+    return tuple(sorted((start + j) % n_tx for j in range(k)))
+
+
+def cycle_length(mode: CoordinationMode, n_tx: int) -> int:
+    """Subframes after which the activation pattern repeats."""
+    if n_tx <= 0 or mode.kind == "uncoordinated":
+        return 1
+    if mode.kind == "tdm":
+        return n_tx
+    k = min(mode.k, n_tx)
+    return n_tx // math.gcd(n_tx, k)
+
+
+def positions_per_tx(mode: CoordinationMode, n_tx: int) -> int:
+    """How many subframes of one cycle each transmitter is active in."""
+    if n_tx <= 0:
+        return 0
+    if mode.kind in ("uncoordinated", "tdm"):
+        return 1
+    k = min(mode.k, n_tx)
+    return k // math.gcd(n_tx, k)
+
+
+def _active(mode, txs_by_sector, subframe):
+    """Transmitter ids on the air per sector at a subframe, from the pattern."""
+    out = {}
+    for sector, txs in txs_by_sector.items():
+        pattern = activation_pattern(mode, len(txs))
+        out[sector] = tuple(txs[i] for i in pattern[subframe % len(pattern)])
+    return out
+
+
 class TestSlotAssignment:
     def test_uncoordinated_everyone_always_on(self):
         txs = {0: list(range(100, 110)), 1: list(range(200, 210))}
-        slots = assign_d2d_slots(UNCOORDINATED, txs, 5)
-        assert len(slots) == 5
-        for slot in slots:
-            assert slot.active[0] == tuple(range(100, 110))
-            assert slot.active[1] == tuple(range(200, 210))
+        for t in range(5):
+            active = _active(UNCOORDINATED, txs, t)
+            assert active[0] == tuple(range(100, 110))
+            assert active[1] == tuple(range(200, 210))
 
     def test_tdm_each_tx_exactly_once_per_cycle(self):
         txs = {0: list(range(10))}
-        slots = assign_d2d_slots(ORTHOGONAL_TDM, txs, 10)
-        seen = [slot.active[0] for slot in slots]
+        seen = [_active(ORTHOGONAL_TDM, txs, t)[0] for t in range(10)]
         assert all(len(s) == 1 for s in seen)
         assert sorted(t for (t,) in seen) == list(range(10))
 
     def test_tdm_never_two_in_same_sector(self):
         txs = {s: list(range(s * 100, s * 100 + 7)) for s in range(3)}
-        for slot in assign_d2d_slots(ORTHOGONAL_TDM, txs, 40):
-            assert all(len(v) <= 1 for v in slot.active.values())
+        for t in range(40):
+            assert all(len(v) <= 1 for v in _active(ORTHOGONAL_TDM, txs, t).values())
 
     def test_reuse_concurrency_and_airtime(self):
         txs = {0: list(range(10))}
         n = 10_000
-        slots = assign_d2d_slots(spatial_reuse(2), txs, n)
         counts = {t: 0 for t in range(10)}
-        for slot in slots:
-            assert len(slot.active[0]) == 2
-            for t in slot.active[0]:
-                counts[t] += 1
+        for t in range(n):
+            active = _active(spatial_reuse(2), txs, t)
+            assert len(active[0]) == 2
+            for tx in active[0]:
+                counts[tx] += 1
         for t, c in counts.items():
             assert abs(c / n - 0.2) < 0.01 * 0.2 + 1e-9
 
     def test_reuse_clamps_to_population(self):
         txs = {0: [5, 6]}
-        for slot in assign_d2d_slots(spatial_reuse(8), txs, 4):
-            assert slot.active[0] == (5, 6)
+        for t in range(4):
+            assert _active(spatial_reuse(8), txs, t)[0] == (5, 6)
 
     def test_cycle_and_positions(self):
-        assert cycle_length(UNCOORDINATED, 10) == 1
-        assert cycle_length(ORTHOGONAL_TDM, 10) == 10
-        assert cycle_length(spatial_reuse(2), 10) == 5
-        assert cycle_length(spatial_reuse(3), 10) == 10
-        assert positions_per_tx(UNCOORDINATED, 10) == 1
-        assert positions_per_tx(ORTHOGONAL_TDM, 10) == 1
-        assert positions_per_tx(spatial_reuse(2), 10) == 1
-        assert positions_per_tx(spatial_reuse(3), 10) == 3
+        def shape_and_counts(mode):
+            pattern = activation_pattern(mode, 10)
+            return pattern.shape[0], np.bincount(pattern.ravel(), minlength=10).tolist()
+
+        assert shape_and_counts(UNCOORDINATED) == (1, [1] * 10)
+        assert shape_and_counts(ORTHOGONAL_TDM) == (10, [1] * 10)
+        assert shape_and_counts(spatial_reuse(2)) == (5, [1] * 10)
+        assert shape_and_counts(spatial_reuse(3)) == (10, [3] * 10)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -96,7 +135,19 @@ class TestSlotAssignment:
         with pytest.raises(ValueError):
             CoordinationMode("bogus")
         with pytest.raises(ValueError):
-            assign_d2d_slots(UNCOORDINATED, {0: [1]}, 0)
+            activation_pattern(UNCOORDINATED, -1)
+
+    def test_pattern_matches_per_mode_oracle(self):
+        modes = [UNCOORDINATED, ORTHOGONAL_TDM] + [spatial_reuse(k) for k in range(1, 51)]
+        for mode in modes:
+            for n_tx in range(41):
+                pattern = activation_pattern(mode, n_tx)
+                cycle = cycle_length(mode, n_tx)
+                assert pattern.shape[0] == cycle, (mode, n_tx)
+                for t in range(cycle):
+                    assert tuple(pattern[t].tolist()) == active_slot_indices(mode, n_tx, t)
+                counts = np.bincount(pattern.ravel(), minlength=n_tx)
+                assert np.all(counts == positions_per_tx(mode, n_tx)), (mode, n_tx)
 
 
 def _select(avg_by_id, inst_by_id):
