@@ -147,6 +147,12 @@ class ExperimentConfig:
             raise ValueError("k_d2d must be >= 0")
         if self.experiment == "throughput" and self.k_d2d > self.n_d2d_tx_per_sector:
             raise ValueError("k_d2d exceeds the number of transmitters per sector")
+        if self.experiment == "throughput" and len(sweep_settings(self)) != 1:
+            raise ValueError(
+                "a throughput experiment takes exactly one power setting: one value each in "
+                "alpha_list and snr_target_db_list with no_power_control = false, "
+                "or both empty with no_power_control = true"
+            )
         if self.carrier_ghz <= 0:
             raise ValueError("carrier_ghz must be positive")
 
@@ -314,11 +320,12 @@ def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, 
 
     Baseline: every transmitter is a cellular flow through its serving sector.
     Offload: per sector, the first cfg.k_d2d pair transmitters (in drop order)
-    send directly to their dropped peers instead. The power-control setting is
-    the first entry of the sweep.
+    send directly to their dropped peers instead. The config's one sweep
+    entry is the power-control setting. Each PF run is one `run_pf_uplink`
+    call, in the order drop 0 baseline, drop 0 offload, drop 1 baseline, ...
     """
     layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
-    setting = sweep_settings(cfg)[0]
+    (setting,) = sweep_settings(cfg)
     rc = RadioConfig()
     pc = _setting_pc(setting, None)
 

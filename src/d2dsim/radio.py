@@ -114,9 +114,24 @@ def rate_from_sinr(sinr_db, bandwidth_share_hz, rc: RadioConfig):
     """Attenuated-Shannon rate in bps, capped in spectral efficiency."""
     if np.any(np.asarray(bandwidth_share_hz) < 0):
         raise ValueError("bandwidth share must be >= 0")
-    se = rc.shannon_efficiency * np.log2(1.0 + 10.0 ** (np.asarray(sinr_db, dtype=float) / 10.0))
-    rate = np.minimum(se, rc.spectral_cap_bps_hz) * bandwidth_share_hz
-    return float(rate) if np.ndim(sinr_db) == 0 and np.ndim(bandwidth_share_hz) == 0 else rate
+    sinr_db = np.asarray(sinr_db, dtype=float)
+    out = np.empty(np.broadcast_shapes(sinr_db.shape, np.shape(bandwidth_share_hz)))
+    rate = _shannon_rate_bps(sinr_db, bandwidth_share_hz, rc, out)
+    return float(rate) if rate.ndim == 0 else rate
+
+
+def _shannon_rate_bps(sinr_db: np.ndarray, bandwidth_hz, rc: RadioConfig, out: np.ndarray) -> np.ndarray:
+    """The rate map of `rate_from_sinr`, written into `out` (which may be
+    `sinr_db` itself) with no temporaries and no argument checks, for the PF
+    loop. The float steps and their order are the formula's, so the results
+    are bit-equal to the plain expression."""
+    np.divide(sinr_db, 10.0, out=out)
+    np.power(10.0, out, out=out)
+    np.add(1.0, out, out=out)
+    np.log2(out, out=out)
+    np.multiply(rc.shannon_efficiency, out, out=out)
+    np.minimum(out, rc.spectral_cap_bps_hz, out=out)
+    return np.multiply(out, bandwidth_hz, out=out)
 
 
 def classify_coverage(

@@ -15,9 +15,13 @@ fixed point.
 A `Flow` is an immutable (id, destination) record; terminal `id` is its
 transmitter. The PF state lives in arrays indexed by position in flow id
 order: one flows x flows coupling matrix gathered from the drop's table, and
-per-flow averages. Each subframe makes one `pf_select` call (a first-occurrence
-argmax per sector over a padded sectors x flows matrix) and one `pf_update`
-call (a vector EMA step).
+per-flow averages. Each subframe is a fixed sequence of array steps, most of
+them in place on buffers allocated once per run: `pf_select` (a
+first-occurrence argmax per sector over a padded sectors x flows matrix), a
+gather of the granted coupling rows and their column sum, the interference
+snapshot and the rates at it, and `pf_update` (a vector EMA step). The rates
+at the snapshot of subframe t are both what the flows granted at t are served
+and what the grants at t+1 are chosen from.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .channel import CouplingTable, UE_NODE, ue_endpoint
 from .radio import (
     PowerControlConfig,
     RadioConfig,
+    _shannon_rate_bps,
     open_loop_tx_power,
-    rate_from_sinr,
     receiver_noise_dbm,
 )
 
@@ -99,11 +103,13 @@ def pf_select(
     end of each row with -1. Rows list their flows in id order, so the
     first-occurrence argmax gives ties to the lowest id.
     """
-    if slots.size == 0 or np.any(slots[:, 0] < 0):
+    if slots.size == 0 or slots[:, 0].min() < 0:
         raise ValueError("pf_select needs at least one flow per row")
-    if np.any(avg_rate_bps <= 0):
+    if avg_rate_bps.min() <= 0:
         raise ValueError("PF average rates must be positive")
-    metric = np.append(inst_rate_bps / avg_rate_bps, -np.inf)  # slot -1 -> -inf
+    metric = np.empty(len(inst_rate_bps) + 1)
+    metric[-1] = -np.inf  # the -1 padding slot never wins
+    np.divide(inst_rate_bps, avg_rate_bps, out=metric[:-1])
     return slots[np.arange(len(slots)), metric[slots].argmax(axis=1)]
 
 
@@ -135,6 +141,12 @@ def run_pf_uplink(
     against its own link coupling, with the noise term taken at its own
     receiver (terminal or base). PF averages start at the flow's
     no-interference rate. Sectors with no flows are skipped.
+
+    One call is one PF run. `run_throughput_experiment` makes one call per
+    run, in run order, passing the flows and `n_subframes` as the first two
+    arguments; `perfbench/tracing.py` wraps this function and derives its
+    grant counters and golden `grants_digest` from exactly those calls, so a
+    change that batches several runs into one call must change it too.
     """
     if n_subframes < 1:
         raise ValueError(f"n_subframes must be >= 1, got {n_subframes}")
@@ -166,29 +178,47 @@ def run_pf_uplink(
     # same SNRs, and their last-bit differences decide near-tied first grants.
     # Keeping both keeps published outputs byte-stable.
     snr_db = 10.0 * np.array([math.log10(r) for r in (signal_lin / noise_lin).tolist()])
-    avg = np.maximum(rate_from_sinr(snr_db, rc.bandwidth_hz, rc), 1.0)
+    avg = np.maximum(_shannon_rate_bps(snr_db, rc.bandwidth_hz, rc, snr_db), 1.0)
 
+    # Buffers allocated once per run. inst holds each flow's rate at the
+    # current interference snapshot. It drives the next grants, and right
+    # after the snapshot is taken it is also the served rate of every flow
+    # granted in it: a granted flow's interference from the other grants is
+    # exactly its snapshot entry. own_at indexes granted_rows[sector of f, f].
+    inst = np.empty(n_flows)
+    granted_rows = np.empty((len(sectors), n_flows))
+    grant_total = np.empty(n_flows)
+    interference = np.zeros(n_flows)
+    own_at = sector_of_pos * n_flows + np.arange(n_flows)
+    served = np.empty(n_flows)
+    bits_step = np.empty(n_flows)
     bits = np.zeros(n_flows)
     grant_count = np.zeros(n_flows, dtype=int)
-    interference = np.zeros(n_flows)
-    all_pos = np.arange(n_flows)
 
-    for _ in range(n_subframes):
+    def rate_at_snapshot():
         # Grants use the previous subframe's interference snapshot
         # (noise-only at t=0); service uses the grants concurrent at t.
-        est_sinr_db = 10.0 * np.log10(signal_lin / (noise_lin + interference))
-        grants = pf_select(rate_from_sinr(est_sinr_db, rc.bandwidth_hz, rc), avg, slots)
+        np.add(noise_lin, interference, out=inst)
+        np.divide(signal_lin, inst, out=inst)
+        np.log10(inst, out=inst)
+        np.multiply(10.0, inst, out=inst)
+        _shannon_rate_bps(inst, rc.bandwidth_hz, rc, inst)
 
-        grant_total = coupling_lin[grants].sum(axis=0)
-        other = np.maximum(grant_total[grants] - coupling_lin[grants, grants], 0.0)
-        sinr_db = 10.0 * np.log10(signal_lin[grants] / (noise_lin[grants] + other))
-        served = np.zeros(n_flows)
-        served[grants] = rate_from_sinr(sinr_db, rc.bandwidth_hz, rc)
-        bits[grants] += served[grants] * SUBFRAME_S
+    rate_at_snapshot()
+    for _ in range(n_subframes):
+        grants = pf_select(inst, avg, slots)
+        np.take(coupling_lin, grants, axis=0, out=granted_rows)
+        granted_rows.sum(axis=0, out=grant_total)
+        np.take(granted_rows, own_at, out=interference)
+        np.subtract(grant_total, interference, out=interference)
+        np.maximum(interference, 0.0, out=interference)
+        rate_at_snapshot()
+
+        served.fill(0.0)
+        served[grants] = inst[grants]
+        bits += np.multiply(served, SUBFRAME_S, out=bits_step)
         grant_count[grants] += 1
         avg = pf_update(avg, served, t_c)
-        own = coupling_lin[grants[sector_of_pos], all_pos]
-        interference = np.maximum(grant_total - own, 0.0)
 
     ids = [f.id for f in flows]
     duration_s = n_subframes * SUBFRAME_S

@@ -225,6 +225,23 @@ class TestMain:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
 
+    def test_throughput_with_the_default_sweep_is_rejected(self, tmp_path, capsys):
+        # The default sweep has 13 settings; a throughput run takes exactly
+        # one, rather than silently running the first (alpha 0, 0 dB target).
+        text = (
+            "experiment = throughput\nn_rings = 0\nn_drops = 1\nn_subframes = 50\n"
+            f"k_d2d = 2\nd2d_range_m = 50\nout_dir = {tmp_path}/out\n"
+        )
+        assert main([write_cfg(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "config line 1:" in captured.err
+        for key in ("alpha_list", "snr_target_db_list", "no_power_control"):
+            assert key in captured.err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["d2d_range_m", "d2d_offset_db"])
     def test_non_finite_sinr_exits_1_naming_both_keys(self, tmp_path, capsys, key):
         # Both push the direct-link pathloss past float range: the signal is 0

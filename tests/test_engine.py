@@ -1,9 +1,11 @@
 import math
+from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from d2dsim import engine
 from d2dsim.channel import sector_endpoint, ue_endpoint
 from d2dsim.engine import (
     ExperimentConfig,
@@ -282,6 +284,32 @@ class TestThroughputExperiment:
         assert s["baseline_mean_bps"] == pytest.approx(b.mean())
         assert s["offload_p5_bps"] == percentile(o, 0.05)
         assert s["gain_mean"] == pytest.approx(o.mean() / b.mean())
+
+    def test_one_pf_call_per_run_in_run_order(self, monkeypatch):
+        # perfbench's tracer wraps run_pf_uplink and derives its golden
+        # grants_digest from these calls: one per PF run, in run order, with
+        # the flows and n_subframes as the first two arguments.
+        calls = []
+        original = engine.run_pf_uplink
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(engine, "run_pf_uplink", recording)
+        base, off = run_throughput_experiment(TPUT)
+        assert len(calls) == 2 * TPUT.n_drops
+        for i, (args, result) in enumerate(calls):
+            sector_flows, n_subframes = args[:2]
+            assert isinstance(sector_flows, Mapping)
+            assert n_subframes == TPUT.n_subframes
+            roles = [f.role for flows in sector_flows.values() for f in flows]
+            assert roles.count("d2d") == (0 if i % 2 == 0 else 3 * TPUT.k_d2d)
+            report = (base, off)[i % 2]
+            rows = report.samples[report.samples["drop"] == i // 2]
+            assert rows["flow"].tolist() == list(result.throughput_bps)
+            assert rows["throughput_bps"].tolist() == list(result.throughput_bps.values())
 
     def test_short_run_zero_p5_gives_unbounded_gain(self):
         # runs shorter than the PF transient can leave flows unserved; the

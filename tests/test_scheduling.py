@@ -421,6 +421,9 @@ def _mixed_drop_flows():
         n_cellular_per_sector=2,
         n_d2d_tx_per_sector=4,
         d2d_range_m=50.0,
+        alpha_list=(),
+        snr_target_db_list=(),
+        no_power_control=True,
         seed=5,
     )
     layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
@@ -458,3 +461,139 @@ def test_array_loop_matches_scalar_oracle_on_a_real_drop(pc):
     assert list(got.throughput_bps) == sorted(expected.throughput_bps)
     for fid, tput in expected.throughput_bps.items():
         assert got.throughput_bps[fid] == pytest.approx(tput, rel=1e-12, abs=0.0)
+
+
+# The array PF loop as it stood before the loop ran in preallocated in-place
+# steps: fresh temporaries every subframe, the served SINRs recomputed from
+# the granted rows, and select/update/rate steps as they were then. It is the
+# oracle of run_pf_uplink, which must match it bit for bit.
+
+
+def _oracle_rate(sinr_db, rc):
+    se = rc.shannon_efficiency * np.log2(1.0 + 10.0 ** (np.asarray(sinr_db, dtype=float) / 10.0))
+    return np.minimum(se, rc.spectral_cap_bps_hz) * rc.bandwidth_hz
+
+
+def _oracle_select(inst_rate_bps, avg_rate_bps, slots):
+    if slots.size == 0 or np.any(slots[:, 0] < 0):
+        raise ValueError("pf_select needs at least one flow per row")
+    if np.any(avg_rate_bps <= 0):
+        raise ValueError("PF average rates must be positive")
+    metric = np.append(inst_rate_bps / avg_rate_bps, -np.inf)
+    return slots[np.arange(len(slots)), metric[slots].argmax(axis=1)]
+
+
+def _array_pf_oracle(sector_flows, n_subframes, rc, pc, table, t_c=100):
+    sectors = sorted(s for s in sector_flows if sector_flows[s])
+    flows = sorted((f for s in sectors for f in sector_flows[s]), key=lambda f: f.id)
+    n_flows = len(flows)
+    pos_of = {f.id: i for i, f in enumerate(flows)}
+    rows = [sorted(pos_of[f.id] for f in sector_flows[s]) for s in sectors]
+    width = max(len(r) for r in rows)
+    slots = np.array([r + [-1] * (width - len(r)) for r in rows])
+    sector_of_pos = np.empty(n_flows, dtype=int)
+    for si, r in enumerate(rows):
+        sector_of_pos[r] = si
+
+    loss_db = table.loss_matrix_db([(ue_endpoint(f.id), f.destination) for f in flows])
+    own_loss = loss_db.diagonal()
+    noise_dbm = np.array([receiver_noise_dbm(rc, f.destination) for f in flows])
+    p_dbm = open_loop_tx_power(replace(pc, noise_dbm=noise_dbm), own_loss)
+    p_lin = 10.0 ** (p_dbm / 10.0)
+    noise_lin = 10.0 ** (noise_dbm / 10.0)
+    signal_lin = p_lin * 10.0 ** (-own_loss / 10.0)
+    coupling_lin = p_lin[:, None] * 10.0 ** (-loss_db / 10.0)
+    snr_db = 10.0 * np.array([math.log10(r) for r in (signal_lin / noise_lin).tolist()])
+    avg = np.maximum(_oracle_rate(snr_db, rc), 1.0)
+
+    bits = np.zeros(n_flows)
+    grant_count = np.zeros(n_flows, dtype=int)
+    interference = np.zeros(n_flows)
+    all_pos = np.arange(n_flows)
+
+    for _ in range(n_subframes):
+        est_sinr_db = 10.0 * np.log10(signal_lin / (noise_lin + interference))
+        grants = _oracle_select(_oracle_rate(est_sinr_db, rc), avg, slots)
+
+        grant_total = coupling_lin[grants].sum(axis=0)
+        other = np.maximum(grant_total[grants] - coupling_lin[grants, grants], 0.0)
+        sinr_db = 10.0 * np.log10(signal_lin[grants] / (noise_lin[grants] + other))
+        served = np.zeros(n_flows)
+        served[grants] = _oracle_rate(sinr_db, rc)
+        bits[grants] += served[grants] * SUBFRAME_S
+        grant_count[grants] += 1
+        avg = (1.0 - 1.0 / t_c) * avg + served / t_c
+        own = coupling_lin[grants[sector_of_pos], all_pos]
+        interference = np.maximum(grant_total - own, 0.0)
+
+    ids = [f.id for f in flows]
+    duration_s = n_subframes * SUBFRAME_S
+    return PfResult(
+        throughput_bps=dict(zip(ids, (bits / duration_s).tolist())),
+        granted_subframes=dict(zip(ids, grant_count.tolist())),
+    )
+
+
+def _multi_site_drop_flows(k_d2d):
+    """Drop 0 of a throughput_multi_site-shaped run at seed 2 (57 sectors,
+    570 flows), with flows laid out as the engine lays them out. Its
+    first-subframe grants include near-ties that flip if any float step of
+    the loop changes."""
+    cfg = ExperimentConfig(
+        experiment="throughput",
+        isd_m=500.0,
+        n_rings=2,
+        wraparound=True,
+        n_d2d_tx_per_sector=10,
+        d2d_range_m=50.0,
+        alpha_list=(),
+        snr_target_db_list=(),
+        no_power_control=True,
+        n_drops=1,
+        n_subframes=200,
+        k_d2d=5,
+        seed=2,
+    )
+    layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
+    _, pairs, table, _ = build_drop(cfg, layout, 0)
+    flows = {}
+    for tx, rx in pairs:
+        fl = flows.setdefault(tx.home_sector, [])
+        dest = ue_endpoint(rx.id) if len(fl) < k_d2d else sector_endpoint(tx.home_sector)
+        fl.append(Flow(tx.id, dest))
+    assert layout.n_sectors == 57 and sum(map(len, flows.values())) == 570
+    return flows, table
+
+
+MAX_POWER = PowerControlConfig(snr_target_db=0.0, noise_dbm=None, alpha=0.0, enabled=False)
+OPEN_LOOP = PowerControlConfig(snr_target_db=10.0, noise_dbm=None, alpha=1.0)
+
+
+def _assert_bit_equal(got, expected):
+    assert got == expected
+    assert list(got.throughput_bps) == list(expected.throughput_bps)
+    assert list(got.granted_subframes) == list(expected.granted_subframes)
+
+
+@pytest.mark.parametrize("pc", [MAX_POWER, OPEN_LOOP], ids=["max_power", "open_loop"])
+def test_loop_is_bit_equal_to_array_oracle_on_a_mixed_drop(pc):
+    sector_flows, table = _mixed_drop_flows()
+    expected = _array_pf_oracle(sector_flows, 300, RC, pc, table)
+    _assert_bit_equal(run_pf_uplink(sector_flows, 300, RC, pc, table), expected)
+
+
+@pytest.mark.parametrize("pc", [MAX_POWER, OPEN_LOOP], ids=["max_power", "open_loop"])
+@pytest.mark.parametrize("k_d2d", [0, 5], ids=["baseline", "offload"])
+def test_loop_is_bit_equal_to_array_oracle_on_57_sectors(pc, k_d2d):
+    sector_flows, table = _multi_site_drop_flows(k_d2d)
+    expected = _array_pf_oracle(sector_flows, 60, RC, pc, table)
+    _assert_bit_equal(run_pf_uplink(sector_flows, 60, RC, pc, table), expected)
+
+
+def test_average_reaching_zero_raises():
+    # With t_c = 1 the average is the last served rate, so a flow not granted
+    # in the first subframe has average 0 when the second one selects.
+    sector_flows, table = _isolated_sector(2, [100.0, 100.0])
+    run_pf_uplink(sector_flows, 1, RC, MAX_POWER, table, t_c=1)
+    with pytest.raises(ValueError, match="positive"):
+        run_pf_uplink(sector_flows, 2, RC, MAX_POWER, table, t_c=1)
