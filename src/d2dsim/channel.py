@@ -16,11 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from .layout import (
     MIN_UE_UE_DISTANCE_M,
+    DropCounters,
     NetworkLayout,
     Role,
     UeRecord,
@@ -91,7 +93,9 @@ def ue_ue_pathloss(d, los, cfg: ChannelConfig):
           + 34.97 log10(f_GHz).
     The signed d2d offset is added, then the result is floored at min_pl_db.
     """
-    d_arr = np.asarray(d, dtype=float)
+    d_arr, los_arr = np.broadcast_arrays(
+        np.asarray(d, dtype=float), np.asarray(los, dtype=bool)
+    )
     if np.any(d_arr < MIN_UE_UE_DISTANCE_M):
         raise ValueError(
             f"UE-UE distance below the {MIN_UE_UE_DISTANCE_M} m minimum"
@@ -99,24 +103,30 @@ def ue_ue_pathloss(d, los, cfg: ChannelConfig):
     f = cfg.carrier_ghz
     h = cfg.ue_height_m
     h_eff = h - 1.0
-    log_d = np.log10(d_arr)
-    pl_los_near = 22.7 * log_d + 27.0 + 20.0 * np.log10(f)
-    pl_los_far = (
-        40.0 * log_d
-        + 7.56
-        - 17.3 * math.log10(h_eff)
-        - 17.3 * math.log10(h_eff)
-        + 2.7 * np.log10(f)
-    )
-    pl_los = np.where(d_arr < breakpoint_distance_m(cfg), pl_los_near, pl_los_far)
-    pl_nlos = (
+    log_d = np.log10(d_arr).ravel()
+    # NLOS everywhere, then each LOS branch on its own entries: most links are
+    # NLOS (about 99% on wide-area drops), so a full pass per branch and a
+    # select would be mostly waste. Each entry gets its branch's floats.
+    pl = (
         (44.9 - 6.55 * math.log10(h)) * log_d
         + 5.83 * math.log10(h)
         + 14.78
         + 34.97 * np.log10(f)
     )
-    pl = np.where(los, pl_los, pl_nlos) + cfg.d2d_offset_db
-    pl = np.maximum(pl, cfg.min_pl_db)
+    i_los = np.flatnonzero(los_arr)
+    near = d_arr.ravel()[i_los] < breakpoint_distance_m(cfg)
+    i_near, i_far = i_los[near], i_los[~near]
+    pl[i_near] = 22.7 * log_d[i_near] + 27.0 + 20.0 * np.log10(f)
+    pl[i_far] = (
+        40.0 * log_d[i_far]
+        + 7.56
+        - 17.3 * math.log10(h_eff)
+        - 17.3 * math.log10(h_eff)
+        + 2.7 * np.log10(f)
+    )
+    pl += cfg.d2d_offset_db
+    np.maximum(pl, cfg.min_pl_db, out=pl)
+    pl = pl.reshape(d_arr.shape)
     return float(pl) if np.ndim(d) == 0 and np.ndim(los) == 0 else pl
 
 
@@ -257,6 +267,8 @@ def build_coupling_table(
     ues: list[UeRecord],
     cfg: ChannelConfig,
     rng: np.random.Generator,
+    *,
+    counters: Optional[DropCounters] = None,
 ) -> CouplingTable:
     """Freeze every coupling needed for one drop.
 
@@ -268,7 +280,8 @@ def build_coupling_table(
 
     Cross-link terminal distances below the drop minimum are clamped to it
     before the pathloss call; an interferer may legitimately land arbitrarily
-    close to someone else's receiver.
+    close to someone else's receiver. ``counters``, when given, gets the
+    clamped distances and the terminal-pair entries at the floor added to it.
     """
     txs = [u for u in ues if u.role in (Role.CELLULAR_TX, Role.D2D_TX)]
     rxs = [u for u in ues if u.role == Role.D2D_RX]
@@ -280,6 +293,8 @@ def build_coupling_table(
 
     # Terminal -> terminal entries.
     d_uu, _ = pairwise_wrap_distance(tx_xy, rx_xy, layout)
+    if counters is not None:
+        counters.clamped_distances += int(np.count_nonzero(d_uu < MIN_UE_UE_DISTANCE_M))
     d_uu = np.maximum(d_uu, MIN_UE_UE_DISTANCE_M)
     if cfg.ue_ue_los == "umi":
         los = rng.random((n_tx, n_rx)) < los_probability(d_uu)
@@ -289,6 +304,8 @@ def build_coupling_table(
     shadow_uu = draw_shadowing(cfg.shadow_std_ueue_db, rng, size=(n_tx, n_rx))
     pl_uu = ue_ue_pathloss(d_uu, los, cfg)
     loss_uu = np.maximum(pl_uu + shadow_uu, cfg.min_pl_db)
+    if counters is not None:
+        counters.floor_entries += int(np.count_nonzero(loss_uu == cfg.min_pl_db))
 
     # Distances and arrival angles between every terminal and every sector,
     # both taken on the wrap image of the terminal nearest the site.

@@ -219,20 +219,30 @@ def _throughput_summary_text(baseline, offload, k_d2d: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_diagnostics(path: str, report: ExperimentReport) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for f in fields(report.counters):
+            fh.write(f"{f.name} = {getattr(report.counters, f.name)}\n")
+
+
 def emit_reports(result, cfg: ExperimentConfig, out_dir: str, duration_s: float) -> str:
-    """Write the CSV, summary, and manifest files; returns the summary text."""
+    """Write the CSV, summary, diagnostics and manifest files; returns the
+    summary text."""
     os.makedirs(out_dir, exist_ok=True)
     if cfg.experiment == "sinr":
         _write_sinr_csv(os.path.join(out_dir, "sinr_samples.csv"), result)
         summary = _sinr_summary_text(result)
+        report = result
     else:
         baseline, offload = result
         _write_throughput_csv(
             os.path.join(out_dir, "throughput.csv"), baseline, offload
         )
         summary = _throughput_summary_text(baseline, offload, cfg.k_d2d)
+        report = baseline
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="") as fh:
         fh.write(summary)
+    _write_diagnostics(os.path.join(out_dir, "diagnostics.txt"), report)
     _write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, duration_s)
     return summary
 

@@ -10,7 +10,7 @@ identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .channel import (
     ue_endpoint,
 )
 from .layout import (
+    DropCounters,
     NetworkLayout,
     build_hex_grid,
     drop_cellular_ues,
@@ -124,6 +125,17 @@ class ExperimentConfig:
             raise ValueError("isd_m must be positive")
         if self.n_rings < 0:
             raise ValueError("n_rings must be >= 0")
+        # Terminals and wrapped site images lie up to (4 n_rings + 2) isd_m
+        # apart per axis; their differences and hypot must stay finite.
+        try:
+            reach = self.isd_m * math.sqrt(2.0) * (4 * self.n_rings + 2)
+        except OverflowError:  # n_rings beyond float range
+            reach = math.inf
+        if not math.isfinite(reach):
+            raise ValueError(
+                "isd_m is too large for n_rings: site coordinates and their wrap "
+                "offsets would leave floating-point range"
+            )
         if self.n_cellular_per_sector < 0 or self.n_d2d_tx_per_sector < 0:
             raise ValueError("n_cellular_per_sector and n_d2d_tx_per_sector must be >= 0")
         n_tx = self.n_cellular_per_sector + self.n_d2d_tx_per_sector
@@ -172,6 +184,7 @@ class ExperimentReport:
     settings: tuple[PowerSetting, ...]
     samples: np.ndarray  # SINR_SAMPLE_DTYPE or THROUGHPUT_SAMPLE_DTYPE
     run_label: str = ""  # "baseline" | "offload" for throughput reports
+    counters: DropCounters = field(default_factory=DropCounters)  # summed over drops
 
 
 def _setting_pc(setting: PowerSetting, noise_dbm: Optional[float]) -> PowerControlConfig:
@@ -187,15 +200,22 @@ def _setting_pc(setting: PowerSetting, noise_dbm: Optional[float]) -> PowerContr
     )
 
 
-def build_drop(cfg: ExperimentConfig, layout: NetworkLayout, drop_index: int):
+def build_drop(
+    cfg: ExperimentConfig,
+    layout: NetworkLayout,
+    drop_index: int,
+    *,
+    counters: Optional[DropCounters] = None,
+):
     """Drop all terminals and freeze the coupling table for one drop index.
 
     The baseline and offload throughput runs both start from this, which is
-    what guarantees them identical geometry and shadowing.
+    what guarantees them identical geometry and shadowing. ``counters``, when
+    given, gets the drop's counts added to it.
     """
     ch = ChannelConfig(carrier_ghz=cfg.carrier_ghz, d2d_offset_db=cfg.d2d_offset_db)
     rng = np.random.default_rng(drop_stream_seed(cfg.seed, drop_index))
-    cell = drop_cellular_ues(layout, cfg.n_cellular_per_sector, rng)
+    cell = drop_cellular_ues(layout, cfg.n_cellular_per_sector, rng, counters=counters)
     pairs = drop_d2d_pairs(
         layout,
         cfg.n_d2d_tx_per_sector,
@@ -203,16 +223,18 @@ def build_drop(cfg: ExperimentConfig, layout: NetworkLayout, drop_index: int):
         cfg.min_d2d_dist_m,
         rng,
         start_id=len(cell),
+        counters=counters,
     )
     ues = cell + [u for pair in pairs for u in pair]
-    table = build_coupling_table(layout, ues, ch, rng)
+    table = build_coupling_table(layout, ues, ch, rng, counters=counters)
     return cell, pairs, table, ues
 
 
-def _sinr_drop_samples(cfg, layout, settings, rc, drop_index) -> np.ndarray:
-    cell, pairs, table, _ = build_drop(cfg, layout, drop_index)
+def _sinr_drop_samples(cfg, layout, settings, rc, drop_index) -> tuple[np.ndarray, DropCounters]:
+    counters = DropCounters()
+    cell, pairs, table, _ = build_drop(cfg, layout, drop_index, counters=counters)
     if not pairs:
-        return np.zeros(0, dtype=SINR_SAMPLE_DTYPE)
+        return np.zeros(0, dtype=SINR_SAMPLE_DTYPE), counters
 
     # Pairs are dropped sector by sector, n_tx each. Table rows are the
     # cellular terminals, then the pair transmitters in drop order; columns
@@ -277,7 +299,7 @@ def _sinr_drop_samples(cfg, layout, settings, rc, drop_index) -> np.ndarray:
             f"drop {drop_index}: SINR samples are not finite: d2d_range_m or "
             "d2d_offset_db puts a direct link's pathloss beyond floating-point range"
         )
-    return samples
+    return samples, counters
 
 
 def run_sinr_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -287,14 +309,12 @@ def run_sinr_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
     settings = sweep_settings(cfg)
     rc = RadioConfig()
-    chunks = [
-        _sinr_drop_samples(cfg, layout, settings, rc, drop)
-        for drop in range(cfg.n_drops)
-    ]
-    samples = (
-        np.concatenate(chunks) if chunks else np.zeros(0, dtype=SINR_SAMPLE_DTYPE)
-    )
-    return ExperimentReport("sinr", tuple(settings), samples)
+    chunks, counters = [], DropCounters()
+    for drop in range(cfg.n_drops):
+        samples, drop_counters = _sinr_drop_samples(cfg, layout, settings, rc, drop)
+        chunks.append(samples)
+        counters.add(drop_counters)
+    return ExperimentReport("sinr", tuple(settings), np.concatenate(chunks), counters=counters)
 
 
 def expected_sinr_sample_count(cfg: ExperimentConfig, n_sectors: int) -> int:
@@ -330,8 +350,9 @@ def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, 
     pc = _setting_pc(setting, None)
 
     base_chunks, off_chunks = [], []
+    counters = DropCounters()
     for drop in range(cfg.n_drops):
-        cell, pairs, table, _ = build_drop(cfg, layout, drop)
+        cell, pairs, table, _ = build_drop(cfg, layout, drop, counters=counters)
 
         def flows_for(k_d2d: int) -> dict[int, list[Flow]]:
             out: dict[int, list[Flow]] = {}
@@ -358,7 +379,9 @@ def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, 
         off_chunks.append(_throughput_rows(drop, flows_off, res_off))
 
     return tuple(
-        ExperimentReport("throughput", (setting,), np.concatenate(chunks), run_label=label)
+        ExperimentReport(
+            "throughput", (setting,), np.concatenate(chunks), run_label=label, counters=counters
+        )
         for label, chunks in (("baseline", base_chunks), ("offload", off_chunks))
     )
 

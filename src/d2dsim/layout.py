@@ -14,20 +14,28 @@ the seven images compares squared distances and settles near ties with
 ``hypot``, so distances and image indices are the floats a per-image
 ``hypot`` search gives.
 
-Terminal positions are drawn one at a time by a rejection sampler, whose order
-of draws defines the random stream. The home sectors of D2D receivers draw no
-random numbers, so ``drop_d2d_pairs`` looks them up for all receivers at once
-after the sampling loop (``sectors_of_points``): one receivers x sites
-distance matrix per drop instead of one per receiver.
+Terminal positions come from a rejection sampler whose order of draws defines
+the random stream: each candidate takes two ``uniform(-R, R)`` draws, and a
+D2D pair then takes its angle and its radius draws. The sampler reads those
+doubles from blocks of ``rng.random`` and maps each with ``lo + (hi - lo) * u``,
+the formula ``Generator.uniform`` applies, so it returns the values per-draw
+``uniform`` calls return without paying a numpy call per draw. When a drop
+function ends, the generator is put back to where per-draw calls would leave
+it. The home sectors of D2D receivers draw no random numbers, so
+``drop_d2d_pairs`` looks them up for all receivers at once after the sampling
+loop (``sectors_of_points``): one receivers x sites distance matrix per drop
+instead of one per receiver.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,6 +44,11 @@ import numpy as np
 MIN_UE_UE_DISTANCE_M = 3.0
 
 SECTOR_BORESIGHTS_DEG = (30.0, 150.0, 270.0)
+
+# Doubles the position sampler draws per rng.random call.
+_BLOCK = 8192
+
+_SQRT3_HALF = math.sqrt(3.0) / 2.0
 
 
 class Point(NamedTuple):
@@ -62,6 +75,24 @@ class UeRecord:
     role: Role
     home_sector: int
     peer: Optional[int] = None
+
+
+@dataclass
+class DropCounters:
+    """Deterministic event counts of one drop, or summed over drops.
+
+    The drop functions add to the object passed as ``counters``. The counts
+    depend only on (config, seed, drop index), never on timing.
+    """
+
+    rejection_draws: int = 0  # uniform doubles the position and peer samplers used
+    clamped_distances: int = 0  # terminal-pair distances raised to MIN_UE_UE_DISTANCE_M
+    floor_entries: int = 0  # terminal-pair entries at the min_pl_db floor
+    foreign_receivers: int = 0  # D2D receivers homed outside their transmitter's sector
+
+    def add(self, other: "DropCounters") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass(frozen=True)
@@ -215,8 +246,8 @@ def _in_hexagon(dx: float, dy: float, isd: float) -> bool:
     # Cell = intersection of three slabs perpendicular to the neighbor axes
     # at 0/60/120 degrees, each of half-width isd/2.
     half = isd / 2.0
-    p1 = 0.5 * dx + (math.sqrt(3.0) / 2.0) * dy
-    p2 = -0.5 * dx + (math.sqrt(3.0) / 2.0) * dy
+    p1 = 0.5 * dx + _SQRT3_HALF * dy
+    p2 = -0.5 * dx + _SQRT3_HALF * dy
     return abs(dx) <= half and abs(p1) <= half and abs(p2) <= half
 
 
@@ -250,17 +281,63 @@ def sector_of_point(p: Point, layout: NetworkLayout) -> int:
     return int(sectors_of_points([p], layout)[0])
 
 
+class _BlockDoubles:
+    """The generator's uniform doubles on [0, 1), read one at a time from
+    blocks of ``rng.random``.
+
+    ``rng.random(n)`` returns the doubles that n scalar ``rng.uniform`` calls
+    would map, so ``lo + (hi - lo) * next_double()``, the formula
+    ``Generator.uniform(lo, hi)`` applies, gives the per-draw values without
+    paying a numpy call per draw. Use it as a context manager: on exit the
+    generator goes back to its state before the last block and consumes the
+    doubles read from that block, which leaves it where per-draw calls would,
+    for any bit generator. ``used`` counts the doubles read.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._state = None  # bit-generator state before the current block
+        self._block = iter(())  # the unread rest of the current block
+        self._drawn = 0
+        # A C-level call per double; Python runs only once per block.
+        self.next_double = itertools.chain.from_iterable(self._blocks()).__next__
+
+    def _blocks(self):
+        while True:
+            self._state = self._rng.bit_generator.state
+            self._block = iter(self._rng.random(_BLOCK).tolist())
+            self._drawn += _BLOCK
+            yield self._block
+
+    @property
+    def used(self) -> int:
+        return self._drawn - operator.length_hint(self._block)
+
+    def __enter__(self) -> "_BlockDoubles":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._state is not None:
+            self._rng.bit_generator.state = self._state
+            self._rng.random(_BLOCK - operator.length_hint(self._block))
+
+
 def _sample_point_in_sector(
-    layout: NetworkLayout, sector_index: int, rng: np.random.Generator
+    layout: NetworkLayout, sector_index: int, next_double: Callable[[], float]
 ) -> Point:
+    """Rejection-sample a point of the sector's kite from pairs of
+    ``uniform(-R, R)`` draws, R the circumradius; ``next_double`` gives the
+    generator's next double."""
     sec = layout.sectors[sector_index]
     site = layout.sites[sec.site_index]
     face = sector_index % 3
-    radius = hex_circumradius(layout.isd)
+    isd = layout.isd
+    radius = hex_circumradius(isd)
+    lo, span = -radius, radius - -radius
     while True:
-        dx = rng.uniform(-radius, radius)
-        dy = rng.uniform(-radius, radius)
-        if not _in_hexagon(dx, dy, layout.isd):
+        dx = lo + span * next_double()
+        dy = lo + span * next_double()
+        if not _in_hexagon(dx, dy, isd):
             continue
         if _face_of_angle(math.degrees(math.atan2(dy, dx))) == face:
             return Point(site.x + dx, site.y + dy)
@@ -271,17 +348,24 @@ def drop_cellular_ues(
     n_per_sector: int,
     rng: np.random.Generator,
     start_id: int = 0,
+    *,
+    counters: Optional[DropCounters] = None,
 ) -> list[UeRecord]:
-    """Drop exactly n_per_sector uplink transmitters uniformly in each sector."""
+    """Drop exactly n_per_sector uplink transmitters uniformly in each sector.
+
+    ``counters``, when given, gets the sampler's draws added to it."""
     if n_per_sector < 0:
         raise ValueError(f"n_per_sector must be >= 0, got {n_per_sector}")
     ues = []
     uid = start_id
-    for s in range(layout.n_sectors):
-        for _ in range(n_per_sector):
-            pos = _sample_point_in_sector(layout, s, rng)
-            ues.append(UeRecord(uid, pos, Role.CELLULAR_TX, s))
-            uid += 1
+    with _BlockDoubles(rng) as doubles:
+        for s in range(layout.n_sectors):
+            for _ in range(n_per_sector):
+                pos = _sample_point_in_sector(layout, s, doubles.next_double)
+                ues.append(UeRecord(uid, pos, Role.CELLULAR_TX, s))
+                uid += 1
+    if counters is not None:
+        counters.rejection_draws += doubles.used
     return ues
 
 
@@ -292,6 +376,8 @@ def drop_d2d_pairs(
     min_dist: float,
     rng: np.random.Generator,
     start_id: int = 0,
+    *,
+    counters: Optional[DropCounters] = None,
 ) -> list[tuple[UeRecord, UeRecord]]:
     """Drop transmitter/receiver pairs.
 
@@ -301,6 +387,8 @@ def drop_d2d_pairs(
     is area-uniform over the annulus. The receiver's home sector is whichever
     sector geometrically contains it, which may differ from the transmitter's;
     it is looked up for all receivers in one batch after the sampling loop.
+    ``counters``, when given, gets the draws and the receivers homed in
+    another sector than their transmitter added to it.
     """
     if n_tx_per_sector < 0:
         raise ValueError(f"n_tx_per_sector must be >= 0, got {n_tx_per_sector}")
@@ -311,20 +399,29 @@ def drop_d2d_pairs(
         )
     txs, rx_points = [], []
     uid = start_id
-    for s in range(layout.n_sectors):
-        for _ in range(n_tx_per_sector):
-            tx_pos = _sample_point_in_sector(layout, s, rng)
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            while True:
-                r = d2d_range * math.sqrt(rng.uniform(0.0, 1.0))
-                if r >= min_dist:
-                    break
-            rx_points.append(
-                Point(tx_pos.x + r * math.cos(theta), tx_pos.y + r * math.sin(theta))
-            )
-            txs.append(UeRecord(uid, tx_pos, Role.D2D_TX, s, peer=uid + 1))
-            uid += 2
+    with _BlockDoubles(rng) as doubles:
+        next_double = doubles.next_double
+        for s in range(layout.n_sectors):
+            for _ in range(n_tx_per_sector):
+                tx_pos = _sample_point_in_sector(layout, s, next_double)
+                # Exactly uniform(0, 2pi) and uniform(0, 1): adding 0.0 and
+                # multiplying by 1.0 change no double.
+                theta = 2.0 * math.pi * next_double()
+                while True:
+                    r = d2d_range * math.sqrt(next_double())
+                    if r >= min_dist:
+                        break
+                rx_points.append(
+                    Point(tx_pos.x + r * math.cos(theta), tx_pos.y + r * math.sin(theta))
+                )
+                txs.append(UeRecord(uid, tx_pos, Role.D2D_TX, s, peer=uid + 1))
+                uid += 2
     rx_sectors = sectors_of_points(rx_points, layout).tolist()
+    if counters is not None:
+        counters.rejection_draws += doubles.used
+        counters.foreign_receivers += sum(
+            tx.home_sector != sector for tx, sector in zip(txs, rx_sectors)
+        )
     return [
         (tx, UeRecord(tx.id + 1, pos, Role.D2D_RX, sector, peer=tx.id))
         for tx, pos, sector in zip(txs, rx_points, rx_sectors)

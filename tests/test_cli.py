@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,11 @@ class TestMain:
         assert (out / "sinr_samples.csv").exists()
         assert (out / "summary.txt").exists()
         assert (out / "manifest.txt").exists()
+        diagnostics = (out / "diagnostics.txt").read_text().splitlines()
+        assert [line.split(" = ")[0] for line in diagnostics] == [
+            "rejection_draws", "clamped_distances", "floor_entries", "foreign_receivers"
+        ]
+        assert all(int(line.split(" = ")[1]) >= 0 for line in diagnostics)
         with open(out / "sinr_samples.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         cfg = parse_config(cfg_path)
@@ -133,10 +139,12 @@ class TestMain:
         assert main([cfg_path]) == 0
         first_csv = (tmp_path / "a" / "sinr_samples.csv").read_bytes()
         first_sum = (tmp_path / "a" / "summary.txt").read_bytes()
+        first_diag = (tmp_path / "a" / "diagnostics.txt").read_bytes()
         first_man = (tmp_path / "a" / "manifest.txt").read_text().splitlines()
         assert main([cfg_path]) == 0
         assert (tmp_path / "a" / "sinr_samples.csv").read_bytes() == first_csv
         assert (tmp_path / "a" / "summary.txt").read_bytes() == first_sum
+        assert (tmp_path / "a" / "diagnostics.txt").read_bytes() == first_diag
         second_man = (tmp_path / "a" / "manifest.txt").read_text().splitlines()
         differing = [
             (x, y) for x, y in zip(first_man, second_man, strict=True) if x != y
@@ -241,6 +249,25 @@ class TestMain:
         for key in ("alpha_list", "snr_target_db_list", "no_power_control"):
             assert key in captured.err
         assert not (tmp_path / "out").exists()
+
+    def test_isd_beyond_float_range_is_one_config_error(self, tmp_path, capsys):
+        # At 1e308 m the wrap offsets are inf: the run printed numpy overflow
+        # warnings, then failed on a NaN sector index. 1e160 m still runs.
+        text = (
+            "experiment = sinr\nisd_m = {isd}\nn_d2d_tx_per_sector = 2\nn_drops = 1\n"
+            f"out_dir = {tmp_path}/out\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([write_cfg(tmp_path, text.format(isd="1e308"))]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert captured.err.count("\n") == 1
+            assert "isd_m" in captured.err
+            assert not (tmp_path / "out").exists()
+            assert main([write_cfg(tmp_path, text.format(isd="1e160")), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("key", ["d2d_range_m", "d2d_offset_db"])
     def test_non_finite_sinr_exits_1_naming_both_keys(self, tmp_path, capsys, key):

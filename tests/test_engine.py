@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dsim import engine
-from d2dsim.channel import sector_endpoint, ue_endpoint
+from d2dsim.channel import ChannelConfig, sector_endpoint, ue_endpoint, ue_ue_pathloss
 from d2dsim.engine import (
     ExperimentConfig,
     build_drop,
@@ -21,7 +23,14 @@ from d2dsim.engine import (
     sweep_settings,
     throughput_summary,
 )
-from d2dsim.layout import build_hex_grid
+from d2dsim.layout import (
+    MIN_UE_UE_DISTANCE_M,
+    DropCounters,
+    Role,
+    build_hex_grid,
+    drop_cellular_ues,
+    drop_d2d_pairs,
+)
 from d2dsim.radio import (
     RadioConfig,
     compute_sinr,
@@ -364,6 +373,130 @@ class TestThroughputExperiment:
         assert np.all(np.abs(totals / totals.mean() - 1.0) < 0.05)
 
 
+# 30 m cells with 20 m direct links: terminals crowd, so every counter is
+# nonzero.
+TINY = ExperimentConfig(
+    experiment="sinr",
+    isd_m=30.0,
+    n_rings=1,
+    n_cellular_per_sector=2,
+    n_d2d_tx_per_sector=4,
+    d2d_range_m=20.0,
+    min_d2d_dist_m=1.0,
+    alpha_list=(),
+    snr_target_db_list=(),
+    n_drops=3,
+    n_subframes=20,
+    seed=3,
+)
+
+
+class TestDropCounters:
+    def test_counters_match_a_direct_recount(self):
+        lay = build_hex_grid(TINY.isd_m, TINY.n_rings, TINY.wraparound)
+        counters = DropCounters()
+        cell, pairs, table, ues = build_drop(TINY, lay, 0, counters=counters)
+
+        # The drop functions leave the stream exactly rejection_draws doubles in.
+        rng = np.random.default_rng(drop_stream_seed(TINY.seed, 0))
+        drop_cellular_ues(lay, TINY.n_cellular_per_sector, rng)
+        drop_d2d_pairs(lay, TINY.n_d2d_tx_per_sector, TINY.d2d_range_m,
+                       TINY.min_d2d_dist_m, rng, start_id=len(cell))
+        ref = np.random.default_rng(drop_stream_seed(TINY.seed, 0))
+        ref.random(counters.rejection_draws - 1)
+        assert ref.bit_generator.state != rng.bit_generator.state
+        ref.random()
+        assert ref.bit_generator.state == rng.bit_generator.state
+
+        txs = [u for u in ues if u.role is not Role.D2D_RX]
+        rxs = [u for u in ues if u.role is Role.D2D_RX]
+        ch = ChannelConfig(carrier_ghz=TINY.carrier_ghz, d2d_offset_db=TINY.d2d_offset_db)
+        clamped = floor = 0
+        for i, tx in enumerate(txs):
+            for j, rx in enumerate(rxs):
+                d = min(
+                    math.hypot(tx.position.x - rx.position.x - t.x,
+                               tx.position.y - rx.position.y - t.y)
+                    for t in lay.wrap_offsets
+                )
+                clamped += d < MIN_UE_UE_DISTANCE_M
+                pl = ue_ue_pathloss(max(d, MIN_UE_UE_DISTANCE_M), bool(table.ue_ue_los[i, j]), ch)
+                floor += pl + table.ue_ue_shadow_db[i, j] <= ch.min_pl_db
+        foreign = sum(tx.home_sector != rx.home_sector for tx, rx in pairs)
+        assert counters == DropCounters(counters.rejection_draws, clamped, floor, foreign)
+        assert min(clamped, floor, foreign) > 0
+
+    def test_runs_repeat_the_counters_summed_in_drop_order(self):
+        lay = build_hex_grid(TINY.isd_m, TINY.n_rings, TINY.wraparound)
+        summed = DropCounters()
+        for drop in range(TINY.n_drops):
+            per_drop = DropCounters()
+            build_drop(TINY, lay, drop, counters=per_drop)
+            summed.add(per_drop)
+        first, second = run_sinr_experiment(TINY), run_sinr_experiment(TINY)
+        assert first.counters == second.counters == summed
+        base, off = run_throughput_experiment(replace(TINY, experiment="throughput"))
+        assert base.counters == off.counters == summed
+
+
+_COORDINATION = st.one_of(
+    st.sampled_from([UNCOORDINATED, ORTHOGONAL_TDM]), st.integers(1, 6).map(spatial_reuse)
+)
+
+
+@settings(max_examples=25)
+@given(
+    isd=st.sampled_from([100.0, 500.0, 1732.0]),
+    n_rings=st.integers(0, 1),
+    n_cell=st.integers(0, 2),
+    n_d2d=st.integers(1, 5),
+    coordination=_COORDINATION,
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sinr_never_exceeds_the_links_snr(isd, n_rings, n_cell, n_d2d, coordination, seed):
+    cfg = ExperimentConfig(
+        experiment="sinr", isd_m=isd, n_rings=n_rings, n_cellular_per_sector=n_cell,
+        n_d2d_tx_per_sector=n_d2d, coordination=coordination, alpha_list=(0.8, 1.0),
+        snr_target_db_list=(0.0, 10.0), n_drops=1, seed=seed,
+    )
+    rep = run_sinr_experiment(cfg)
+    lay = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
+    cell, pairs, table, _ = build_drop(cfg, lay, 0)
+    # Signal and noise as the engine forms them, without interference.
+    rc = RadioConfig()
+    noise_dbm = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_ue_db)
+    links = np.arange(len(pairs))
+    own_loss = table.ue_ue_loss_db[len(cell) + links, links]
+    own_gain = table.ue_ue_gain_lin[len(cell) + links, links]
+    link_of = {tx.id: j for j, (tx, _) in enumerate(pairs)}
+    for si, setting in enumerate(rep.settings):
+        p_dbm = np.asarray(open_loop_tx_power(_setting_pc(setting, noise_dbm), own_loss))
+        snr_db = 10.0 * np.log10(10.0 ** (p_dbm / 10.0) * own_gain / 10.0 ** (noise_dbm / 10.0))
+        rows = rep.samples[rep.samples["setting_id"] == si]
+        j = np.array([link_of[int(i)] for i in rows["link"]])
+        assert rows.size and np.all(rows["sinr_db"] <= snr_db[j])
+
+
+@settings(max_examples=40)
+@given(
+    n_tx=st.integers(1, 12),
+    coordination=st.one_of(st.just(ORTHOGONAL_TDM), st.integers(1, 14).map(spatial_reuse)),
+    seed=st.integers(0, 1000),
+)
+def test_tdm_and_reuse_give_every_link_equal_airtime(n_tx, coordination, seed):
+    # One SINR sample per link and subframe of one activation cycle.
+    cfg = ExperimentConfig(
+        experiment="sinr", isd_m=500.0, n_rings=0, wraparound=False,
+        n_d2d_tx_per_sector=n_tx, d2d_range_m=50.0, coordination=coordination,
+        alpha_list=(), snr_target_db_list=(), n_drops=1, seed=seed,
+    )
+    rep = run_sinr_experiment(cfg)
+    links, counts = np.unique(rep.samples["link"], return_counts=True)
+    assert links.size == 3 * n_tx
+    k = min(coordination.k, n_tx)
+    assert np.all(counts == k // math.gcd(n_tx, k))
+
+
 class TestConfigValidation:
     def test_rejects_contradictions(self):
         with pytest.raises(ValueError):
@@ -392,6 +525,13 @@ class TestConfigValidation:
         ):
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig(**{key: value}).validate()
+        # Wrapped site images at 1e308 m scale leave float range; 1e160 m
+        # still runs.
+        with pytest.raises(ValueError, match="isd_m"):
+            ExperimentConfig(isd_m=1e308).validate()
+        with pytest.raises(ValueError, match="isd_m"):
+            ExperimentConfig(isd_m=1e300, n_rings=10**400).validate()
+        ExperimentConfig(isd_m=1e160).validate()
         # A throughput run with no transmitters has no flows to schedule.
         with pytest.raises(ValueError, match="n_d2d_tx_per_sector"):
             replace(TPUT, n_d2d_tx_per_sector=0, k_d2d=0).validate()

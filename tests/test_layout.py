@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+from d2dsim import layout as layout_module
 from d2dsim.layout import (
     MIN_UE_UE_DISTANCE_M,
+    DropCounters,
     Point,
     Role,
+    UeRecord,
     _face_of_angle,
     _in_hexagon,
     build_hex_grid,
@@ -58,6 +61,75 @@ def _sector_of_point_oracle(p, layout):
     dy = p.y - t[1] - site.y
     ang = math.degrees(math.atan2(dy, dx))
     return 3 * site_idx + _face_of_angle(ang)
+
+
+# The per-draw samplers the block reader replaced: one rng.uniform call per
+# draw. Positions and the generator state after each drop function must equal
+# theirs.
+
+
+def _sample_point_oracle(layout, sector_index, rng):
+    sec = layout.sectors[sector_index]
+    site = layout.sites[sec.site_index]
+    face = sector_index % 3
+    radius = hex_circumradius(layout.isd)
+    while True:
+        dx = rng.uniform(-radius, radius)
+        dy = rng.uniform(-radius, radius)
+        if not _in_hexagon(dx, dy, layout.isd):
+            continue
+        if _face_of_angle(math.degrees(math.atan2(dy, dx))) == face:
+            return Point(site.x + dx, site.y + dy)
+
+
+def _drop_cellular_oracle(layout, n_per_sector, rng, start_id=0):
+    ues = []
+    for s in range(layout.n_sectors):
+        for _ in range(n_per_sector):
+            pos = _sample_point_oracle(layout, s, rng)
+            ues.append(UeRecord(start_id + len(ues), pos, Role.CELLULAR_TX, s))
+    return ues
+
+
+def _drop_d2d_pairs_oracle(layout, n_tx_per_sector, d2d_range, min_dist, rng, start_id=0):
+    pairs = []
+    uid = start_id
+    for s in range(layout.n_sectors):
+        for _ in range(n_tx_per_sector):
+            tx_pos = _sample_point_oracle(layout, s, rng)
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            while True:
+                r = d2d_range * math.sqrt(rng.uniform(0.0, 1.0))
+                if r >= min_dist:
+                    break
+            rx_pos = Point(tx_pos.x + r * math.cos(theta), tx_pos.y + r * math.sin(theta))
+            pairs.append((
+                UeRecord(uid, tx_pos, Role.D2D_TX, s, peer=uid + 1),
+                UeRecord(uid + 1, rx_pos, Role.D2D_RX,
+                         _sector_of_point_oracle(rx_pos, layout), peer=uid),
+            ))
+            uid += 2
+    return pairs
+
+
+class _CountingRng:
+    """The calls of the oracle samplers, counted."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def uniform(self, lo, hi):
+        self.calls += 1
+        return self.rng.uniform(lo, hi)
+
+
+def _same_state(a, b):
+    # Bit-generator states are dicts that may hold arrays (Philox's counter).
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
 
 
 def point_in_sector_region(p, sector_index, layout):
@@ -256,6 +328,49 @@ def test_sector_of_point_agrees_with_membership():
     ues = drop_cellular_ues(lay, 3, rng)
     for u in ues:
         assert sector_of_point(u.position, lay) == u.home_sector
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+# (isd, n_rings, cellular per sector, pairs per sector, d2d range, bit
+# generator, block size): wide-area and dense-discovery presets, one site, a
+# three-double block so refills fall inside candidates, and a counter-based
+# bit generator whose state holds a buffer.
+_SAMPLER_CASES = {
+    "wide_area": (1732.0, 2, 0, 10, 250.0, np.random.default_rng, None),
+    "dense_discovery": (500.0, 2, 50, 10, 50.0, np.random.default_rng, None),
+    "single_site": (500.0, 0, 4, 6, 250.0, np.random.default_rng, None),
+    "block_of_3": (500.0, 1, 3, 4, 250.0, np.random.default_rng, 3),
+    "philox": (500.0, 1, 3, 4, 250.0, _philox, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_SAMPLER_CASES))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_block_sampler_equals_per_draw_oracle(case, seed, monkeypatch):
+    isd, n_rings, n_cell, n_pairs, d2d_range, make_rng, block = _SAMPLER_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(layout_module, "_BLOCK", block)
+    lay = build_hex_grid(isd, n_rings, True)
+    rng, ref = make_rng(seed), _CountingRng(make_rng(seed))
+    counters = DropCounters()
+
+    cell = drop_cellular_ues(lay, n_cell, rng, counters=counters)
+    assert cell == _drop_cellular_oracle(lay, n_cell, ref)
+    assert _same_state(rng.bit_generator.state, ref.rng.bit_generator.state)
+    assert counters.rejection_draws == ref.calls
+
+    pairs = drop_d2d_pairs(lay, n_pairs, d2d_range, 3.0, rng, start_id=len(cell),
+                           counters=counters)
+    assert pairs == _drop_d2d_pairs_oracle(lay, n_pairs, d2d_range, 3.0, ref,
+                                           start_id=len(cell))
+    assert _same_state(rng.bit_generator.state, ref.rng.bit_generator.state)
+    assert counters.rejection_draws == ref.calls
+    assert counters.foreign_receivers == sum(tx.home_sector != rx.home_sector
+                                             for tx, rx in pairs)
+    assert rng.random(3).tolist() == ref.rng.random(3).tolist()
 
 
 def test_min_ue_ue_distance_constant():
