@@ -10,14 +10,12 @@ from .layout import (
     NetworkLayout,
     Point,
     Role,
-    Sector,
     UeRecord,
     build_hex_grid,
     drop_cellular_ues,
     drop_d2d_pairs,
     hex_circumradius,
     sector_of_point,
-    wrap_distance,
 )
 from .channel import (
     ChannelConfig,

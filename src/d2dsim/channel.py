@@ -31,18 +31,16 @@ from .layout import (
 
 SPEED_OF_LIGHT_M_S = 3.0e8
 
-# Endpoint keys used throughout: a receiver or transmitter is either a
-# terminal ("ue", ue_id) or a base-station sector face ("sector", index).
-UE_NODE = "ue"
-SECTOR_NODE = "sector"
+# Endpoint keys of `CouplingTable.loss_db`: a receiver or transmitter is
+# either a terminal ("ue", ue_id) or a base-station sector face ("sector", index).
 
 
 def ue_endpoint(ue_id: int) -> tuple[str, int]:
-    return (UE_NODE, int(ue_id))
+    return ("ue", int(ue_id))
 
 
 def sector_endpoint(sector_index: int) -> tuple[str, int]:
-    return (SECTOR_NODE, int(sector_index))
+    return ("sector", int(sector_index))
 
 
 @dataclass(frozen=True)
@@ -171,9 +169,17 @@ class CouplingTable:
       terminal): the downlink used by coverage classification, with shadowing
       at its 0 dB mean.
 
+    Row and column order: rows are the transmit-capable terminals, terminal
+    columns the D2D receivers, each in drop order. ``build_drop`` drops the
+    cellular terminals, then the pairs, so cellular terminal i is row i and
+    pair j is row n_cell + j with its receiver in column j. The experiment
+    path addresses couplings by position in ``[ue_ue_loss_db |
+    ue_sector_loss_db]``, whose column n_rx + s is sector s.
+
     LOS state and shadowing are drawn once per ordered link; reciprocity is
     deliberately not implied, and the reverse direction of a terminal pair is
-    generally not even present. Missing entries raise KeyError.
+    generally not even present. ``loss_db`` looks up one entry by endpoints
+    and raises KeyError for a missing one.
     """
 
     tx_ids: tuple[int, ...]
@@ -189,77 +195,24 @@ class CouplingTable:
     sector_ue_loss_db: np.ndarray  # (n_sectors, n_ue)
 
     @cached_property
-    def _tx_row(self) -> dict[int, int]:
-        return {uid: i for i, uid in enumerate(self.tx_ids)}
-
-    @cached_property
-    def _rx_col(self) -> dict[int, int]:
-        return {uid: i for i, uid in enumerate(self.rx_ue_ids)}
-
-    @cached_property
-    def _ue_col(self) -> dict[int, int]:
-        return {uid: i for i, uid in enumerate(self.ue_ids)}
-
-    @cached_property
     def ue_ue_gain_lin(self) -> np.ndarray:
         """Linear power gain 10^(-loss/10) of every terminal pair entry."""
         return 10.0 ** (-self.ue_ue_loss_db / 10.0)
 
-    def _indices(self, tx, rx) -> tuple[str, int, int]:
-        tk, ti = tx
-        rk, ri = rx
-        if tk == UE_NODE and rk == UE_NODE:
-            row = self._tx_row.get(ti)
-            col = self._rx_col.get(ri)
-            if row is None or col is None:
-                raise KeyError(f"no terminal-to-terminal coupling {tx} -> {rx}")
-            return "uu", row, col
-        if tk == UE_NODE and rk == SECTOR_NODE:
-            row = self._tx_row.get(ti)
-            if row is None or not 0 <= ri < self.n_sectors:
-                raise KeyError(f"no terminal-to-sector coupling {tx} -> {rx}")
-            return "us", row, ri
-        if tk == SECTOR_NODE and rk == UE_NODE:
-            col = self._ue_col.get(ri)
-            if col is None or not 0 <= ti < self.n_sectors:
-                raise KeyError(f"no sector-to-terminal coupling {tx} -> {rx}")
-            return "su", ti, col
-        raise KeyError(f"unsupported coupling endpoints {tx} -> {rx}")
-
     def loss_db(self, tx, rx) -> float:
-        kind, i, j = self._indices(tx, rx)
-        if kind == "uu":
-            return float(self.ue_ue_loss_db[i, j])
-        if kind == "us":
-            return float(self.ue_sector_loss_db[i, j])
-        return float(self.sector_ue_loss_db[i, j])
-
-    def shadow_db(self, tx, rx) -> float:
-        kind, i, j = self._indices(tx, rx)
-        if kind == "uu":
-            return float(self.ue_ue_shadow_db[i, j])
-        if kind == "us":
-            return float(self.ue_sector_shadow_db[i, j])
-        return 0.0
-
-    def is_los(self, tx, rx) -> bool:
-        kind, i, j = self._indices(tx, rx)
-        if kind != "uu":
-            raise KeyError("LOS state is only recorded for terminal pairs")
-        return bool(self.ue_ue_los[i, j])
-
-    def loss_matrix_db(self, links) -> np.ndarray:
-        """Entry [g, f]: loss from link g's terminal transmitter to link f's
-        receiver (a terminal or a sector). Each link's (tx, rx) endpoints are
-        resolved once; the matrix is then one gather."""
-        resolved = [self._indices(tx, rx) for tx, rx in links]
-        if any(kind == "su" for kind, _, _ in resolved):
-            raise KeyError("link transmitters must be terminals")
-        n_rx = len(self.rx_ue_ids)
-        rows = [row for _, row, _ in resolved]
-        cols = [col + n_rx if kind == "us" else col for kind, _, col in resolved]
-        from_terminals = np.hstack((self.ue_ue_loss_db, self.ue_sector_loss_db))
-        return from_terminals[np.ix_(rows, cols)]
+        """Loss of one link, its endpoints (`ue_endpoint`, `sector_endpoint`)
+        found by id."""
+        sectors = range(self.n_sectors)
+        blocks = {
+            ("ue", "ue"): (self.ue_ue_loss_db, self.tx_ids, self.rx_ue_ids),
+            ("ue", "sector"): (self.ue_sector_loss_db, self.tx_ids, sectors),
+            ("sector", "ue"): (self.sector_ue_loss_db, sectors, self.ue_ids),
+        }
+        try:
+            loss, rows, cols = blocks[tx[0], rx[0]]
+            return float(loss[rows.index(tx[1]), cols.index(rx[1])])
+        except (KeyError, ValueError):
+            raise KeyError(f"no coupling {tx} -> {rx}") from None
 
 
 def build_coupling_table(

@@ -15,12 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import (
-    ChannelConfig,
-    build_coupling_table,
-    sector_endpoint,
-    ue_endpoint,
-)
+from .channel import ChannelConfig, build_coupling_table
 from .layout import (
     DropCounters,
     NetworkLayout,
@@ -143,6 +138,13 @@ class ExperimentConfig:
             raise ValueError("throughput runs need n_cellular_per_sector + n_d2d_tx_per_sector > 0")
         if not 0.0 < self.min_d2d_dist_m < self.d2d_range_m:
             raise ValueError("need 0 < min_d2d_dist_m < d2d_range_m")
+        # Coordinates are only as fine as the float spacing at that reach; a
+        # thousandth of the shortest direct link keeps every link's length.
+        if math.ulp(reach) > self.min_d2d_dist_m / 1000.0:
+            raise ValueError(
+                "isd_m is too large for min_d2d_dist_m: the float spacing of "
+                "coordinates at this isd_m and n_rings exceeds min_d2d_dist_m / 1000"
+            )
         if any(not 0.0 <= a <= 1.0 for a in self.alpha_list):
             raise ValueError("alpha_list values must be in [0, 1]")
         if bool(self.alpha_list) != bool(self.snr_target_db_list):
@@ -236,10 +238,8 @@ def _sinr_drop_samples(cfg, layout, settings, rc, drop_index) -> tuple[np.ndarra
     if not pairs:
         return np.zeros(0, dtype=SINR_SAMPLE_DTYPE), counters
 
-    # Pairs are dropped sector by sector, n_tx each. Table rows are the
-    # cellular terminals, then the pair transmitters in drop order; columns
-    # are the pair receivers in drop order. So link j is row n_cell + j and
-    # column j.
+    # Pairs are dropped sector by sector, n_tx each; link j is table row
+    # n_cell + j and column j (row and column order: see CouplingTable).
     n_cell = len(cell)
     links = np.arange(len(pairs))
     tx_ids = np.array([tx.id for tx, _ in pairs], dtype=np.int32)
@@ -335,6 +335,22 @@ def _throughput_rows(drop_index, sector_flows, result) -> np.ndarray:
     return chunk
 
 
+def _flows_for(cell, pairs, n_tx_per_sector: int, k_d2d: int) -> dict[int, list[Flow]]:
+    """Every transmitter of a drop as a flow at its table position (row and
+    column order: see `CouplingTable`), grouped by home sector. Pairs are
+    dropped n_tx_per_sector per sector, so the first k_d2d pairs of each
+    sector, those with j % n_tx_per_sector < k_d2d, send to their peer."""
+    n_cell, n_rx = len(cell), len(pairs)
+    out: dict[int, list[Flow]] = {}
+    for i, u in enumerate(cell):
+        out.setdefault(u.home_sector, []).append(Flow(u.id, i, n_rx + u.home_sector, "cellular"))
+    for j, (tx, _) in enumerate(pairs):
+        direct = j % n_tx_per_sector < k_d2d
+        col, role = (j, "d2d") if direct else (n_rx + tx.home_sector, "cellular")
+        out.setdefault(tx.home_sector, []).append(Flow(tx.id, n_cell + j, col, role))
+    return out
+
+
 def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, ExperimentReport]:
     """Paired baseline/offload PF runs on identical drops.
 
@@ -353,26 +369,8 @@ def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, 
     counters = DropCounters()
     for drop in range(cfg.n_drops):
         cell, pairs, table, _ = build_drop(cfg, layout, drop, counters=counters)
-
-        def flows_for(k_d2d: int) -> dict[int, list[Flow]]:
-            out: dict[int, list[Flow]] = {}
-            for u in cell:
-                out.setdefault(u.home_sector, []).append(
-                    Flow(u.id, sector_endpoint(u.home_sector))
-                )
-            offloaded: dict[int, int] = {}
-            for tx, rx in pairs:
-                s = tx.home_sector
-                if offloaded.get(s, 0) < k_d2d:
-                    dest = ue_endpoint(rx.id)
-                    offloaded[s] = offloaded.get(s, 0) + 1
-                else:
-                    dest = sector_endpoint(s)
-                out.setdefault(s, []).append(Flow(tx.id, dest))
-            return out
-
-        flows_base = flows_for(0)
-        flows_off = flows_for(cfg.k_d2d)
+        flows_base = _flows_for(cell, pairs, cfg.n_d2d_tx_per_sector, 0)
+        flows_off = _flows_for(cell, pairs, cfg.n_d2d_tx_per_sector, cfg.k_d2d)
         res_base = run_pf_uplink(flows_base, cfg.n_subframes, rc, pc, table)
         res_off = run_pf_uplink(flows_off, cfg.n_subframes, rc, pc, table)
         base_chunks.append(_throughput_rows(drop, flows_base, res_base))

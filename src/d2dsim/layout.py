@@ -63,12 +63,6 @@ class Role(Enum):
 
 
 @dataclass(frozen=True)
-class Sector:
-    site_index: int
-    boresight_deg: float
-
-
-@dataclass(frozen=True)
 class UeRecord:
     id: int
     position: Point
@@ -97,12 +91,12 @@ class DropCounters:
 
 @dataclass(frozen=True)
 class NetworkLayout:
-    """Immutable site/sector geometry. Safe to share across worker threads."""
+    """Immutable site/sector geometry. Safe to share across worker threads.
+    Sector i is face i % 3 of site i // 3 (boresight SECTOR_BORESIGHTS_DEG[i % 3])."""
 
     isd: float
     n_rings: int
     sites: tuple[Point, ...]
-    sectors: tuple[Sector, ...]
     wraparound_enabled: bool
     wrap_offsets: tuple[Point, ...]  # identity first
 
@@ -112,7 +106,7 @@ class NetworkLayout:
 
     @property
     def n_sectors(self) -> int:
-        return len(self.sectors)
+        return 3 * len(self.sites)
 
     @cached_property
     def site_xy(self) -> np.ndarray:
@@ -124,11 +118,11 @@ class NetworkLayout:
 
     @cached_property
     def sector_site_xy(self) -> np.ndarray:
-        return self.site_xy[[s.site_index for s in self.sectors]]
+        return np.repeat(self.site_xy, 3, axis=0)
 
     @cached_property
     def sector_boresight_deg(self) -> np.ndarray:
-        return np.array([s.boresight_deg for s in self.sectors])
+        return np.tile(SECTOR_BORESIGHTS_DEG, self.n_sites)
 
 
 def hex_circumradius(isd: float) -> float:
@@ -161,9 +155,6 @@ def build_hex_grid(isd: float, n_rings: int, wraparound: bool) -> NetworkLayout:
                 q, r = q + dq, r + dr
 
     sites = tuple(axial_to_xy(q, r) for q, r in coords)
-    sectors = tuple(
-        Sector(i, b) for i in range(len(sites)) for b in SECTOR_BORESIGHTS_DEG
-    )
 
     offsets = [Point(0.0, 0.0)]
     if wraparound and n_rings >= 1:
@@ -179,7 +170,6 @@ def build_hex_grid(isd: float, n_rings: int, wraparound: bool) -> NetworkLayout:
         isd=float(isd),
         n_rings=int(n_rings),
         sites=sites,
-        sectors=sectors,
         wraparound_enabled=bool(wraparound),
         wrap_offsets=tuple(offsets),
     )
@@ -235,11 +225,6 @@ def pairwise_wrap_distance(
     dx = ax - (b[:, 0] + offs[best_k, 0])
     dy = ay - (b[:, 1] + offs[best_k, 1])
     return np.hypot(dx, dy), best_k
-
-
-def wrap_distance(a: Point, b: Point, layout: NetworkLayout) -> float:
-    d, _ = pairwise_wrap_distance([a], [b], layout)
-    return float(d[0, 0])
 
 
 def _in_hexagon(dx: float, dy: float, isd: float) -> bool:
@@ -328,8 +313,7 @@ def _sample_point_in_sector(
     """Rejection-sample a point of the sector's kite from pairs of
     ``uniform(-R, R)`` draws, R the circumradius; ``next_double`` gives the
     generator's next double."""
-    sec = layout.sectors[sector_index]
-    site = layout.sites[sec.site_index]
+    site = layout.sites[sector_index // 3]
     face = sector_index % 3
     isd = layout.isd
     radius = hex_circumradius(isd)

@@ -9,7 +9,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .channel import CouplingTable, UE_NODE, sector_endpoint, ue_endpoint
+from .channel import CouplingTable, sector_endpoint, ue_endpoint
 from .layout import NetworkLayout, UeRecord
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -62,12 +62,6 @@ class Coverage(Enum):
 
 def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + noise_figure_db + 10.0 * math.log10(bandwidth_hz)
-
-
-def receiver_noise_dbm(rc: RadioConfig, endpoint) -> float:
-    """Noise over the full band at a terminal or a base-station sector."""
-    nf = rc.noise_figure_ue_db if endpoint[0] == UE_NODE else rc.noise_figure_enb_db
-    return thermal_noise_dbm(rc.bandwidth_hz, nf)
 
 
 def open_loop_tx_power(pc: PowerControlConfig, pl_db):

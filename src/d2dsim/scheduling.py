@@ -12,10 +12,12 @@ granted at t-1 (noise-only at t=0); the rates actually served use the grants
 concurrently active at t. That one-subframe lag avoids a grant/interference
 fixed point.
 
-A `Flow` is an immutable (id, destination) record; terminal `id` is its
-transmitter. The PF state lives in arrays indexed by position in flow id
-order: one flows x flows coupling matrix gathered from the drop's table, and
-per-flow averages. Each subframe is a fixed sequence of array steps, most of
+A `Flow` is an immutable (id, row, col, role) record: terminal `id`
+transmits from table row `row` to column `col` of the drop's terminal-row
+loss matrix (row and column order: see `CouplingTable`). The PF state lives
+in arrays indexed by position in flow id order: one flows x flows coupling
+matrix gathered from the drop's table by those rows and columns, and per-flow
+averages. Each subframe is a fixed sequence of array steps, most of
 them in place on buffers allocated once per run: `pf_select` (a
 first-occurrence argmax per sector over a padded sectors x flows matrix), a
 gather of the granted coupling rows and their column sum, the interference
@@ -28,17 +30,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import CouplingTable, UE_NODE, ue_endpoint
+from .channel import CouplingTable
 from .radio import (
     PowerControlConfig,
     RadioConfig,
     _shannon_rate_bps,
     open_loop_tx_power,
-    receiver_noise_dbm,
+    thermal_noise_dbm,
 )
 
 SUBFRAME_S = 1e-3
@@ -81,17 +83,15 @@ def activation_pattern(mode: CoordinationMode, n_tx: int) -> np.ndarray:
     return np.sort((starts + np.arange(k)) % max(n_tx, 1), axis=1)
 
 
-@dataclass(frozen=True)
-class Flow:
-    """One scheduled traffic source: terminal `id` transmitting either to its
-    serving sector or directly to its peer."""
+class Flow(NamedTuple):
+    """One scheduled traffic source: terminal `id`, table row `row`,
+    transmitting either to its serving sector or directly to its peer, at
+    column `col` of ``[ue_ue_loss_db | ue_sector_loss_db]``."""
 
     id: int
-    destination: tuple  # ("sector", index) or ("ue", peer id)
-
-    @property
-    def role(self) -> str:
-        return "d2d" if self.destination[0] == UE_NODE else "cellular"
+    row: int
+    col: int
+    role: str  # "cellular" (to a sector) or "d2d" (to a terminal)
 
 
 def pf_select(
@@ -165,10 +165,15 @@ def run_pf_uplink(
     for si, r in enumerate(rows):
         sector_of_pos[r] = si
 
-    # loss_db[g, f]: loss from flow g's transmitter to flow f's receiver.
-    loss_db = table.loss_matrix_db([(ue_endpoint(f.id), f.destination) for f in flows])
+    # loss_db[g, f]: loss from flow g's transmitter to flow f's receiver. The
+    # stacked copy of the table lives only in this expression, so it is freed
+    # before the loop's buffers are allocated (peak memory).
+    loss_db = np.hstack((table.ue_ue_loss_db, table.ue_sector_loss_db))[
+        np.ix_([f.row for f in flows], [f.col for f in flows])
+    ]
     own_loss = loss_db.diagonal()
-    noise_dbm = np.array([receiver_noise_dbm(rc, f.destination) for f in flows])
+    nf = {"d2d": rc.noise_figure_ue_db, "cellular": rc.noise_figure_enb_db}
+    noise_dbm = np.array([thermal_noise_dbm(rc.bandwidth_hz, nf[f.role]) for f in flows])
     p_dbm = open_loop_tx_power(replace(pc, noise_dbm=noise_dbm), own_loss)
     p_lin = 10.0 ** (p_dbm / 10.0)
     noise_lin = 10.0 ** (noise_dbm / 10.0)

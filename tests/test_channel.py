@@ -15,7 +15,15 @@ from d2dsim.channel import (
     ue_enb_pathloss,
     ue_ue_pathloss,
 )
-from d2dsim.layout import Point, Role, UeRecord, build_hex_grid, drop_cellular_ues, drop_d2d_pairs
+from d2dsim.layout import (
+    SECTOR_BORESIGHTS_DEG,
+    Point,
+    Role,
+    UeRecord,
+    build_hex_grid,
+    drop_cellular_ues,
+    drop_d2d_pairs,
+)
 
 
 CFG = ChannelConfig()
@@ -185,11 +193,12 @@ class TestCouplingTable:
         lay, cfg, ues, pairs, table = _drop_with_table(seed=3)
         tx, rx = pairs[0]
         tx_ep, rx_ep = ue_endpoint(tx.id), ue_endpoint(rx.id)
+        row, col = table.tx_ids.index(tx.id), table.rx_ue_ids.index(rx.id)
         d, _ = pairwise_wrap_distance([tx.position], [rx.position], lay)
         d_eff = max(float(d[0, 0]), MIN_UE_UE_DISTANCE_M)
         expected = max(
-            ue_ue_pathloss(d_eff, table.is_los(tx_ep, rx_ep), cfg)
-            + table.shadow_db(tx_ep, rx_ep),
+            ue_ue_pathloss(d_eff, table.ue_ue_los[row, col], cfg)
+            + table.ue_ue_shadow_db[row, col],
             cfg.min_pl_db,
         )
         assert table.loss_db(tx_ep, rx_ep) == pytest.approx(expected, rel=1e-12)
@@ -199,12 +208,14 @@ class TestCouplingTable:
         tx = pairs[0][0]
         sector = 4
         tx_ep, s_ep = ue_endpoint(tx.id), sector_endpoint(sector)
-        site = lay.sites[lay.sectors[sector].site_index]
+        # sector i is face i % 3 of site i // 3
+        site = lay.sites[sector // 3]
         dx, dy = wrap_vector(site, tx.position, lay)
         d = math.hypot(dx, dy)
-        angle = math.degrees(math.atan2(dy, dx)) - lay.sectors[sector].boresight_deg
+        angle = math.degrees(math.atan2(dy, dx)) - SECTOR_BORESIGHTS_DEG[sector % 3]
         expected = max(
-            ue_enb_pathloss(d, cfg.min_pl_db) + table.shadow_db(tx_ep, s_ep),
+            ue_enb_pathloss(d, cfg.min_pl_db)
+            + table.ue_sector_shadow_db[table.tx_ids.index(tx.id), sector],
             cfg.min_pl_db,
         ) - sector_antenna_gain(angle)
         assert table.loss_db(tx_ep, s_ep) == pytest.approx(expected, rel=1e-12)
@@ -237,13 +248,20 @@ class TestCouplingTable:
             table.loss_db(ue_endpoint(rx.id), ue_endpoint(tx.id))
 
     def test_missing_entry_raises(self):
-        _, _, _, pairs, table = _drop_with_table(seed=7)
+        lay, _, _, pairs, table = _drop_with_table(seed=7)
+        tx, rx = ue_endpoint(pairs[0][0].id), ue_endpoint(pairs[0][1].id)
         with pytest.raises(KeyError):
-            table.loss_db(ue_endpoint(9999), ue_endpoint(pairs[0][1].id))
+            table.loss_db(ue_endpoint(9999), rx)
         with pytest.raises(KeyError):
-            table.loss_db(ue_endpoint(pairs[0][0].id), sector_endpoint(999))
+            table.loss_db(tx, sector_endpoint(999))
+        # Negative numpy indices would wrap to the last sector.
+        for sector in (-1, lay.n_sectors):
+            with pytest.raises(KeyError):
+                table.loss_db(tx, sector_endpoint(sector))
+            with pytest.raises(KeyError):
+                table.loss_db(sector_endpoint(sector), tx)
         with pytest.raises(KeyError):
-            table.loss_matrix_db([(sector_endpoint(0), ue_endpoint(pairs[0][0].id))])
+            table.loss_db(sector_endpoint(0), sector_endpoint(1))
 
     def test_deterministic_given_stream(self):
         _, _, _, _, t1 = _drop_with_table(seed=8)

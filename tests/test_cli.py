@@ -252,21 +252,23 @@ class TestMain:
 
     def test_isd_beyond_float_range_is_one_config_error(self, tmp_path, capsys):
         # At 1e308 m the wrap offsets are inf: the run printed numpy overflow
-        # warnings, then failed on a NaN sector index. 1e160 m still runs.
+        # warnings, then failed on a NaN sector index. At 1e160 m the run
+        # exited 0 with every direct link rounded to 0 m; 1e6 m still runs.
         text = (
             "experiment = sinr\nisd_m = {isd}\nn_d2d_tx_per_sector = 2\nn_drops = 1\n"
             f"out_dir = {tmp_path}/out\n"
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([write_cfg(tmp_path, text.format(isd="1e308"))]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error:")
-            assert captured.err.count("\n") == 1
-            assert "isd_m" in captured.err
-            assert not (tmp_path / "out").exists()
-            assert main([write_cfg(tmp_path, text.format(isd="1e160")), "--quiet"]) == 0
+            for isd, keys in (("1e308", ["isd_m"]), ("1e160", ["isd_m", "min_d2d_dist_m"])):
+                assert main([write_cfg(tmp_path, text.format(isd=isd))]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error:")
+                assert captured.err.count("\n") == 1
+                assert all(key in captured.err for key in keys)
+                assert not (tmp_path / "out").exists()
+            assert main([write_cfg(tmp_path, text.format(isd="1e6")), "--quiet"]) == 0
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("key", ["d2d_range_m", "d2d_offset_db"])

@@ -320,6 +320,42 @@ class TestThroughputExperiment:
             assert rows["flow"].tolist() == list(result.throughput_bps)
             assert rows["throughput_bps"].tolist() == list(result.throughput_bps.values())
 
+    @pytest.mark.parametrize("k_d2d", [0, 2, 4])
+    def test_flows_carry_their_table_positions(self, k_d2d):
+        # Each flow's (row, col) entry of [ue_ue | ue_sector] must be the
+        # coupling of its transmitter to the receiver named by id: the peer
+        # for the first k_d2d pairs of each sector in drop order, the home
+        # sector otherwise.
+        cfg = ExperimentConfig(
+            experiment="throughput", isd_m=500.0, n_rings=1, n_cellular_per_sector=3,
+            n_d2d_tx_per_sector=4, d2d_range_m=50.0, alpha_list=(), snr_target_db_list=(),
+            k_d2d=k_d2d, seed=7,
+        )
+        lay = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
+        cell, pairs, table, _ = build_drop(cfg, lay, 0)
+        home = {u.id: u.home_sector for u in cell + [tx for tx, _ in pairs]}
+        expected = {u.id: (sector_endpoint(u.home_sector), "cellular") for u in cell}
+        offloaded = {}
+        for tx, rx in pairs:
+            s = tx.home_sector
+            offloaded[s] = offloaded.get(s, 0) + 1
+            if offloaded[s] <= k_d2d:
+                expected[tx.id] = (ue_endpoint(rx.id), "d2d")
+            else:
+                expected[tx.id] = (sector_endpoint(s), "cellular")
+        flows = engine._flows_for(cell, pairs, cfg.n_d2d_tx_per_sector, k_d2d)
+        from_terminals = np.hstack((table.ue_ue_loss_db, table.ue_sector_loss_db))
+        seen = set()
+        for s, sector_flows in flows.items():
+            for f in sector_flows:
+                endpoint, role = expected[f.id]
+                assert f.role == role
+                assert from_terminals[f.row, f.col] == table.loss_db(ue_endpoint(f.id), endpoint)
+                assert s == home[f.id]
+                seen.add(f.id)
+        assert seen == set(expected)
+        assert sum(role == "d2d" for _, role in expected.values()) == lay.n_sectors * k_d2d
+
     def test_short_run_zero_p5_gives_unbounded_gain(self):
         # runs shorter than the PF transient can leave flows unserved; the
         # p5 gain then degenerates to inf/nan instead of crashing
@@ -525,13 +561,18 @@ class TestConfigValidation:
         ):
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig(**{key: value}).validate()
-        # Wrapped site images at 1e308 m scale leave float range; 1e160 m
-        # still runs.
+        # Wrapped site images at 1e308 m scale leave float range. At 1e160 m
+        # the float spacing of coordinates dwarfs min_d2d_dist_m, so every
+        # direct link would round to 0 m; 1e6 m keeps its links.
         with pytest.raises(ValueError, match="isd_m"):
             ExperimentConfig(isd_m=1e308).validate()
         with pytest.raises(ValueError, match="isd_m"):
             ExperimentConfig(isd_m=1e300, n_rings=10**400).validate()
-        ExperimentConfig(isd_m=1e160).validate()
+        with pytest.raises(ValueError, match="isd_m.*min_d2d_dist_m"):
+            ExperimentConfig(isd_m=1e160).validate()
+        with pytest.raises(ValueError, match="isd_m.*min_d2d_dist_m"):
+            ExperimentConfig(isd_m=1e17).validate()
+        ExperimentConfig(isd_m=1e6).validate()
         # A throughput run with no transmitters has no flows to schedule.
         with pytest.raises(ValueError, match="n_d2d_tx_per_sector"):
             replace(TPUT, n_d2d_tx_per_sector=0, k_d2d=0).validate()

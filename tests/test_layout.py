@@ -10,6 +10,7 @@ from scipy import stats
 from d2dsim import layout as layout_module
 from d2dsim.layout import (
     MIN_UE_UE_DISTANCE_M,
+    SECTOR_BORESIGHTS_DEG,
     DropCounters,
     Point,
     Role,
@@ -23,8 +24,13 @@ from d2dsim.layout import (
     pairwise_wrap_distance,
     sector_of_point,
     sectors_of_points,
-    wrap_distance,
 )
+
+
+def wrap_distance(a, b, layout):
+    """Wrapped distance between two points, one entry of the pairwise matrix."""
+    d, _ = pairwise_wrap_distance([a], [b], layout)
+    return float(d[0, 0])
 
 
 # Reference oracles: the per-offset hypot search and the one-point sector
@@ -69,8 +75,7 @@ def _sector_of_point_oracle(p, layout):
 
 
 def _sample_point_oracle(layout, sector_index, rng):
-    sec = layout.sectors[sector_index]
-    site = layout.sites[sec.site_index]
+    site = layout.sites[sector_index // 3]
     face = sector_index % 3
     radius = hex_circumradius(layout.isd)
     while True:
@@ -133,8 +138,7 @@ def _same_state(a, b):
 
 
 def point_in_sector_region(p, sector_index, layout):
-    sec = layout.sectors[sector_index]
-    site = layout.sites[sec.site_index]
+    site = layout.sites[sector_index // 3]
     dx, dy = p.x - site.x, p.y - site.y
     if not _in_hexagon(dx, dy, layout.isd):
         return False
@@ -153,7 +157,15 @@ def test_single_site_three_sectors():
     lay = build_hex_grid(500.0, 0, wraparound=False)
     assert lay.n_sites == 1
     assert lay.n_sectors == 3
-    assert [s.boresight_deg for s in lay.sectors] == [30.0, 150.0, 270.0]
+    assert lay.sector_boresight_deg.tolist() == [30.0, 150.0, 270.0]
+    assert lay.sector_site_xy.tolist() == [[0.0, 0.0]] * 3
+
+
+def test_sector_i_is_face_i_mod_3_of_site_i_div_3():
+    lay = build_hex_grid(500.0, 2, wraparound=True)
+    for i in range(lay.n_sectors):
+        assert tuple(lay.sector_site_xy[i]) == lay.sites[i // 3]
+        assert lay.sector_boresight_deg[i] == SECTOR_BORESIGHTS_DEG[i % 3]
 
 
 def test_nearest_neighbor_spacing_is_isd():
@@ -237,10 +249,10 @@ def test_drop_cellular_counts_and_membership():
 def _sector_polygon_centroid(lay, sector_index):
     # The sector region is the kite (site, vertex(b-60), vertex(b), vertex(b+60));
     # shoelace centroid as an independent oracle.
-    sec = lay.sectors[sector_index]
-    site = lay.sites[sec.site_index]
+    site = lay.sites[sector_index // 3]
+    boresight = SECTOR_BORESIGHTS_DEG[sector_index % 3]
     radius = hex_circumradius(lay.isd)
-    angles = [sec.boresight_deg - 60, sec.boresight_deg, sec.boresight_deg + 60]
+    angles = [boresight - 60, boresight, boresight + 60]
     pts = [(site.x, site.y)] + [
         (site.x + radius * math.cos(math.radians(a)),
          site.y + radius * math.sin(math.radians(a)))

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from d2dsim.radio import (
     RadioConfig,
     open_loop_tx_power,
     rate_from_sinr,
-    receiver_noise_dbm,
     thermal_noise_dbm,
 )
 from d2dsim.scheduling import (
@@ -32,12 +32,39 @@ from d2dsim.scheduling import (
 RC = RadioConfig()
 
 
-class FakeTable:
-    def __init__(self, losses):
-        self.losses = dict(losses)
+def fake_table(ue_ue_loss_db, ue_sector_loss_db):
+    """The two terminal-row loss blocks that run_pf_uplink gathers from."""
+    return SimpleNamespace(
+        ue_ue_loss_db=np.array(ue_ue_loss_db, dtype=float),
+        ue_sector_loss_db=np.array(ue_sector_loss_db, dtype=float),
+    )
 
-    def loss_matrix_db(self, links):
-        return np.array([[self.losses[(tx, rx)] for _, rx in links] for tx, _ in links])
+
+# The oracles below address couplings by endpoint ids, the way flows did
+# before they carried table positions, so they stay independent of the rows
+# and columns under test.
+
+
+def _receiver_noise_dbm(rc, endpoint):
+    nf = rc.noise_figure_ue_db if endpoint[0] == "ue" else rc.noise_figure_enb_db
+    return thermal_noise_dbm(rc.bandwidth_hz, nf)
+
+
+def _flow_to(table, fid, endpoint):
+    """Terminal fid's flow to a receiver endpoint, its row and column looked
+    up by id in the table's id tuples."""
+    kind, rid = endpoint
+    if kind == "ue":
+        return Flow(fid, table.tx_ids.index(fid), table.rx_ue_ids.index(rid), "d2d")
+    return Flow(fid, table.tx_ids.index(fid), len(table.rx_ue_ids) + rid, "cellular")
+
+
+def _loss_matrix_by_id(table, flows, dest):
+    """Entry [g, f]: loss from flow g's transmitter to flow f's receiver
+    endpoint, both looked up by id."""
+    at = [_flow_to(table, f.id, dest[f.id]) for f in flows]
+    from_terminals = np.hstack((table.ue_ue_loss_db, table.ue_sector_loss_db))
+    return from_terminals[np.ix_([a.row for a in at], [a.col for a in at])]
 
 
 # The per-mode rules the activation pattern replaced, kept as its oracle.
@@ -215,12 +242,8 @@ class TestPfUpdate:
 
 def _isolated_sector(n_flows, loss_to_enb, seed=0):
     """One sector, no cross interference worth mentioning."""
-    losses = {}
-    flows = []
-    for i in range(n_flows):
-        flows.append(Flow(i, sector_endpoint(0)))
-        losses[(ue_endpoint(i), sector_endpoint(0))] = loss_to_enb[i]
-    return {0: flows}, FakeTable(losses)
+    flows = [Flow(i, i, 0, "cellular") for i in range(n_flows)]
+    return {0: flows}, fake_table(np.zeros((n_flows, 0)), np.reshape(loss_to_enb, (-1, 1)))
 
 
 class TestRunPfUplink:
@@ -257,14 +280,11 @@ class TestRunPfUplink:
         # one sector; a transmitter 10 m from its peer vs a 116.8 dB uplink
         uplink_loss = 116.78
         direct_loss = 60.0
-        losses = {
-            (ue_endpoint(0), sector_endpoint(0)): uplink_loss,
-            (ue_endpoint(0), ue_endpoint(1)): direct_loss,
-        }
-        table = FakeTable(losses)
+        # row 0: terminal 0; column 0: terminal 1, column 1: sector 0
+        table = fake_table([[direct_loss]], [[uplink_loss]])
         pc = PowerControlConfig(snr_target_db=0.0, noise_dbm=None, alpha=0.0, enabled=False)
-        base = run_pf_uplink({0: [Flow(0, sector_endpoint(0))]}, 200, RC, pc, table)
-        off = run_pf_uplink({0: [Flow(0, ue_endpoint(1))]}, 200, RC, pc, table)
+        base = run_pf_uplink({0: [Flow(0, 0, 1, "cellular")]}, 200, RC, pc, table)
+        off = run_pf_uplink({0: [Flow(0, 0, 0, "d2d")]}, 200, RC, pc, table)
         assert off.throughput_bps[0] > base.throughput_bps[0]
         # and each matches the single-link rate oracle
         for res, loss, nf in (
@@ -276,19 +296,12 @@ class TestRunPfUplink:
             assert res.throughput_bps[0] == pytest.approx(oracle, rel=1e-9)
 
     def test_one_grant_per_sector_per_subframe(self):
-        losses = {}
-        flows = {}
-        fid = 0
-        for s in range(3):
-            flows[s] = []
-            for _ in range(4):
-                flows[s].append(Flow(fid, sector_endpoint(s)))
-                for s2 in range(3):
-                    losses[(ue_endpoint(fid), sector_endpoint(s2))] = 100.0 + 5 * s2
-                fid += 1
+        # 12 terminals, 4 per sector, each 100/105/110 dB from sectors 0/1/2
+        flows = {s: [Flow(f, f, s, "cellular") for f in range(4 * s, 4 * s + 4)] for s in range(3)}
+        table = fake_table(np.zeros((12, 0)), np.tile([100.0, 105.0, 110.0], (12, 1)))
         pc = PowerControlConfig(snr_target_db=10.0, noise_dbm=None, alpha=1.0)
         n = 600
-        res = run_pf_uplink(flows, n, RC, pc, FakeTable(losses))
+        res = run_pf_uplink(flows, n, RC, pc, table)
         assert sum(res.granted_subframes.values()) == 3 * n
         per_sector = [sum(res.granted_subframes[f.id] for f in flows[s]) for s in range(3)]
         assert per_sector == [n, n, n]
@@ -308,10 +321,10 @@ class TestRunPfUplink:
 
 
 class _ScalarFlow:
-    def __init__(self, flow):
+    def __init__(self, flow, destination):
         self.id = flow.id
         self.tx_ue = flow.id
-        self.destination = flow.destination
+        self.destination = destination
         self.avg_rate_bps = 0.0
 
 
@@ -333,8 +346,8 @@ def _scalar_pf_update(flow, served_rate_bps, t_c):
     flow.avg_rate_bps = (1.0 - 1.0 / t_c) * flow.avg_rate_bps + served_rate_bps / t_c
 
 
-def _scalar_pf_uplink(sector_flows, n_subframes, rc, pc, table, t_c=100):
-    sector_flows = {s: [_ScalarFlow(f) for f in fl] for s, fl in sector_flows.items()}
+def _scalar_pf_uplink(sector_flows, dest, n_subframes, rc, pc, table, t_c=100):
+    sector_flows = {s: [_ScalarFlow(f, dest[f.id]) for f in fl] for s, fl in sector_flows.items()}
     sectors = sorted(s for s in sector_flows if sector_flows[s])
     flows = [f for s in sectors for f in sector_flows[s]]
     n_flows = len(flows)
@@ -349,7 +362,7 @@ def _scalar_pf_uplink(sector_flows, n_subframes, rc, pc, table, t_c=100):
     own_loss = np.array(
         [table.loss_db(ue_endpoint(f.tx_ue), f.destination) for f in flows]
     )
-    noise_dbm = np.array([receiver_noise_dbm(rc, f.destination) for f in flows])
+    noise_dbm = np.array([_receiver_noise_dbm(rc, f.destination) for f in flows])
     p_dbm = np.array(
         [
             open_loop_tx_power(replace(pc, noise_dbm=noise_dbm[i]), own_loss[i])
@@ -428,18 +441,18 @@ def _mixed_drop_flows():
     )
     layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
     cell, pairs, table, _ = build_drop(cfg, layout, 0)
-    flows = {}
-    for u in cell:
-        flows.setdefault(u.home_sector, []).append(Flow(u.id, sector_endpoint(u.home_sector)))
+    dest = {u.id: sector_endpoint(u.home_sector) for u in cell}
     for j, (tx, rx) in enumerate(pairs):
         direct = j % cfg.n_d2d_tx_per_sector < 2
-        dest = ue_endpoint(rx.id) if direct else sector_endpoint(tx.home_sector)
-        flows[tx.home_sector].append(Flow(tx.id, dest))
+        dest[tx.id] = ue_endpoint(rx.id) if direct else sector_endpoint(tx.home_sector)
+    flows = {}
+    for u in cell + [tx for tx, _ in pairs]:
+        flows.setdefault(u.home_sector, []).append(_flow_to(table, u.id, dest[u.id]))
     flows = {s: fl[: len(fl) - s % 3] for s, fl in flows.items()}
     flows = {s: fl[::-1] if s % 2 else fl for s, fl in flows.items()}
     assert layout.n_sectors == 21
     assert len({len(fl) for fl in flows.values()}) == 3
-    return flows, table
+    return flows, table, dest
 
 
 @pytest.mark.parametrize(
@@ -451,10 +464,10 @@ def _mixed_drop_flows():
     ids=["max_power", "open_loop"],
 )
 def test_array_loop_matches_scalar_oracle_on_a_real_drop(pc):
-    sector_flows, table = _mixed_drop_flows()
+    sector_flows, table, dest = _mixed_drop_flows()
     roles = {f.role for fl in sector_flows.values() for f in fl}
     assert roles == {"cellular", "d2d"}
-    expected, ties = _scalar_pf_uplink(sector_flows, 300, RC, pc, table)
+    expected, ties = _scalar_pf_uplink(sector_flows, dest, 300, RC, pc, table)
     got = run_pf_uplink(sector_flows, 300, RC, pc, table)
     assert ties > 0
     assert got.granted_subframes == expected.granted_subframes
@@ -483,7 +496,7 @@ def _oracle_select(inst_rate_bps, avg_rate_bps, slots):
     return slots[np.arange(len(slots)), metric[slots].argmax(axis=1)]
 
 
-def _array_pf_oracle(sector_flows, n_subframes, rc, pc, table, t_c=100):
+def _array_pf_oracle(sector_flows, dest, n_subframes, rc, pc, table, t_c=100):
     sectors = sorted(s for s in sector_flows if sector_flows[s])
     flows = sorted((f for s in sectors for f in sector_flows[s]), key=lambda f: f.id)
     n_flows = len(flows)
@@ -495,9 +508,9 @@ def _array_pf_oracle(sector_flows, n_subframes, rc, pc, table, t_c=100):
     for si, r in enumerate(rows):
         sector_of_pos[r] = si
 
-    loss_db = table.loss_matrix_db([(ue_endpoint(f.id), f.destination) for f in flows])
+    loss_db = _loss_matrix_by_id(table, flows, dest)
     own_loss = loss_db.diagonal()
-    noise_dbm = np.array([receiver_noise_dbm(rc, f.destination) for f in flows])
+    noise_dbm = np.array([_receiver_noise_dbm(rc, dest[f.id]) for f in flows])
     p_dbm = open_loop_tx_power(replace(pc, noise_dbm=noise_dbm), own_loss)
     p_lin = 10.0 ** (p_dbm / 10.0)
     noise_lin = 10.0 ** (noise_dbm / 10.0)
@@ -556,13 +569,13 @@ def _multi_site_drop_flows(k_d2d):
     )
     layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
     _, pairs, table, _ = build_drop(cfg, layout, 0)
-    flows = {}
+    flows, dest = {}, {}
     for tx, rx in pairs:
         fl = flows.setdefault(tx.home_sector, [])
-        dest = ue_endpoint(rx.id) if len(fl) < k_d2d else sector_endpoint(tx.home_sector)
-        fl.append(Flow(tx.id, dest))
+        dest[tx.id] = ue_endpoint(rx.id) if len(fl) < k_d2d else sector_endpoint(tx.home_sector)
+        fl.append(_flow_to(table, tx.id, dest[tx.id]))
     assert layout.n_sectors == 57 and sum(map(len, flows.values())) == 570
-    return flows, table
+    return flows, table, dest
 
 
 MAX_POWER = PowerControlConfig(snr_target_db=0.0, noise_dbm=None, alpha=0.0, enabled=False)
@@ -577,16 +590,16 @@ def _assert_bit_equal(got, expected):
 
 @pytest.mark.parametrize("pc", [MAX_POWER, OPEN_LOOP], ids=["max_power", "open_loop"])
 def test_loop_is_bit_equal_to_array_oracle_on_a_mixed_drop(pc):
-    sector_flows, table = _mixed_drop_flows()
-    expected = _array_pf_oracle(sector_flows, 300, RC, pc, table)
+    sector_flows, table, dest = _mixed_drop_flows()
+    expected = _array_pf_oracle(sector_flows, dest, 300, RC, pc, table)
     _assert_bit_equal(run_pf_uplink(sector_flows, 300, RC, pc, table), expected)
 
 
 @pytest.mark.parametrize("pc", [MAX_POWER, OPEN_LOOP], ids=["max_power", "open_loop"])
 @pytest.mark.parametrize("k_d2d", [0, 5], ids=["baseline", "offload"])
 def test_loop_is_bit_equal_to_array_oracle_on_57_sectors(pc, k_d2d):
-    sector_flows, table = _multi_site_drop_flows(k_d2d)
-    expected = _array_pf_oracle(sector_flows, 60, RC, pc, table)
+    sector_flows, table, dest = _multi_site_drop_flows(k_d2d)
+    expected = _array_pf_oracle(sector_flows, dest, 60, RC, pc, table)
     _assert_bit_equal(run_pf_uplink(sector_flows, 60, RC, pc, table), expected)
 
 
