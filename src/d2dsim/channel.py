@@ -13,6 +13,7 @@ SINR is computed on these large-scale couplings only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +31,9 @@ from .layout import (
 )
 
 SPEED_OF_LIGHT_M_S = 3.0e8
+
+# Entries per row block of the terminal-pair LOS and pathloss pass.
+_PAIR_BLOCK = 1 << 15
 
 # Endpoint keys of `CouplingTable.loss_db`: a receiver or transmitter is
 # either a terminal ("ue", ue_id) or a base-station sector face ("sector", index).
@@ -229,49 +233,65 @@ def build_coupling_table(
     in their order within ``ues``. Random draws happen in a fixed order so the
     table is a pure function of (layout, ues, cfg, rng stream): first the
     LOS uniforms for all terminal pairs, then terminal-pair shadowing, then
-    terminal-to-base shadowing.
+    terminal-to-base shadowing. Each is drawn whole; the terminal-pair clamp,
+    LOS state, pathloss and floor then run one row block of about
+    ``_PAIR_BLOCK`` entries at a time, so their temporaries stay in cache.
+    Distances, arrival angles and macro pathloss are taken per site and
+    repeated over its three sectors; the antenna gain is per sector.
 
     Cross-link terminal distances below the drop minimum are clamped to it
     before the pathloss call; an interferer may legitimately land arbitrarily
     close to someone else's receiver. ``counters``, when given, gets the
-    clamped distances and the terminal-pair entries at the floor added to it.
+    clamped distances, the terminal-pair entries at the floor and the wrap
+    searches' near ties added to it.
     """
-    txs = [u for u in ues if u.role in (Role.CELLULAR_TX, Role.D2D_TX)]
-    rxs = [u for u in ues if u.role == Role.D2D_RX]
-    tx_xy = np.array([u.position for u in txs], dtype=float).reshape(-1, 2)
-    rx_xy = np.array([u.position for u in rxs], dtype=float).reshape(-1, 2)
-    all_xy = np.array([u.position for u in ues], dtype=float).reshape(-1, 2)
-    n_tx, n_rx, n_ue = len(txs), len(rxs), len(ues)
+    rx_role = Role.D2D_RX
+    tx_sel = [i for i, u in enumerate(ues) if u.role is not rx_role]
+    rx_sel = [i for i, u in enumerate(ues) if u.role is rx_role]
+    all_xy = np.fromiter(
+        itertools.chain.from_iterable(u.position for u in ues), float, 2 * len(ues)
+    ).reshape(-1, 2)
+    tx_xy, rx_xy = all_xy[tx_sel], all_xy[rx_sel]
+    n_tx, n_rx = len(tx_sel), len(rx_sel)
     n_sec = layout.n_sectors
 
-    # Terminal -> terminal entries.
-    d_uu, _ = pairwise_wrap_distance(tx_xy, rx_xy, layout)
-    if counters is not None:
-        counters.clamped_distances += int(np.count_nonzero(d_uu < MIN_UE_UE_DISTANCE_M))
-    d_uu = np.maximum(d_uu, MIN_UE_UE_DISTANCE_M)
-    if cfg.ue_ue_los == "umi":
-        los = rng.random((n_tx, n_rx)) < los_probability(d_uu)
-    else:
-        los = np.zeros((n_tx, n_rx), dtype=bool)
-        rng.random((n_tx, n_rx))  # keep the stream layout mode-independent
+    # Terminal -> terminal entries: the draws for all pairs, then the LOS
+    # state, pathloss and floor one row block at a time.
+    d_uu, _ = pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters)
+    los_u = rng.random((n_tx, n_rx))  # drawn in "nlos" mode too: same stream
     shadow_uu = draw_shadowing(cfg.shadow_std_ueue_db, rng, size=(n_tx, n_rx))
-    pl_uu = ue_ue_pathloss(d_uu, los, cfg)
-    loss_uu = np.maximum(pl_uu + shadow_uu, cfg.min_pl_db)
+    los = np.zeros((n_tx, n_rx), dtype=bool)
+    loss_uu = np.empty((n_tx, n_rx))
+    clamped = floored = 0
+    rows = max(1, _PAIR_BLOCK // max(n_rx, 1))
+    for r0 in range(0, n_tx, rows):
+        blk = slice(r0, r0 + rows)
+        d = d_uu[blk]
+        clamped += np.count_nonzero(d < MIN_UE_UE_DISTANCE_M)
+        np.maximum(d, MIN_UE_UE_DISTANCE_M, out=d)
+        if cfg.ue_ue_los == "umi":
+            np.less(los_u[blk], los_probability(d), out=los[blk])
+        loss = np.add(ue_ue_pathloss(d, los[blk], cfg), shadow_uu[blk], out=loss_uu[blk])
+        np.maximum(loss, cfg.min_pl_db, out=loss)
+        floored += np.count_nonzero(loss == cfg.min_pl_db)
     if counters is not None:
-        counters.floor_entries += int(np.count_nonzero(loss_uu == cfg.min_pl_db))
+        counters.clamped_distances += int(clamped)
+        counters.floor_entries += int(floored)
 
-    # Distances and arrival angles between every terminal and every sector,
-    # both taken on the wrap image of the terminal nearest the site.
-    d_all_s, off_idx = pairwise_wrap_distance(all_xy, layout.sector_site_xy, layout)
+    # Distances and arrival angles between every terminal and every site,
+    # both taken on the wrap image of the terminal nearest the site; a
+    # sector's column is its site's.
+    site_xy = layout.site_xy
+    d_site, off_idx = pairwise_wrap_distance(all_xy, site_xy, layout, counters=counters)
     offs = layout.offset_xy[off_idx]
-    rel_x = all_xy[:, 0:1] - offs[..., 0] - layout.sector_site_xy[None, :, 0]
-    rel_y = all_xy[:, 1:2] - offs[..., 1] - layout.sector_site_xy[None, :, 1]
-    arrival_deg = np.degrees(np.arctan2(rel_y, rel_x))
+    rel_x = all_xy[:, 0:1] - offs[..., 0] - site_xy[None, :, 0]
+    rel_y = all_xy[:, 1:2] - offs[..., 1] - site_xy[None, :, 1]
+    arrival_deg = np.repeat(np.degrees(np.arctan2(rel_y, rel_x)), 3, axis=1)
     gain = sector_antenna_gain(arrival_deg - layout.sector_boresight_deg[None, :])
-    pl_all_s = ue_enb_pathloss(np.maximum(d_all_s, 1e-6), cfg.min_pl_db)
+    pl_all_s = np.repeat(
+        ue_enb_pathloss(np.maximum(d_site, 1e-6), cfg.min_pl_db), 3, axis=1
+    )
 
-    pos_of = {u.id: i for i, u in enumerate(ues)}
-    tx_sel = np.array([pos_of[u.id] for u in txs], dtype=int)
     shadow_us = draw_shadowing(cfg.shadow_std_enbue_db, rng, size=(n_tx, n_sec))
     loss_us = np.maximum(pl_all_s[tx_sel] + shadow_us, cfg.min_pl_db) - gain[tx_sel]
 
@@ -280,8 +300,8 @@ def build_coupling_table(
     loss_su = (pl_all_s - gain).T
 
     return CouplingTable(
-        tx_ids=tuple(u.id for u in txs),
-        rx_ue_ids=tuple(u.id for u in rxs),
+        tx_ids=tuple(ues[i].id for i in tx_sel),
+        rx_ue_ids=tuple(ues[i].id for i in rx_sel),
         ue_ids=tuple(u.id for u in ues),
         n_sectors=n_sec,
         min_pl_db=cfg.min_pl_db,

@@ -9,6 +9,7 @@ duration lines are comments).
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import time
@@ -83,24 +84,32 @@ def parse_config(path: str) -> ExperimentConfig:
     keys take the documented defaults."""
     values = {}
     key_lines = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(lineno, f"expected key = value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _PARSERS:
-                raise ConfigError(lineno, f"unknown key {key!r}")
-            if key in values:
-                raise ConfigError(lineno, f"duplicate key {key!r}")
-            try:
-                values[key] = _PARSERS[key](value.strip())
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(lineno, f"bad value for {key!r}: {exc}") from exc
-            key_lines[key] = lineno
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise ConfigError(line, f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None
+    # Lines split as a text-mode file splits them: at \n, \r\n and \r.
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(lineno, f"expected key = value, got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _PARSERS:
+            raise ConfigError(lineno, f"unknown key {key!r}")
+        if key in values:
+            raise ConfigError(lineno, f"duplicate key {key!r}")
+        try:
+            values[key] = _PARSERS[key](value.strip())
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(lineno, f"bad value for {key!r}: {exc}") from exc
+        key_lines[key] = lineno
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:

@@ -9,10 +9,19 @@ kite-shaped third of the hexagon around its boresight.
 Wraparound uses the classic 7-image technique: the finite cluster of
 ``1 + sum(6r)`` sites tiles the plane when translated by the six lattice
 vectors ``rot60^k((n_rings+1)*u + n_rings*v)``, so every distance is taken as
-the minimum over the identity and those six translations. The search over
-the seven images compares squared distances and settles near ties with
-``hypot``, so distances and image indices are the floats a per-image
-``hypot`` search gives.
+the minimum over the identity and those six translations. Offsets 4-6 are
+exactly the negatives of offsets 1-3, which makes the search a matter of
+three projections. For ``D = a - b``, image t is closer than the identity
+when ``D.t > |t|^2 / 2``, and of t_j and ``t_{j+3} = -t_j`` only the one on
+the side of ``D`` can be. So each entry scores ``|D.t_j|`` on the three axes
+against ``|t|^2 / 2`` for the identity, and the sign of ``D.t_j`` picks t_j
+or t_{j+3}. The scores carry rounding that the per-image distances do not
+share, so entries whose two best scores lie within ``_NEAR_TIE_REL`` of the
+squared coordinate scale are settled by the per-image ``hypot`` argmin, where
+the identity wins exact ties; a gap wider than that orders the ``hypot``
+values the same way. The distance is one ``hypot`` on the winning image, so
+distances and image indices are the floats a per-image ``hypot`` search
+gives.
 
 Terminal positions come from a rejection sampler whose order of draws defines
 the random stream: each candidate takes two ``uniform(-R, R)`` draws, and a
@@ -47,6 +56,14 @@ SECTOR_BORESIGHTS_DEG = (30.0, 150.0, 270.0)
 
 # Doubles the position sampler draws per rng.random call.
 _BLOCK = 8192
+
+# Entries per row block of the wrap search: its temporaries stay in cache.
+_WRAP_BLOCK = 1 << 15
+
+# Near-tie tolerance of the wrap search, relative to the squared coordinate
+# scale. The rounding of the projection scores and of the per-image hypot
+# values stays about 100 times below it.
+_NEAR_TIE_REL = 1e-12
 
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
 
@@ -83,6 +100,7 @@ class DropCounters:
     clamped_distances: int = 0  # terminal-pair distances raised to MIN_UE_UE_DISTANCE_M
     floor_entries: int = 0  # terminal-pair entries at the min_pl_db floor
     foreign_receivers: int = 0  # D2D receivers homed outside their transmitter's sector
+    wrap_near_ties: int = 0  # coupling-table wrap-search entries settled by the exact fallback
 
     def add(self, other: "DropCounters") -> None:
         for f in fields(self):
@@ -176,55 +194,104 @@ def build_hex_grid(isd: float, n_rings: int, wraparound: bool) -> NetworkLayout:
 
 
 def pairwise_wrap_distance(
-    a_xy, b_xy, layout: NetworkLayout
+    a_xy, b_xy, layout: NetworkLayout, *, counters: Optional[DropCounters] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance matrix (n, m) of min-over-offsets |a - (b + t)|.
 
     Also returns the index of the offset attaining the minimum (identity wins
     ties), so callers can recover the geometry of the wrapped link. Both are
-    the floats a search over ``hypot(a - (b + t))`` per offset gives: the
-    search runs on squared distances, pairs whose two closest images lie within
-    rounding of each other are settled by ``hypot`` over all offsets, and one
-    ``hypot`` on the winning image gives the distance.
+    the floats a search over ``hypot(a - (b + t))`` per offset gives. The
+    image is chosen by projection (module docstring). Near ties, whose two
+    best scores lie within ``_NEAR_TIE_REL * scale**2 + 1e-300`` (``scale``
+    the largest coordinate of a, of b and of the offsets, summed), go to the
+    ``hypot`` argmin over all offsets; so does every entry when that bound
+    leaves float range. The returned distance is ``hypot(a - (b + t_k))`` on
+    the winning offset k. The search runs in row blocks of about
+    ``_WRAP_BLOCK`` entries, so its temporaries stay in cache. ``counters``,
+    when given, gets the entries the fallback settled added to its
+    ``wrap_near_ties``.
     """
     a = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b = np.asarray(b_xy, dtype=float).reshape(-1, 2)
     offs = layout.offset_xy
-    ax, ay = a[:, 0:1], a[:, 1:2]
-    best_k = np.zeros((a.shape[0], b.shape[0]), dtype=np.int8)
-    second_d2 = np.full(best_k.shape, np.inf)
-    # A square overflows only past ~1e154 m; inf then counts as a near tie.
-    with np.errstate(over="ignore"):
-        best_d2 = None
-        for k, (tx, ty) in enumerate(offs):
-            dx = ax - (b[:, 0] + tx)
-            dy = ay - (b[:, 1] + ty)
-            d2 = np.multiply(dx, dx, out=dx)
-            d2 += np.multiply(dy, dy, out=dy)
-            if best_d2 is None:
-                best_d2 = d2
-                continue
-            closer = d2 < best_d2
-            # k grows along the loop, so max(best, k * closer) moves exactly
-            # the strictly closer entries to offset k.
-            np.maximum(best_k, closer.view(np.int8) * np.int8(k), out=best_k)
-            np.minimum(second_d2, np.maximum(best_d2, d2, out=dy), out=second_d2)
-            np.minimum(best_d2, d2, out=best_d2)
-        # Squares carry a few ulps of rounding (more when subnormal); a wider
-        # gap orders the hypot values the same way.
-        i, j = np.nonzero(second_d2 <= best_d2 * (1.0 + 1e-12) + 1e-300)
-    if i.size:
-        # argmin takes the first minimum, so the identity wins exact ties.
-        best_k[i, j] = np.argmin(
-            np.hypot(
-                a[i, 0:1] - (b[j, 0:1] + offs[:, 0]),
-                a[i, 1:2] - (b[j, 1:2] + offs[:, 1]),
-            ),
-            axis=1,
-        )
-    dx = ax - (b[:, 0] + offs[best_k, 0])
-    dy = ay - (b[:, 1] + offs[best_k, 1])
-    return np.hypot(dx, dy), best_k
+    n, m = a.shape[0], b.shape[0]
+    dist = np.empty((n, m))
+    best_k = np.zeros((n, m), dtype=np.int8)
+    if dist.size == 0:
+        return dist, best_k
+    rows = min(n, max(1, _WRAP_BLOCK // m))
+    t_x, t_y = np.empty((2, rows, m))
+    search = offs.shape[0] > 1  # without wraparound the identity is the only image
+    project = False
+    if search:
+        axes = offs[1:4]
+        assert np.array_equal(offs[4:], -axes), "wrap offsets 4-6 must negate 1-3"
+        # Python floats: a scale beyond float range gives inf, not a warning,
+        # and then every entry goes to the fallback.
+        scale = float(np.abs(a).max()) + float(np.abs(b).max()) + float(np.abs(axes).max())
+        tol = _NEAR_TIE_REL * (scale * scale) + 1e-300
+        project = math.isfinite(tol)
+    if project:
+        # |t|^2 / 2 of the three axes, equal up to rounding of the rotations.
+        half_sq = float(np.max(0.5 * (axes[:, 0] ** 2 + axes[:, 1] ** 2)))
+        # Projections of the row and column points on each axis, one per row.
+        proj_a = a[:, 0] * axes[:, 0:1] + a[:, 1] * axes[:, 1:2]
+        proj_b = b[:, 0] * axes[:, 0:1] + b[:, 1] * axes[:, 1:2]
+        score = np.empty((3, rows, m))
+        neg = np.empty((3, rows, m), dtype=bool)
+        near = np.empty((3, rows, m), dtype=bool)
+        code = np.empty((3, rows, m), dtype=np.int8)
+        axis_code = np.arange(1, 4, dtype=np.int8)[:, None, None]
+    near_ties = 0
+    for r0 in range(0, n, rows):
+        blk = slice(r0, r0 + rows)
+        k = best_k[blk]
+        r = k.shape[0]
+        if project:
+            s, sn, nr, c = score[:, :r], neg[:, :r], near[:, :r], code[:, :r]
+            for ax in range(3):
+                np.subtract.outer(proj_a[ax, blk], proj_b[ax], out=s[ax])
+            np.less(s, 0.0, out=sn)
+            np.abs(s, out=s)
+            # Best score over identity (half_sq) and the three axes, less tol.
+            top = np.maximum(s[0], s[1], out=t_x[:r])
+            np.maximum(top, s[2], out=top)
+            np.maximum(top, half_sq, out=top)
+            top -= tol
+            np.greater_equal(s, top, out=nr)
+            # Outside near ties only the best candidate is within tol of it:
+            # axis j wins with offset j + 1, or j + 4 if its projection is < 0.
+            np.multiply(sn, np.int8(3), out=c)
+            c += axis_code
+            c *= nr
+            np.sum(c, axis=0, dtype=np.int8, out=k)
+            n_near = np.sum(nr, axis=0, dtype=np.int8)
+            n_near += top <= half_sq
+            i, j = np.nonzero(n_near >= 2)
+        elif search:
+            i, j = np.indices((r, m)).reshape(2, -1)
+        else:
+            i = ()
+        if len(i):
+            # argmin takes the first minimum, so the identity wins exact ties.
+            ai = a[r0 + i]
+            k[i, j] = np.argmin(
+                np.hypot(
+                    ai[:, 0:1] - (b[j, 0:1] + offs[:, 0]),
+                    ai[:, 1:2] - (b[j, 1:2] + offs[:, 1]),
+                ),
+                axis=1,
+            )
+            near_ties += len(i)
+        # mode="clip" leaves out= unbuffered; every index is in range.
+        dx = np.take(offs[:, 0], k, out=t_x[:r], mode="clip")
+        dy = np.take(offs[:, 1], k, out=t_y[:r], mode="clip")
+        np.subtract(a[blk, 0:1], np.add(dx, b[:, 0], out=dx), out=dx)
+        np.subtract(a[blk, 1:2], np.add(dy, b[:, 1], out=dy), out=dy)
+        np.hypot(dx, dy, out=dist[blk])
+    if counters is not None:
+        counters.wrap_near_ties += near_ties
+    return dist, best_k
 
 
 def _in_hexagon(dx: float, dy: float, isd: float) -> bool:

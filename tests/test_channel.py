@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from d2dsim import channel as channel_module
+from d2dsim import layout as layout_module
 from d2dsim.channel import (
     ChannelConfig,
     breakpoint_distance_m,
@@ -16,13 +18,16 @@ from d2dsim.channel import (
     ue_ue_pathloss,
 )
 from d2dsim.layout import (
+    MIN_UE_UE_DISTANCE_M,
     SECTOR_BORESIGHTS_DEG,
+    DropCounters,
     Point,
     Role,
     UeRecord,
     build_hex_grid,
     drop_cellular_ues,
     drop_d2d_pairs,
+    pairwise_wrap_distance,
 )
 
 
@@ -284,3 +289,116 @@ class TestCouplingTable:
         ues = [u for p in pairs for u in p]
         table = build_coupling_table(lay, ues, cfg, rng)
         assert not table.ue_ue_los.any()
+
+
+# The full-matrix coupling-table body before the row blocks: every terminal
+# pair in one pass and the terminal-to-sector search over sector columns.
+# Draw order: LOS uniforms, terminal-pair shadowing, terminal-to-base shadowing.
+def _coupling_table_oracle(layout, ues, cfg, rng, counters):
+    txs = [u for u in ues if u.role in (Role.CELLULAR_TX, Role.D2D_TX)]
+    rxs = [u for u in ues if u.role == Role.D2D_RX]
+    tx_xy = np.array([u.position for u in txs], dtype=float).reshape(-1, 2)
+    rx_xy = np.array([u.position for u in rxs], dtype=float).reshape(-1, 2)
+    all_xy = np.array([u.position for u in ues], dtype=float).reshape(-1, 2)
+    n_tx, n_rx = len(txs), len(rxs)
+    n_sec = layout.n_sectors
+
+    d_uu, _ = pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters)
+    counters.clamped_distances += int(np.count_nonzero(d_uu < MIN_UE_UE_DISTANCE_M))
+    d_uu = np.maximum(d_uu, MIN_UE_UE_DISTANCE_M)
+    if cfg.ue_ue_los == "umi":
+        los = rng.random((n_tx, n_rx)) < los_probability(d_uu)
+    else:
+        los = np.zeros((n_tx, n_rx), dtype=bool)
+        rng.random((n_tx, n_rx))
+    shadow_uu = draw_shadowing(cfg.shadow_std_ueue_db, rng, size=(n_tx, n_rx))
+    pl_uu = ue_ue_pathloss(d_uu, los, cfg)
+    loss_uu = np.maximum(pl_uu + shadow_uu, cfg.min_pl_db)
+    counters.floor_entries += int(np.count_nonzero(loss_uu == cfg.min_pl_db))
+
+    # The fallback count is taken per site, the resolution of the search.
+    pairwise_wrap_distance(all_xy, layout.site_xy, layout, counters=counters)
+    d_all_s, off_idx = pairwise_wrap_distance(all_xy, layout.sector_site_xy, layout)
+    offs = layout.offset_xy[off_idx]
+    rel_x = all_xy[:, 0:1] - offs[..., 0] - layout.sector_site_xy[None, :, 0]
+    rel_y = all_xy[:, 1:2] - offs[..., 1] - layout.sector_site_xy[None, :, 1]
+    arrival_deg = np.degrees(np.arctan2(rel_y, rel_x))
+    gain = sector_antenna_gain(arrival_deg - layout.sector_boresight_deg[None, :])
+    pl_all_s = ue_enb_pathloss(np.maximum(d_all_s, 1e-6), cfg.min_pl_db)
+
+    pos_of = {u.id: i for i, u in enumerate(ues)}
+    tx_sel = np.array([pos_of[u.id] for u in txs], dtype=int)
+    shadow_us = draw_shadowing(cfg.shadow_std_enbue_db, rng, size=(n_tx, n_sec))
+    loss_us = np.maximum(pl_all_s[tx_sel] + shadow_us, cfg.min_pl_db) - gain[tx_sel]
+    return {
+        "ue_ue_loss_db": loss_uu,
+        "ue_ue_shadow_db": shadow_uu,
+        "ue_ue_los": los,
+        "ue_sector_loss_db": loss_us,
+        "ue_sector_shadow_db": shadow_us,
+        "sector_ue_loss_db": (pl_all_s - gain).T,
+    }
+
+
+def _random_drop(isd, n_rings, wrap, n_cell, n_d2d, d2d_range):
+    def make(rng):
+        lay = build_hex_grid(isd, n_rings, wrap)
+        cell = drop_cellular_ues(lay, n_cell, rng)
+        pairs = drop_d2d_pairs(lay, n_d2d, d2d_range, 3.0, rng, start_id=len(cell))
+        return lay, cell + [u for p in pairs for u in p]
+    return make
+
+
+def _lattice_drop(rng):
+    # Cellular terminals on the sites and pairs from a site to the midpoint
+    # of that site and a wrap image of another: exact wrap ties, which only
+    # the exact fallback settles.
+    lay = build_hex_grid(500.0, 2, True)
+    sites, offs = lay.site_xy, lay.offset_xy
+    ues = [UeRecord(i, Point(*xy), Role.CELLULAR_TX, 3 * i) for i, xy in enumerate(sites.tolist())]
+    rx_points = [(sites[s] + sites[(5 * s + 3) % lay.n_sites] + offs[1 + s % 6]) / 2
+                 for s in range(lay.n_sites)]
+    # Two more receivers of site 0: one at the 3 m minimum, one inside it.
+    rx_points += [np.array([3.0, 0.0]), np.array([0.0, 1.0])]
+    for s, rx in enumerate(rx_points):
+        s %= lay.n_sites
+        uid = len(ues)
+        ues.append(UeRecord(uid, Point(*sites[s]), Role.D2D_TX, 3 * s, peer=uid + 1))
+        ues.append(UeRecord(uid + 1, Point(*rx), Role.D2D_RX, 3 * s, peer=uid))
+    return lay, ues
+
+
+_TABLE_CASES = {
+    "wide_area": (_random_drop(1732.0, 2, True, 0, 10, 250.0), CFG),
+    "dense_discovery": (_random_drop(500.0, 2, True, 50, 10, 50.0), CFG),
+    "single_site": (_random_drop(500.0, 0, False, 4, 6, 250.0), CFG),
+    "nlos": (_random_drop(1732.0, 2, True, 2, 5, 250.0), ChannelConfig(ue_ue_los="nlos")),
+    "lattice_ties": (_lattice_drop, CFG),
+}
+
+
+@pytest.mark.parametrize(
+    "case, block",
+    [(case, "default") for case in _TABLE_CASES]
+    + [(case, block) for case in ("wide_area", "lattice_ties") for block in ("one_row", "all_rows")],
+)
+def test_row_blocks_equal_the_full_matrix_oracle(case, block, monkeypatch):
+    if block != "default":
+        size = 1 if block == "one_row" else 10**9
+        monkeypatch.setattr(channel_module, "_PAIR_BLOCK", size)
+        monkeypatch.setattr(layout_module, "_WRAP_BLOCK", size)
+    make, cfg = _TABLE_CASES[case]
+    lay, ues = make(np.random.default_rng(11))
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    counters, ref_counters = DropCounters(), DropCounters()
+    table = build_coupling_table(lay, ues, cfg, rng, counters=counters)
+    want = _coupling_table_oracle(lay, ues, cfg, ref, ref_counters)
+    for name, value in want.items():
+        got = getattr(table, name)
+        assert got.dtype == value.dtype and got.shape == value.shape, name
+        bits = [np.ascontiguousarray(x).view(np.uint8) for x in (got, value)]
+        assert np.array_equal(*bits), name
+    assert counters == ref_counters
+    assert rng.bit_generator.state == ref.bit_generator.state
+    if case == "lattice_ties":
+        assert counters.wrap_near_ties > 0

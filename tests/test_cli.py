@@ -17,6 +17,9 @@ from d2dsim.engine import (
 from d2dsim.layout import build_hex_grid
 from d2dsim.scheduling import CoordinationMode
 
+# A run that warns (numpy overflow, invalid value) fails here.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -107,6 +110,15 @@ class TestParseConfig:
         assert err.value.line == 2
         assert "alpha_list must be finite" in str(err.value)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_invalid_utf8_reports_its_line(self, tmp_path, newline):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(newline.join([b"isd_m = 500", b"# caf\xc3\xa9", b"seed = 4\xff2", b""]))
+        with pytest.raises(ConfigError) as err:
+            parse_config(str(path))
+        assert err.value.line == 3
+        assert "UTF-8" in str(err.value)
+
     def test_echo_round_trips(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, SMALL_TPUT))
         echoed = "\n".join(config_echo_lines(cfg)) + "\n"
@@ -124,7 +136,8 @@ class TestMain:
         assert (out / "manifest.txt").exists()
         diagnostics = (out / "diagnostics.txt").read_text().splitlines()
         assert [line.split(" = ")[0] for line in diagnostics] == [
-            "rejection_draws", "clamped_distances", "floor_entries", "foreign_receivers"
+            "rejection_draws", "clamped_distances", "floor_entries", "foreign_receivers",
+            "wrap_near_ties",
         ]
         assert all(int(line.split(" = ")[1]) >= 0 for line in diagnostics)
         with open(out / "sinr_samples.csv", newline="") as fh:
@@ -197,6 +210,15 @@ class TestMain:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert "line 1" in err
+
+    def test_invalid_utf8_config_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"isd_m = 500\nseed = \xff\n")
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config line 2:")
+        assert captured.err.count("\n") == 1
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.cfg")]) == 2

@@ -27,6 +27,10 @@ from d2dsim.layout import (
 )
 
 
+# A geometry call that warns (numpy overflow, invalid value) fails here.
+pytestmark = pytest.mark.filterwarnings("error")
+
+
 def wrap_distance(a, b, layout):
     """Wrapped distance between two points, one entry of the pairwise matrix."""
     d, _ = pairwise_wrap_distance([a], [b], layout)
@@ -393,7 +397,7 @@ def test_min_ue_ue_distance_constant():
 
 _layouts = st.builds(
     build_hex_grid,
-    isd=st.sampled_from([1.0, 333.3, 500.0, 1732.0]),
+    isd=st.sampled_from([1e-3, 1.0, 333.3, 500.0, 1732.0, 1e9]),
     n_rings=st.integers(0, 3),
     wraparound=st.booleans(),
 )
@@ -446,6 +450,61 @@ def test_wrap_distance_on_the_site_lattice_keeps_identity_ties(isd, n_rings):
         n_ties += int(identity_tie.sum())
     assert np.all(np.diag(pairwise_wrap_distance(sites, sites, lay)[0]) == 0.0)
     assert n_ties > 0
+
+
+def _nudged(xy, max_ulps=4):
+    """Copies of each point with x or y moved 1 to max_ulps ulps either way."""
+    out = [xy]
+    for axis in (0, 1):
+        for toward in (-np.inf, np.inf):
+            moved = xy.copy()
+            for _ in range(max_ulps):
+                moved[:, axis] = np.nextafter(moved[:, axis], toward)
+                out.append(moved.copy())
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("isd", [1e-160, 1e-3, 1.0, 1732.0, 1e9])
+@pytest.mark.parametrize("n_rings", [1, 2])
+def test_wrap_search_settles_voronoi_boundaries_exactly(isd, n_rings):
+    # Points on the bisector of b and each of its six images b + t, from the
+    # edge midpoint to the cell vertex, each moved by 1 to 4 ulps: every one
+    # is a near tie, which the exact fallback settles as the hypot oracle does.
+    # At isd 1e-160 the squares are subnormal.
+    lay = build_hex_grid(isd, n_rings, True)
+    offs = lay.offset_xy[1:]
+    perp = offs[:, ::-1] * [-1.0, 1.0]
+    mu = np.array([0.0, 0.1, -0.25, 1.0 / (2.0 * math.sqrt(3.0))])
+    for b in (lay.site_xy[0], lay.site_xy[-1], lay.site_xy[1] + [0.3 * isd, -0.1 * isd]):
+        a = b + offs[:, None] / 2.0 + mu[None, :, None] * perp[:, None]
+        a = _nudged(a.reshape(-1, 2))
+        counters = DropCounters()
+        d, k = pairwise_wrap_distance(a, b[None], lay, counters=counters)
+        d_ref, k_ref = _wrap_distance_oracle(a, b[None], lay)
+        _assert_bit_equal(d, d_ref)
+        _assert_bit_equal(k, k_ref)
+        assert counters.wrap_near_ties == a.shape[0]
+        # Far from every boundary the projection alone decides, unless the
+        # squares fall below the tolerance's 1e-300 floor.
+        centre = DropCounters()
+        pairwise_wrap_distance(b[None] + offs / 3.0, b[None], lay, counters=centre)
+        assert centre.wrap_near_ties == (6 if isd * isd < 1e-300 else 0)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**9])
+def test_wrap_search_blocks_equal_the_oracle(block, monkeypatch):
+    monkeypatch.setattr(layout_module, "_WRAP_BLOCK", block)
+    lay = build_hex_grid(500.0, 2, True)
+    rng = np.random.default_rng(5)
+    mids = (lay.site_xy[:, None] + lay.site_xy[None, :6]).reshape(-1, 2) / 2
+    for a, b in (
+        (rng.uniform(-3000.0, 3000.0, (40, 2)), rng.uniform(-3000.0, 3000.0, (30, 2))),
+        (mids, lay.site_xy),
+    ):
+        d, k = pairwise_wrap_distance(a, b, lay)
+        d_ref, k_ref = _wrap_distance_oracle(a, b, lay)
+        _assert_bit_equal(d, d_ref)
+        _assert_bit_equal(k, k_ref)
 
 
 @given(st.data(), _layouts)
