@@ -228,10 +228,12 @@ def _throughput_summary_text(baseline, offload, k_d2d: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_diagnostics(path: str, report: ExperimentReport) -> None:
+def _write_diagnostics(path: str, reports) -> None:
+    counters = reports[0].counters
+    lines = [(f.name, getattr(counters, f.name)) for f in fields(counters)]
+    lines += [(f"{r.run_label}_starved_flows", r.starved_flows) for r in reports if r.run_label]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for f in fields(report.counters):
-            fh.write(f"{f.name} = {getattr(report.counters, f.name)}\n")
+        fh.writelines(f"{name} = {value}\n" for name, value in lines)
 
 
 def emit_reports(result, cfg: ExperimentConfig, out_dir: str, duration_s: float) -> str:
@@ -241,17 +243,17 @@ def emit_reports(result, cfg: ExperimentConfig, out_dir: str, duration_s: float)
     if cfg.experiment == "sinr":
         _write_sinr_csv(os.path.join(out_dir, "sinr_samples.csv"), result)
         summary = _sinr_summary_text(result)
-        report = result
+        reports = (result,)
     else:
         baseline, offload = result
         _write_throughput_csv(
             os.path.join(out_dir, "throughput.csv"), baseline, offload
         )
         summary = _throughput_summary_text(baseline, offload, cfg.k_d2d)
-        report = baseline
+        reports = result
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="") as fh:
         fh.write(summary)
-    _write_diagnostics(os.path.join(out_dir, "diagnostics.txt"), report)
+    _write_diagnostics(os.path.join(out_dir, "diagnostics.txt"), reports)
     _write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, duration_s)
     return summary
 

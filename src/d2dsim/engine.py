@@ -187,6 +187,7 @@ class ExperimentReport:
     samples: np.ndarray  # SINR_SAMPLE_DTYPE or THROUGHPUT_SAMPLE_DTYPE
     run_label: str = ""  # "baseline" | "offload" for throughput reports
     counters: DropCounters = field(default_factory=DropCounters)  # summed over drops
+    starved_flows: int = 0  # throughput: PF flows granted no subframe, summed over drops
 
 
 def _setting_pc(setting: PowerSetting, noise_dbm: Optional[float]) -> PowerControlConfig:
@@ -365,22 +366,23 @@ def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, 
     rc = RadioConfig()
     pc = _setting_pc(setting, None)
 
-    base_chunks, off_chunks = [], []
+    chunks = {"baseline": [], "offload": []}
+    starved = dict.fromkeys(chunks, 0)
     counters = DropCounters()
     for drop in range(cfg.n_drops):
         cell, pairs, table, _ = build_drop(cfg, layout, drop, counters=counters)
-        flows_base = _flows_for(cell, pairs, cfg.n_d2d_tx_per_sector, 0)
-        flows_off = _flows_for(cell, pairs, cfg.n_d2d_tx_per_sector, cfg.k_d2d)
-        res_base = run_pf_uplink(flows_base, cfg.n_subframes, rc, pc, table)
-        res_off = run_pf_uplink(flows_off, cfg.n_subframes, rc, pc, table)
-        base_chunks.append(_throughput_rows(drop, flows_base, res_base))
-        off_chunks.append(_throughput_rows(drop, flows_off, res_off))
+        for label, k_d2d in (("baseline", 0), ("offload", cfg.k_d2d)):
+            flows = _flows_for(cell, pairs, cfg.n_d2d_tx_per_sector, k_d2d)
+            result = run_pf_uplink(flows, cfg.n_subframes, rc, pc, table)
+            chunks[label].append(_throughput_rows(drop, flows, result))
+            starved[label] += sum(g == 0 for g in result.granted_subframes.values())
 
     return tuple(
         ExperimentReport(
-            "throughput", (setting,), np.concatenate(chunks), run_label=label, counters=counters
+            "throughput", (setting,), np.concatenate(chunks[label]), run_label=label,
+            counters=counters, starved_flows=starved[label],
         )
-        for label, chunks in (("baseline", base_chunks), ("offload", off_chunks))
+        for label in chunks
     )
 
 

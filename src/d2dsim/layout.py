@@ -135,10 +135,6 @@ class NetworkLayout:
         return np.array(self.wrap_offsets, dtype=float).reshape(-1, 2)
 
     @cached_property
-    def sector_site_xy(self) -> np.ndarray:
-        return np.repeat(self.site_xy, 3, axis=0)
-
-    @cached_property
     def sector_boresight_deg(self) -> np.ndarray:
         return np.tile(SECTOR_BORESIGHTS_DEG, self.n_sites)
 

@@ -17,13 +17,12 @@ transmits from table row `row` to column `col` of the drop's terminal-row
 loss matrix (row and column order: see `CouplingTable`). The PF state lives
 in arrays indexed by position in flow id order: one flows x flows coupling
 matrix gathered from the drop's table by those rows and columns, and per-flow
-averages. Each subframe is a fixed sequence of array steps, most of
-them in place on buffers allocated once per run: `pf_select` (a
-first-occurrence argmax per sector over a padded sectors x flows matrix), a
-gather of the granted coupling rows and their column sum, the interference
-snapshot and the rates at it, and `pf_update` (a vector EMA step). The rates
-at the snapshot of subframe t are both what the flows granted at t are served
-and what the grants at t+1 are chosen from.
+averages. `run_pf_uplink` runs each subframe as one fixed sequence of
+in-place steps on buffers allocated once per run (listed in its docstring).
+The rates at the snapshot of subframe t are both what the flows granted at t
+are served and what the grants at t+1 are chosen from. `pf_select` and
+`pf_update` are the public single-step rules; the loop reproduces them bit
+for bit without calling them.
 """
 
 from __future__ import annotations
@@ -44,6 +43,9 @@ from .radio import (
 )
 
 SUBFRAME_S = 1e-3
+# Subframes of grants and served rates that run_pf_uplink logs between
+# additions to its per-flow totals.
+_LOG_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,17 @@ def run_pf_uplink(
     receiver (terminal or base). PF averages start at the flow's
     no-interference rate. Sectors with no flows are skipped.
 
+    Each subframe, on buffers allocated once per run: a check that every
+    average is positive; the `pf_select` rule (inst / avg gathered into the
+    padded slots, whose -1 padding wraps to a -inf entry, and the
+    first-occurrence argmax of each row); the granted coupling rows summed,
+    less each flow's own sector's row and floored at 0, as the interference
+    snapshot, and `inst` at it; the `pf_update` rule as avg *= 1 - 1/t_c,
+    then avg[grants] += served / t_c (the zeros it adds elsewhere change
+    nothing). Grants and served rates go into a (_LOG_BLOCK x sectors) log
+    that `np.add.at` adds to the totals, in subframe order per flow, when it
+    is full and after the last subframe.
+
     One call is one PF run. `run_throughput_experiment` makes one call per
     run, in run order, passing the flows and `n_subframes` as the first two
     arguments; `perfbench/tracing.py` wraps this function and derives its
@@ -150,6 +163,8 @@ def run_pf_uplink(
     """
     if n_subframes < 1:
         raise ValueError(f"n_subframes must be >= 1, got {n_subframes}")
+    if t_c < 1:
+        raise ValueError(f"t_c must be >= 1, got {t_c}")
     sectors = sorted(s for s in sector_flows if sector_flows[s])
     # PF state is indexed by position in flow id order; slots lists each
     # sector's positions in ascending order, padded with -1.
@@ -161,6 +176,8 @@ def run_pf_uplink(
     rows = [sorted(pos_of[f.id] for f in sector_flows[s]) for s in sectors]
     width = max(len(r) for r in rows)
     slots = np.array([r + [-1] * (width - len(r)) for r in rows])
+    if slots[:, 0].min() < 0:
+        raise ValueError("pf_select needs at least one flow per row")
     sector_of_pos = np.empty(n_flows, dtype=int)
     for si, r in enumerate(rows):
         sector_of_pos[r] = si
@@ -190,15 +207,24 @@ def run_pf_uplink(
     # after the snapshot is taken it is also the served rate of every flow
     # granted in it: a granted flow's interference from the other grants is
     # exactly its snapshot entry. own_at indexes granted_rows[sector of f, f].
+    # Every take passes mode="wrap": its indices are in range (the -1 padding
+    # wraps to metric's -inf entry), and the default mode buffers `out`.
+    n_sectors = len(sectors)
     inst = np.empty(n_flows)
-    granted_rows = np.empty((len(sectors), n_flows))
+    metric = np.full(n_flows + 1, -np.inf)  # the -1 padding slot never wins
+    slot_metric = np.empty(slots.shape)
+    best = np.empty(n_sectors, dtype=np.intp)
+    row_start = np.arange(n_sectors) * width
+    granted_rows = np.empty((n_sectors, n_flows))
     grant_total = np.empty(n_flows)
     interference = np.zeros(n_flows)
     own_at = sector_of_pos * n_flows + np.arange(n_flows)
-    served = np.empty(n_flows)
-    bits_step = np.empty(n_flows)
+    avg_step = np.empty(n_sectors)
+    grant_log = np.empty((_LOG_BLOCK, n_sectors), dtype=np.intp)
+    served_log = np.empty((_LOG_BLOCK, n_sectors))
     bits = np.zeros(n_flows)
     grant_count = np.zeros(n_flows, dtype=int)
+    decay = 1.0 - 1.0 / t_c
 
     def rate_at_snapshot():
         # Grants use the previous subframe's interference snapshot
@@ -210,20 +236,33 @@ def run_pf_uplink(
         _shannon_rate_bps(inst, rc.bandwidth_hz, rc, inst)
 
     rate_at_snapshot()
-    for _ in range(n_subframes):
-        grants = pf_select(inst, avg, slots)
-        np.take(coupling_lin, grants, axis=0, out=granted_rows)
-        granted_rows.sum(axis=0, out=grant_total)
-        np.take(granted_rows, own_at, out=interference)
+    for t in range(n_subframes):
+        logged = t % _LOG_BLOCK
+        grants, served = grant_log[logged], served_log[logged]
+        if np.minimum.reduce(avg) <= 0:
+            raise ValueError("PF average rates must be positive")
+        np.divide(inst, avg, out=metric[:-1])
+        metric.take(slots, out=slot_metric, mode="wrap")
+        slot_metric.argmax(axis=1, out=best)
+        np.add(row_start, best, out=best)
+        slots.take(best, out=grants, mode="wrap")
+
+        coupling_lin.take(grants, axis=0, out=granted_rows, mode="wrap")
+        np.add.reduce(granted_rows, axis=0, out=grant_total)
+        granted_rows.take(own_at, out=interference, mode="wrap")
         np.subtract(grant_total, interference, out=interference)
         np.maximum(interference, 0.0, out=interference)
         rate_at_snapshot()
 
-        served.fill(0.0)
-        served[grants] = inst[grants]
-        bits += np.multiply(served, SUBFRAME_S, out=bits_step)
-        grant_count[grants] += 1
-        avg = pf_update(avg, served, t_c)
+        inst.take(grants, out=served, mode="wrap")
+        np.multiply(avg, decay, out=avg)
+        np.divide(served, t_c, out=avg_step)
+        avg[grants] += avg_step
+        if logged == _LOG_BLOCK - 1 or t == n_subframes - 1:
+            # Each flow is granted at most once per subframe, so add.at adds
+            # its served bits in subframe order, as a per-subframe sum would.
+            np.add.at(bits, grant_log[: logged + 1], served_log[: logged + 1] * SUBFRAME_S)
+            np.add.at(grant_count, grant_log[: logged + 1], 1)
 
     ids = [f.id for f in flows]
     duration_s = n_subframes * SUBFRAME_S

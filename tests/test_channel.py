@@ -318,10 +318,11 @@ def _coupling_table_oracle(layout, ues, cfg, rng, counters):
 
     # The fallback count is taken per site, the resolution of the search.
     pairwise_wrap_distance(all_xy, layout.site_xy, layout, counters=counters)
-    d_all_s, off_idx = pairwise_wrap_distance(all_xy, layout.sector_site_xy, layout)
+    sector_site_xy = np.repeat(layout.site_xy, 3, axis=0)
+    d_all_s, off_idx = pairwise_wrap_distance(all_xy, sector_site_xy, layout)
     offs = layout.offset_xy[off_idx]
-    rel_x = all_xy[:, 0:1] - offs[..., 0] - layout.sector_site_xy[None, :, 0]
-    rel_y = all_xy[:, 1:2] - offs[..., 1] - layout.sector_site_xy[None, :, 1]
+    rel_x = all_xy[:, 0:1] - offs[..., 0] - sector_site_xy[None, :, 0]
+    rel_y = all_xy[:, 1:2] - offs[..., 1] - sector_site_xy[None, :, 1]
     arrival_deg = np.degrees(np.arctan2(rel_y, rel_x))
     gain = sector_antenna_gain(arrival_deg - layout.sector_boresight_deg[None, :])
     pl_all_s = ue_enb_pathloss(np.maximum(d_all_s, 1e-6), cfg.min_pl_db)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from d2dsim import cli
+from d2dsim import cli, engine
 from d2dsim.cli import ConfigError, _fmt, config_echo_lines, main, parse_config
 from d2dsim.engine import (
     SINR_SAMPLE_DTYPE,
@@ -15,7 +15,7 @@ from d2dsim.engine import (
     expected_sinr_sample_count,
 )
 from d2dsim.layout import build_hex_grid
-from d2dsim.scheduling import CoordinationMode
+from d2dsim.scheduling import CoordinationMode, run_pf_uplink
 
 # A run that warns (numpy overflow, invalid value) fails here.
 pytestmark = pytest.mark.filterwarnings("error")
@@ -197,6 +197,33 @@ class TestMain:
         assert reported == pytest.approx(gain, rel=1e-4)  # 6 significant digits
         roles = {r["role"] for r in rows}
         assert roles == {"cellular", "d2d"}
+
+    def test_throughput_diagnostics_count_starved_flows(self, tmp_path, monkeypatch):
+        # Two subframes grant at most two of each sector's five flows.
+        starved = []
+
+        def recording(*args, **kwargs):
+            result = run_pf_uplink(*args, **kwargs)
+            starved.append(sum(g == 0 for g in result.granted_subframes.values()))
+            return result
+
+        monkeypatch.setattr(engine, "run_pf_uplink", recording)
+        text = SMALL_TPUT.replace("n_subframes = 200", "n_subframes = 2")
+        cfg_path = write_cfg(tmp_path, text + f"out_dir = {tmp_path}/a\n")
+        names = ("throughput.csv", "summary.txt", "diagnostics.txt")
+        assert main([cfg_path, "--quiet"]) == 0
+        first = {n: (tmp_path / "a" / n).read_bytes() for n in names}
+        assert main([cfg_path, "--quiet"]) == 0
+        assert {n: (tmp_path / "a" / n).read_bytes() for n in names} == first
+        lines = dict(line.split(" = ") for line in first["diagnostics.txt"].decode().splitlines())
+        assert list(lines) == [
+            "rejection_draws", "clamped_distances", "floor_entries", "foreign_receivers",
+            "wrap_near_ties", "baseline_starved_flows", "offload_starved_flows",
+        ]
+        # Runs go drop 0 baseline, drop 0 offload, drop 1 baseline, ...
+        assert len(starved) == 2 * 4
+        assert int(lines["baseline_starved_flows"]) == starved[0] + starved[2] >= 2 * 3 * 3
+        assert int(lines["offload_starved_flows"]) == starved[1] + starved[3] >= 2 * 3 * 3
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SMALL_SINR + f"out_dir = {tmp_path}/q\n")

@@ -162,13 +162,14 @@ def test_single_site_three_sectors():
     assert lay.n_sites == 1
     assert lay.n_sectors == 3
     assert lay.sector_boresight_deg.tolist() == [30.0, 150.0, 270.0]
-    assert lay.sector_site_xy.tolist() == [[0.0, 0.0]] * 3
+    assert np.repeat(lay.site_xy, 3, axis=0).tolist() == [[0.0, 0.0]] * 3
 
 
 def test_sector_i_is_face_i_mod_3_of_site_i_div_3():
     lay = build_hex_grid(500.0, 2, wraparound=True)
+    sector_site_xy = np.repeat(lay.site_xy, 3, axis=0)
     for i in range(lay.n_sectors):
-        assert tuple(lay.sector_site_xy[i]) == lay.sites[i // 3]
+        assert tuple(sector_site_xy[i]) == lay.sites[i // 3]
         assert lay.sector_boresight_deg[i] == SECTOR_BORESIGHTS_DEG[i % 3]
 
 
@@ -436,7 +437,7 @@ def test_wrap_distance_on_the_site_lattice_keeps_identity_ties(isd, n_rings):
     mids = (sites[:, None, None] + sites[None, :, None] + offs[None, None]) / 2
     mids = np.unique(mids.reshape(-1, 2), axis=0)
     n_ties = 0
-    for a, b in ((sites, sites), (sites, lay.sector_site_xy), (mids, sites), (mids, mids)):
+    for a, b in ((sites, sites), (sites, np.repeat(sites, 3, axis=0)), (mids, sites), (mids, mids)):
         d, k = pairwise_wrap_distance(a, b, lay)
         d_ref, k_ref = _wrap_distance_oracle(a, b, lay)
         _assert_bit_equal(d, d_ref)

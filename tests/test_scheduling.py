@@ -4,7 +4,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from d2dsim import scheduling
 from d2dsim.channel import sector_endpoint, ue_endpoint
 from d2dsim.engine import ExperimentConfig, build_drop
 from d2dsim.layout import build_hex_grid
@@ -610,3 +613,49 @@ def test_average_reaching_zero_raises():
     run_pf_uplink(sector_flows, 1, RC, MAX_POWER, table, t_c=1)
     with pytest.raises(ValueError, match="positive"):
         run_pf_uplink(sector_flows, 2, RC, MAX_POWER, table, t_c=1)
+
+
+def test_t_c_below_one_raises():
+    sector_flows, table = _isolated_sector(2, [100.0, 100.0])
+    with pytest.raises(ValueError, match="t_c"):
+        run_pf_uplink(sector_flows, 5, RC, MAX_POWER, table, t_c=0)
+
+
+@settings(max_examples=40)
+@given(
+    counts=st.lists(st.integers(1, 6), min_size=1, max_size=4).filter(
+        lambda c: len(c) == 1 or len(set(c)) > 1
+    ),
+    block=st.integers(1, 24),
+    extra=st.integers(0, 40),
+    t_c=st.integers(5, 150),
+    pc=st.sampled_from([MAX_POWER, OPEN_LOOP]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loop_is_bit_equal_to_array_oracle_across_log_flushes(counts, block, extra, t_c, pc, seed):
+    """Random 1-4 sector stub tables with unequal flow counts, flow ids
+    shuffled across sectors, mixed roles, one empty sector, and runs that
+    cross at least two flushes of the grant log."""
+    rng = np.random.default_rng(seed)
+    n_tx, n_sectors = sum(counts), len(counts)
+    tx_ids = rng.permutation(n_tx).tolist()
+    direct = rng.random(n_tx) < 0.5
+    rx_ids = [n_tx + j for j in range(int(direct.sum()))]
+    table = SimpleNamespace(
+        tx_ids=tuple(range(n_tx)),
+        rx_ue_ids=tuple(rx_ids),
+        ue_ue_loss_db=rng.uniform(50.0, 140.0, (n_tx, len(rx_ids))),
+        ue_sector_loss_db=rng.uniform(70.0, 140.0, (n_tx, n_sectors)),
+    )
+    dest, sector_flows, next_rx, i = {}, {n_sectors: []}, iter(rx_ids), 0
+    for s, count in enumerate(counts):
+        for fid in tx_ids[i : i + count]:
+            dest[fid] = ue_endpoint(next(next_rx)) if direct[fid] else sector_endpoint(s)
+            sector_flows.setdefault(s, []).append(_flow_to(table, fid, dest[fid]))
+        i += count
+    n_subframes = 2 * block + 1 + extra
+    expected = _array_pf_oracle(sector_flows, dest, n_subframes, RC, pc, table, t_c=t_c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduling, "_LOG_BLOCK", block)
+        got = run_pf_uplink(sector_flows, n_subframes, RC, pc, table, t_c=t_c)
+    _assert_bit_equal(got, expected)
