@@ -228,7 +228,7 @@ def _throughput_summary_text(baseline, offload, k_d2d: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_diagnostics(path: str, reports) -> None:
+def _write_diagnostics(path: str, reports: tuple[ExperimentReport, ...]) -> None:
     counters = reports[0].counters
     lines = [(f.name, getattr(counters, f.name)) for f in fields(counters)]
     lines += [(f"{r.run_label}_starved_flows", r.starved_flows) for r in reports if r.run_label]
