@@ -18,11 +18,10 @@ loss matrix (row and column order: see `CouplingTable`). The PF state lives
 in arrays indexed by position in flow id order: one flows x flows coupling
 matrix gathered from the drop's table by those rows and columns, and per-flow
 averages. `run_pf_uplink` runs each subframe as one fixed sequence of
-in-place steps on buffers allocated once per run (listed in its docstring).
-The rates at the snapshot of subframe t are both what the flows granted at t
-are served and what the grants at t+1 are chosen from. `pf_select` and
-`pf_update` are the public single-step rules; the loop reproduces them bit
-for bit without calling them.
+in-place steps on buffers allocated once per run (listed in its docstring),
+calling the single-step rules `pf_select` and `pf_update` with output
+buffers. The rates at the snapshot of subframe t are both what the flows
+granted at t are served and what the grants at t+1 are chosen from.
 """
 
 from __future__ import annotations
@@ -43,9 +42,6 @@ from .radio import (
 )
 
 SUBFRAME_S = 1e-3
-# Subframes of grants and served rates that run_pf_uplink logs between
-# additions to its per-flow totals.
-_LOG_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -97,29 +93,53 @@ class Flow(NamedTuple):
 
 
 def pf_select(
-    inst_rate_bps: np.ndarray, avg_rate_bps: np.ndarray, slots: np.ndarray
+    inst_rate_bps: np.ndarray,
+    avg_rate_bps: np.ndarray,
+    slots: np.ndarray,
+    out: np.ndarray | None = None,
+    work: tuple | None = None,
 ) -> np.ndarray:
-    """Position of the flow maximizing inst/avg rate in each row of `slots`.
+    """Position of the flow maximizing inst/avg rate in each row of `slots`,
+    written into `out` if given.
 
     `slots` is a (sectors x max flows) matrix of flow positions, padded at the
     end of each row with -1. Rows list their flows in id order, so the
-    first-occurrence argmax gives ties to the lowest id.
+    first-occurrence argmax gives ties to the lowest id. `work` is
+    `_select_work(slots, len(inst_rate_bps))`, scratch buffers that a caller
+    may reuse across calls with the same slots.
     """
+    # argmin is the cheapest reduction on a short array.
+    if avg_rate_bps[avg_rate_bps.argmin()] <= 0:
+        raise ValueError("PF average rates must be positive")
+    metric, ratio, slot_metric, best, row_start = work or _select_work(slots, len(inst_rate_bps))
+    np.divide(inst_rate_bps, avg_rate_bps, out=ratio)
+    # Every take passes mode="wrap", since the default mode buffers `out`:
+    # the -1 padding wraps to metric's last entry, -inf, which never wins.
+    metric.take(slots, out=slot_metric, mode="wrap")
+    slot_metric.argmax(axis=1, out=best)
+    np.add(row_start, best, out=best)
+    return slots.take(best, out=out, mode="wrap")
+
+
+def _select_work(slots: np.ndarray, n_flows: int) -> tuple:
+    """Scratch buffers of `pf_select` over n_flows flows, once `slots` is
+    checked to have a flow in every row."""
     if slots.size == 0 or slots[:, 0].min() < 0:
         raise ValueError("pf_select needs at least one flow per row")
-    if avg_rate_bps.min() <= 0:
-        raise ValueError("PF average rates must be positive")
-    metric = np.empty(len(inst_rate_bps) + 1)
-    metric[-1] = -np.inf  # the -1 padding slot never wins
-    np.divide(inst_rate_bps, avg_rate_bps, out=metric[:-1])
-    return slots[np.arange(len(slots)), metric[slots].argmax(axis=1)]
+    metric = np.full(n_flows + 1, -np.inf)
+    row_start = np.arange(len(slots)) * slots.shape[1]
+    return metric, metric[:-1], np.empty(slots.shape), np.empty(len(slots), dtype=np.intp), row_start
 
 
-def pf_update(avg_rate_bps: np.ndarray, served_rate_bps: np.ndarray, t_c: int) -> np.ndarray:
-    """Exponential moving average step; served rate is 0 when not scheduled."""
+def pf_update(
+    avg_rate_bps: np.ndarray, served_rate_bps: np.ndarray, t_c: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Exponential moving average step, written into `out` (which may be
+    `avg_rate_bps`) if given; served rate is 0 when not scheduled."""
     if t_c < 1:
         raise ValueError(f"t_c must be >= 1, got {t_c}")
-    return (1.0 - 1.0 / t_c) * avg_rate_bps + served_rate_bps / t_c
+    out = np.multiply(avg_rate_bps, 1.0 - 1.0 / t_c, out=out)
+    return np.add(out, served_rate_bps / t_c, out=out)
 
 
 @dataclass(frozen=True)
@@ -144,16 +164,12 @@ def run_pf_uplink(
     receiver (terminal or base). PF averages start at the flow's
     no-interference rate. Sectors with no flows are skipped.
 
-    Each subframe, on buffers allocated once per run: a check that every
-    average is positive; the `pf_select` rule (inst / avg gathered into the
-    padded slots, whose -1 padding wraps to a -inf entry, and the
-    first-occurrence argmax of each row); the granted coupling rows summed,
-    less each flow's own sector's row and floored at 0, as the interference
-    snapshot, and `inst` at it; the `pf_update` rule as avg *= 1 - 1/t_c,
-    then avg[grants] += served / t_c (the zeros it adds elsewhere change
-    nothing). Grants and served rates go into a (_LOG_BLOCK x sectors) log
-    that `np.add.at` adds to the totals, in subframe order per flow, when it
-    is full and after the last subframe.
+    Each subframe, on buffers allocated once per run: `pf_select` on the
+    rates at the current interference snapshot; the granted coupling rows
+    summed, less each flow's own sector's row and floored at 0, as the next
+    snapshot, and the rates at it; the served rates (the granted flows'
+    entries, 0 elsewhere) passed to `pf_update` and added to the per-flow
+    bits and grant counts.
 
     One call is one PF run. `run_throughput_experiment` makes one call per
     run, in run order, passing the flows and `n_subframes` as the first two
@@ -163,8 +179,6 @@ def run_pf_uplink(
     """
     if n_subframes < 1:
         raise ValueError(f"n_subframes must be >= 1, got {n_subframes}")
-    if t_c < 1:
-        raise ValueError(f"t_c must be >= 1, got {t_c}")
     sectors = sorted(s for s in sector_flows if sector_flows[s])
     # PF state is indexed by position in flow id order; slots lists each
     # sector's positions in ascending order, padded with -1.
@@ -176,8 +190,6 @@ def run_pf_uplink(
     rows = [sorted(pos_of[f.id] for f in sector_flows[s]) for s in sectors]
     width = max(len(r) for r in rows)
     slots = np.array([r + [-1] * (width - len(r)) for r in rows])
-    if slots[:, 0].min() < 0:
-        raise ValueError("pf_select needs at least one flow per row")
     sector_of_pos = np.empty(n_flows, dtype=int)
     for si, r in enumerate(rows):
         sector_of_pos[r] = si
@@ -207,24 +219,18 @@ def run_pf_uplink(
     # after the snapshot is taken it is also the served rate of every flow
     # granted in it: a granted flow's interference from the other grants is
     # exactly its snapshot entry. own_at indexes granted_rows[sector of f, f].
-    # Every take passes mode="wrap": its indices are in range (the -1 padding
-    # wraps to metric's -inf entry), and the default mode buffers `out`.
     n_sectors = len(sectors)
     inst = np.empty(n_flows)
-    metric = np.full(n_flows + 1, -np.inf)  # the -1 padding slot never wins
-    slot_metric = np.empty(slots.shape)
-    best = np.empty(n_sectors, dtype=np.intp)
-    row_start = np.arange(n_sectors) * width
+    select_work = _select_work(slots, n_flows)
+    grants = np.empty(n_sectors, dtype=np.intp)
     granted_rows = np.empty((n_sectors, n_flows))
     grant_total = np.empty(n_flows)
     interference = np.zeros(n_flows)
     own_at = sector_of_pos * n_flows + np.arange(n_flows)
-    avg_step = np.empty(n_sectors)
-    grant_log = np.empty((_LOG_BLOCK, n_sectors), dtype=np.intp)
-    served_log = np.empty((_LOG_BLOCK, n_sectors))
+    granted = np.empty(n_flows)  # 1.0 at this subframe's grants, else 0.0
+    served = np.empty(n_flows)
     bits = np.zeros(n_flows)
-    grant_count = np.zeros(n_flows, dtype=int)
-    decay = 1.0 - 1.0 / t_c
+    grant_count = np.zeros(n_flows)
 
     def rate_at_snapshot():
         # Grants use the previous subframe's interference snapshot
@@ -236,16 +242,8 @@ def run_pf_uplink(
         _shannon_rate_bps(inst, rc.bandwidth_hz, rc, inst)
 
     rate_at_snapshot()
-    for t in range(n_subframes):
-        logged = t % _LOG_BLOCK
-        grants, served = grant_log[logged], served_log[logged]
-        if np.minimum.reduce(avg) <= 0:
-            raise ValueError("PF average rates must be positive")
-        np.divide(inst, avg, out=metric[:-1])
-        metric.take(slots, out=slot_metric, mode="wrap")
-        slot_metric.argmax(axis=1, out=best)
-        np.add(row_start, best, out=best)
-        slots.take(best, out=grants, mode="wrap")
+    for _ in range(n_subframes):
+        pf_select(inst, avg, slots, grants, select_work)
 
         coupling_lin.take(grants, axis=0, out=granted_rows, mode="wrap")
         np.add.reduce(granted_rows, axis=0, out=grant_total)
@@ -254,19 +252,18 @@ def run_pf_uplink(
         np.maximum(interference, 0.0, out=interference)
         rate_at_snapshot()
 
-        inst.take(grants, out=served, mode="wrap")
-        np.multiply(avg, decay, out=avg)
-        np.divide(served, t_c, out=avg_step)
-        avg[grants] += avg_step
-        if logged == _LOG_BLOCK - 1 or t == n_subframes - 1:
-            # Each flow is granted at most once per subframe, so add.at adds
-            # its served bits in subframe order, as a per-subframe sum would.
-            np.add.at(bits, grant_log[: logged + 1], served_log[: logged + 1] * SUBFRAME_S)
-            np.add.at(grant_count, grant_log[: logged + 1], 1)
+        # The 0.0 served off the grants leaves those flows' bits unchanged.
+        granted.fill(0.0)
+        granted[grants] = 1.0
+        np.multiply(inst, granted, out=served)
+        pf_update(avg, served, t_c, out=avg)
+        np.multiply(served, SUBFRAME_S, out=served)
+        np.add(bits, served, out=bits)
+        np.add(grant_count, granted, out=grant_count)
 
     ids = [f.id for f in flows]
     duration_s = n_subframes * SUBFRAME_S
     return PfResult(
         throughput_bps=dict(zip(ids, (bits / duration_s).tolist())),
-        granted_subframes=dict(zip(ids, grant_count.tolist())),
+        granted_subframes=dict(zip(ids, grant_count.astype(int).tolist())),
     )

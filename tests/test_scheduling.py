@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dsim import scheduling
 from d2dsim.channel import sector_endpoint, ue_endpoint
 from d2dsim.engine import ExperimentConfig, build_drop
 from d2dsim.layout import build_hex_grid
@@ -626,16 +625,14 @@ def test_t_c_below_one_raises():
     counts=st.lists(st.integers(1, 6), min_size=1, max_size=4).filter(
         lambda c: len(c) == 1 or len(set(c)) > 1
     ),
-    block=st.integers(1, 24),
-    extra=st.integers(0, 40),
+    n_subframes=st.integers(1, 90),
     t_c=st.integers(5, 150),
     pc=st.sampled_from([MAX_POWER, OPEN_LOOP]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_loop_is_bit_equal_to_array_oracle_across_log_flushes(counts, block, extra, t_c, pc, seed):
+def test_loop_is_bit_equal_to_array_oracle_on_random_stub_tables(counts, n_subframes, t_c, pc, seed):
     """Random 1-4 sector stub tables with unequal flow counts, flow ids
-    shuffled across sectors, mixed roles, one empty sector, and runs that
-    cross at least two flushes of the grant log."""
+    shuffled across sectors, mixed roles and one empty sector."""
     rng = np.random.default_rng(seed)
     n_tx, n_sectors = sum(counts), len(counts)
     tx_ids = rng.permutation(n_tx).tolist()
@@ -653,9 +650,5 @@ def test_loop_is_bit_equal_to_array_oracle_across_log_flushes(counts, block, ext
             dest[fid] = ue_endpoint(next(next_rx)) if direct[fid] else sector_endpoint(s)
             sector_flows.setdefault(s, []).append(_flow_to(table, fid, dest[fid]))
         i += count
-    n_subframes = 2 * block + 1 + extra
     expected = _array_pf_oracle(sector_flows, dest, n_subframes, RC, pc, table, t_c=t_c)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scheduling, "_LOG_BLOCK", block)
-        got = run_pf_uplink(sector_flows, n_subframes, RC, pc, table, t_c=t_c)
-    _assert_bit_equal(got, expected)
+    _assert_bit_equal(run_pf_uplink(sector_flows, n_subframes, RC, pc, table, t_c=t_c), expected)
