@@ -8,9 +8,7 @@ __version__ = "0.1.0"
 from .layout import (
     MIN_UE_UE_DISTANCE_M,
     NetworkLayout,
-    Point,
-    Role,
-    UeRecord,
+    Terminals,
     build_hex_grid,
     drop_cellular_ues,
     drop_d2d_pairs,

@@ -13,7 +13,6 @@ SINR is computed on these large-scale couplings only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,8 +24,7 @@ from .layout import (
     MIN_UE_UE_DISTANCE_M,
     DropCounters,
     NetworkLayout,
-    Role,
-    UeRecord,
+    Terminals,
     pairwise_wrap_distance,
 )
 
@@ -51,7 +49,6 @@ def sector_endpoint(sector_index: int) -> tuple[str, int]:
 class ChannelConfig:
     carrier_ghz: float = 0.7  # public-safety band
     ue_height_m: float = 1.5
-    enb_height_m: float = 25.0
     d2d_offset_db: float = -10.0  # signed, added to UE-UE pathloss
     shadow_std_ueue_db: float = 7.0
     shadow_std_enbue_db: float = 8.0
@@ -174,11 +171,10 @@ class CouplingTable:
       at its 0 dB mean.
 
     Row and column order: rows are the transmit-capable terminals, terminal
-    columns the D2D receivers, each in drop order. ``build_drop`` drops the
-    cellular terminals, then the pairs, so cellular terminal i is row i and
-    pair j is row n_cell + j with its receiver in column j. The experiment
-    path addresses couplings by position in ``[ue_ue_loss_db |
-    ue_sector_loss_db]``, whose column n_rx + s is sector s.
+    columns the D2D receivers, each in id order (see `Terminals`): cellular
+    terminal i is row i and pair j is row n_cell + j with its receiver in
+    column j. The experiment path addresses couplings by position in
+    ``[ue_ue_loss_db | ue_sector_loss_db]``, whose column n_rx + s is sector s.
 
     LOS state and shadowing are drawn once per ordered link; reciprocity is
     deliberately not implied, and the reverse direction of a terminal pair is
@@ -190,7 +186,6 @@ class CouplingTable:
     rx_ue_ids: tuple[int, ...]
     ue_ids: tuple[int, ...]
     n_sectors: int
-    min_pl_db: float
     ue_ue_loss_db: np.ndarray      # (n_tx, n_rx)
     ue_ue_shadow_db: np.ndarray
     ue_ue_los: np.ndarray          # bool
@@ -221,7 +216,7 @@ class CouplingTable:
 
 def build_coupling_table(
     layout: NetworkLayout,
-    ues: list[UeRecord],
+    terminals: Terminals,
     cfg: ChannelConfig,
     rng: np.random.Generator,
     *,
@@ -229,15 +224,16 @@ def build_coupling_table(
 ) -> CouplingTable:
     """Freeze every coupling needed for one drop.
 
-    Rows are the transmit-capable terminals (cellular and D2D transmitters),
-    in their order within ``ues``. Random draws happen in a fixed order so the
-    table is a pure function of (layout, ues, cfg, rng stream): first the
-    LOS uniforms for all terminal pairs, then terminal-pair shadowing, then
-    terminal-to-base shadowing. Each is drawn whole; the terminal-pair clamp,
-    LOS state, pathloss and floor then run one row block of about
-    ``_PAIR_BLOCK`` entries at a time, so their temporaries stay in cache.
-    Distances, arrival angles and macro pathloss are taken per site and
-    repeated over its three sectors; the antenna gain is per sector.
+    Rows are the transmit-capable terminals (``terminals.tx_ids``), terminal
+    columns the D2D receivers, each in id order. Random draws happen in a
+    fixed order so the table is a pure function of (layout, terminals, cfg,
+    rng stream): first the LOS uniforms for all terminal pairs, then
+    terminal-pair shadowing, then terminal-to-base shadowing. Each is drawn
+    whole; the terminal-pair clamp, LOS state, pathloss and floor then run
+    one row block of about ``_PAIR_BLOCK`` entries at a time, so their
+    temporaries stay in cache. Distances, arrival angles and macro pathloss
+    are taken per site and repeated over its three sectors; the antenna gain
+    is per sector.
 
     Cross-link terminal distances below the drop minimum are clamped to it
     before the pathloss call; an interferer may legitimately land arbitrarily
@@ -245,12 +241,8 @@ def build_coupling_table(
     clamped distances, the terminal-pair entries at the floor and the wrap
     searches' near ties added to it.
     """
-    rx_role = Role.D2D_RX
-    tx_sel = [i for i, u in enumerate(ues) if u.role is not rx_role]
-    rx_sel = [i for i, u in enumerate(ues) if u.role is rx_role]
-    all_xy = np.fromiter(
-        itertools.chain.from_iterable(u.position for u in ues), float, 2 * len(ues)
-    ).reshape(-1, 2)
+    all_xy, tx_sel = terminals.xy, terminals.tx_ids
+    rx_sel = tx_sel[terminals.n_cell :] + 1  # each pair's receiver follows its transmitter
     tx_xy, rx_xy = all_xy[tx_sel], all_xy[rx_sel]
     n_tx, n_rx = len(tx_sel), len(rx_sel)
     n_sec = layout.n_sectors
@@ -300,11 +292,10 @@ def build_coupling_table(
     loss_su = (pl_all_s - gain).T
 
     return CouplingTable(
-        tx_ids=tuple(ues[i].id for i in tx_sel),
-        rx_ue_ids=tuple(ues[i].id for i in rx_sel),
-        ue_ids=tuple(u.id for u in ues),
+        tx_ids=tuple(tx_sel.tolist()),
+        rx_ue_ids=tuple(rx_sel.tolist()),
+        ue_ids=tuple(range(len(all_xy))),
         n_sectors=n_sec,
-        min_pl_db=cfg.min_pl_db,
         ue_ue_loss_db=loss_uu,
         ue_ue_shadow_db=shadow_uu,
         ue_ue_los=los,

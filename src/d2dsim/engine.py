@@ -15,10 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelConfig, build_coupling_table
+from .channel import ChannelConfig, CouplingTable, build_coupling_table
 from .layout import (
     DropCounters,
     NetworkLayout,
+    Terminals,
     build_hex_grid,
     drop_cellular_ues,
     drop_d2d_pairs,
@@ -209,8 +210,9 @@ def build_drop(
     drop_index: int,
     *,
     counters: Optional[DropCounters] = None,
-):
-    """Drop all terminals and freeze the coupling table for one drop index.
+) -> tuple[Terminals, CouplingTable]:
+    """Drop all terminals (cellular first, then the pairs: see `Terminals`)
+    and freeze the coupling table for one drop index.
 
     The baseline and offload throughput runs both start from this, which is
     what guarantees them identical geometry and shadowing. ``counters``, when
@@ -225,26 +227,25 @@ def build_drop(
         cfg.d2d_range_m,
         cfg.min_d2d_dist_m,
         rng,
-        start_id=len(cell),
         counters=counters,
     )
-    ues = cell + [u for pair in pairs for u in pair]
-    table = build_coupling_table(layout, ues, ch, rng, counters=counters)
-    return cell, pairs, table, ues
+    xy, sector = (np.concatenate(arrays) for arrays in zip(cell, pairs))
+    terminals = Terminals(xy, sector, n_cell=len(cell[1]))
+    return terminals, build_coupling_table(layout, terminals, ch, rng, counters=counters)
 
 
 def _sinr_drop_samples(cfg, layout, settings, rc, drop_index) -> tuple[np.ndarray, DropCounters]:
     counters = DropCounters()
-    cell, pairs, table, _ = build_drop(cfg, layout, drop_index, counters=counters)
-    if not pairs:
+    terminals, table = build_drop(cfg, layout, drop_index, counters=counters)
+    n_cell = terminals.n_cell
+    if not terminals.n_pairs:
         return np.zeros(0, dtype=SINR_SAMPLE_DTYPE), counters
 
-    # Pairs are dropped sector by sector, n_tx each; link j is table row
-    # n_cell + j and column j (row and column order: see CouplingTable).
-    n_cell = len(cell)
-    links = np.arange(len(pairs))
-    tx_ids = np.array([tx.id for tx, _ in pairs], dtype=np.int32)
-    tx_sector = np.array([tx.home_sector for tx, _ in pairs], dtype=np.int32)
+    # Pairs are dropped sector by sector, n_tx each; link j is terminal
+    # n_cell + 2j, table row n_cell + j and column j (see Terminals).
+    links = np.arange(terminals.n_pairs)
+    tx_ids = n_cell + 2 * links
+    tx_sector = terminals.sector[n_cell::2]
     own_loss = table.ue_ue_loss_db[n_cell + links, links]
 
     gain = table.ue_ue_gain_lin
@@ -264,23 +265,15 @@ def _sinr_drop_samples(cfg, layout, settings, rc, drop_index) -> tuple[np.ndarra
     noise_enb_dbm = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_enb_db)
     noise_lin = 10.0 ** (noise_ue_dbm / 10.0)
 
-    if cell:
-        cell_loss = table.ue_sector_loss_db[
-            np.arange(n_cell), np.array([u.home_sector for u in cell])
-        ]
+    cell_loss = table.ue_sector_loss_db[np.arange(n_cell), terminals.sector[:n_cell]]
     chunks = []
     for si, setting in enumerate(settings):
         p_d2d = np.asarray(open_loop_tx_power(_setting_pc(setting, noise_ue_dbm), own_loss))
         p_lin = 10.0 ** (p_d2d / 10.0)
         # Cellular terminals transmit uplink in every subframe; their power is
-        # set against their own serving-sector link.
-        if cell:
-            p_cell = np.asarray(
-                open_loop_tx_power(_setting_pc(setting, noise_enb_dbm), cell_loss)
-            )
-            cell_at_rx = (10.0 ** (p_cell / 10.0)) @ gain[:n_cell]
-        else:
-            cell_at_rx = np.zeros(gain.shape[1])
+        # set against their own serving-sector link (none: cell_at_rx is 0).
+        p_cell = np.asarray(open_loop_tx_power(_setting_pc(setting, noise_enb_dbm), cell_loss))
+        cell_at_rx = (10.0 ** (p_cell / 10.0)) @ gain[:n_cell]
         for sel, cross_gain, own_gain in active:
             received = p_lin[sel] @ cross_gain + cell_at_rx[sel]
             signal = p_lin[sel] * own_gain
@@ -336,19 +329,21 @@ def _throughput_rows(drop_index, sector_flows, result) -> np.ndarray:
     return chunk
 
 
-def _flows_for(cell, pairs, n_tx_per_sector: int, k_d2d: int) -> dict[int, list[Flow]]:
+def _flows_for(terminals: Terminals, n_tx_per_sector: int, k_d2d: int) -> dict[int, list[Flow]]:
     """Every transmitter of a drop as a flow at its table position (row and
     column order: see `CouplingTable`), grouped by home sector. Pairs are
     dropped n_tx_per_sector per sector, so the first k_d2d pairs of each
     sector, those with j % n_tx_per_sector < k_d2d, send to their peer."""
-    n_cell, n_rx = len(cell), len(pairs)
+    n_cell, n_rx = terminals.n_cell, terminals.n_pairs
+    tx_ids = terminals.tx_ids
     out: dict[int, list[Flow]] = {}
-    for i, u in enumerate(cell):
-        out.setdefault(u.home_sector, []).append(Flow(u.id, i, n_rx + u.home_sector, "cellular"))
-    for j, (tx, _) in enumerate(pairs):
-        direct = j % n_tx_per_sector < k_d2d
-        col, role = (j, "d2d") if direct else (n_rx + tx.home_sector, "cellular")
-        out.setdefault(tx.home_sector, []).append(Flow(tx.id, n_cell + j, col, role))
+    for row, (uid, s) in enumerate(zip(tx_ids.tolist(), terminals.sector[tx_ids].tolist())):
+        j = row - n_cell  # pair index of a D2D transmitter
+        if j >= 0 and j % n_tx_per_sector < k_d2d:
+            flow = Flow(uid, row, j, "d2d")
+        else:
+            flow = Flow(uid, row, n_rx + s, "cellular")
+        out.setdefault(s, []).append(flow)
     return out
 
 
@@ -370,9 +365,9 @@ def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, 
     starved = dict.fromkeys(chunks, 0)
     counters = DropCounters()
     for drop in range(cfg.n_drops):
-        cell, pairs, table, _ = build_drop(cfg, layout, drop, counters=counters)
+        terminals, table = build_drop(cfg, layout, drop, counters=counters)
         for label, k_d2d in (("baseline", 0), ("offload", cfg.k_d2d)):
-            flows = _flows_for(cell, pairs, cfg.n_d2d_tx_per_sector, k_d2d)
+            flows = _flows_for(terminals, cfg.n_d2d_tx_per_sector, k_d2d)
             result = run_pf_uplink(flows, cfg.n_subframes, rc, pc, table)
             chunks[label].append(_throughput_rows(drop, flows, result))
             starved[label] += sum(g == 0 for g in result.granted_subframes.values())

@@ -33,7 +33,7 @@ function ends, the generator is put back to where per-draw calls would leave
 it. The home sectors of D2D receivers draw no random numbers, so
 ``drop_d2d_pairs`` looks them up for all receivers at once after the sampling
 loop (``sectors_of_points``): one receivers x sites distance matrix per drop
-instead of one per receiver.
+instead of one per receiver. The samplers return position and sector arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
-from enum import Enum
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -68,26 +67,6 @@ _NEAR_TIE_REL = 1e-12
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
 
 
-class Point(NamedTuple):
-    x: float
-    y: float
-
-
-class Role(Enum):
-    CELLULAR_TX = "cellular_tx"
-    D2D_TX = "d2d_tx"
-    D2D_RX = "d2d_rx"
-
-
-@dataclass(frozen=True)
-class UeRecord:
-    id: int
-    position: Point
-    role: Role
-    home_sector: int
-    peer: Optional[int] = None
-
-
 @dataclass
 class DropCounters:
     """Deterministic event counts of one drop, or summed over drops.
@@ -107,36 +86,47 @@ class DropCounters:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkLayout:
-    """Immutable site/sector geometry. Safe to share across worker threads.
+    """Immutable site/sector geometry (read-only arrays), safe to share across threads.
     Sector i is face i % 3 of site i // 3 (boresight SECTOR_BORESIGHTS_DEG[i % 3])."""
 
     isd: float
     n_rings: int
-    sites: tuple[Point, ...]
-    wraparound_enabled: bool
-    wrap_offsets: tuple[Point, ...]  # identity first
+    site_xy: np.ndarray  # (n_sites, 2)
+    offset_xy: np.ndarray  # (7, 2) with wraparound, else (1, 2); identity first
 
     @property
     def n_sites(self) -> int:
-        return len(self.sites)
+        return self.site_xy.shape[0]
 
     @property
     def n_sectors(self) -> int:
-        return 3 * len(self.sites)
-
-    @cached_property
-    def site_xy(self) -> np.ndarray:
-        return np.array(self.sites, dtype=float).reshape(-1, 2)
-
-    @cached_property
-    def offset_xy(self) -> np.ndarray:
-        return np.array(self.wrap_offsets, dtype=float).reshape(-1, 2)
+        return 3 * self.n_sites
 
     @cached_property
     def sector_boresight_deg(self) -> np.ndarray:
         return np.tile(SECTOR_BORESIGHTS_DEG, self.n_sites)
+
+
+class Terminals(NamedTuple):
+    """The terminals of one drop, by id: terminal i sits at ``xy[i]`` with
+    home sector ``sector[i]``. The ``n_cell`` cellular terminals come first,
+    then each D2D pair's transmitter and receiver, so pair j's transmitter is
+    terminal ``n_cell + 2j`` and its receiver the next one. ``tx_ids`` lists
+    the transmitters: the cellular ones, then pair j's at entry n_cell + j."""
+
+    xy: np.ndarray
+    sector: np.ndarray
+    n_cell: int
+
+    @property
+    def n_pairs(self) -> int:
+        return (len(self.sector) - self.n_cell) // 2
+
+    @property
+    def tx_ids(self) -> np.ndarray:
+        return np.r_[: self.n_cell, self.n_cell : len(self.sector) : 2]
 
 
 def hex_circumradius(isd: float) -> float:
@@ -154,8 +144,8 @@ def build_hex_grid(isd: float, n_rings: int, wraparound: bool) -> NetworkLayout:
     ux, uy = isd, 0.0
     vx, vy = isd * 0.5, isd * math.sqrt(3.0) / 2.0
 
-    def axial_to_xy(q: int, r: int) -> Point:
-        return Point(q * ux + r * vx, q * uy + r * vy)
+    def axial_to_xy(q: int, r: int) -> tuple[float, float]:
+        return q * ux + r * vx, q * uy + r * vy
 
     # Directions at 0, 60, ..., 300 degrees in axial coordinates.
     dirs = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
@@ -168,9 +158,9 @@ def build_hex_grid(isd: float, n_rings: int, wraparound: bool) -> NetworkLayout:
                 coords.append((q, r))
                 q, r = q + dq, r + dr
 
-    sites = tuple(axial_to_xy(q, r) for q, r in coords)
+    sites = [axial_to_xy(q, r) for q, r in coords]
 
-    offsets = [Point(0.0, 0.0)]
+    offsets = [(0.0, 0.0)]
     if wraparound and n_rings >= 1:
         # (n+1, n) generates a lattice whose unit cell holds exactly the
         # 3n^2 + 3n + 1 cluster sites; its six 60-degree rotations are the
@@ -180,13 +170,9 @@ def build_hex_grid(isd: float, n_rings: int, wraparound: bool) -> NetworkLayout:
             offsets.append(axial_to_xy(a, b))
             a, b = -b, a + b
 
-    return NetworkLayout(
-        isd=float(isd),
-        n_rings=int(n_rings),
-        sites=sites,
-        wraparound_enabled=bool(wraparound),
-        wrap_offsets=tuple(offsets),
-    )
+    site_xy, offset_xy = np.array(sites, dtype=float), np.array(offsets, dtype=float)
+    site_xy.flags.writeable = offset_xy.flags.writeable = False
+    return NetworkLayout(float(isd), int(n_rings), site_xy, offset_xy)
 
 
 def pairwise_wrap_distance(
@@ -324,8 +310,8 @@ def sectors_of_points(xy, layout: NetworkLayout) -> np.ndarray:
     return 3 * site_idx + np.array(faces, dtype=site_idx.dtype)
 
 
-def sector_of_point(p: Point, layout: NetworkLayout) -> int:
-    """Sector geometrically containing p (see ``sectors_of_points``)."""
+def sector_of_point(p, layout: NetworkLayout) -> int:
+    """Sector geometrically containing the point p = (x, y); see ``sectors_of_points``."""
     return int(sectors_of_points([p], layout)[0])
 
 
@@ -370,15 +356,10 @@ class _BlockDoubles:
             self._rng.random(_BLOCK - operator.length_hint(self._block))
 
 
-def _sample_point_in_sector(
-    layout: NetworkLayout, sector_index: int, next_double: Callable[[], float]
-) -> Point:
-    """Rejection-sample a point of the sector's kite from pairs of
+def _sample_in_sector(face: int, isd: float, next_double: Callable[[], float]) -> tuple[float, float]:
+    """Rejection-sample a point of face ``face``'s kite from pairs of
     ``uniform(-R, R)`` draws, R the circumradius; ``next_double`` gives the
-    generator's next double."""
-    site = layout.sites[sector_index // 3]
-    face = sector_index % 3
-    isd = layout.isd
+    generator's next double. Returns the point's offset from its site."""
     radius = hex_circumradius(isd)
     lo, span = -radius, radius - -radius
     while True:
@@ -387,33 +368,29 @@ def _sample_point_in_sector(
         if not _in_hexagon(dx, dy, isd):
             continue
         if _face_of_angle(math.degrees(math.atan2(dy, dx))) == face:
-            return Point(site.x + dx, site.y + dy)
+            return dx, dy
 
 
 def drop_cellular_ues(
     layout: NetworkLayout,
     n_per_sector: int,
     rng: np.random.Generator,
-    start_id: int = 0,
     *,
     counters: Optional[DropCounters] = None,
-) -> list[UeRecord]:
-    """Drop exactly n_per_sector uplink transmitters uniformly in each sector.
-
-    ``counters``, when given, gets the sampler's draws added to it."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop exactly n_per_sector uplink transmitters uniformly in each sector,
+    sector by sector: positions (n, 2) and home sectors (n,). ``counters``,
+    when given, gets the sampler's draws added to it."""
     if n_per_sector < 0:
         raise ValueError(f"n_per_sector must be >= 0, got {n_per_sector}")
-    ues = []
-    uid = start_id
+    sector = np.repeat(np.arange(layout.n_sectors), n_per_sector)
+    offsets = []
     with _BlockDoubles(rng) as doubles:
-        for s in range(layout.n_sectors):
-            for _ in range(n_per_sector):
-                pos = _sample_point_in_sector(layout, s, doubles.next_double)
-                ues.append(UeRecord(uid, pos, Role.CELLULAR_TX, s))
-                uid += 1
+        for s in sector.tolist():
+            offsets += _sample_in_sector(s % 3, layout.isd, doubles.next_double)
     if counters is not None:
         counters.rejection_draws += doubles.used
-    return ues
+    return layout.site_xy[sector // 3] + np.reshape(offsets, (-1, 2)), sector
 
 
 def drop_d2d_pairs(
@@ -422,11 +399,12 @@ def drop_d2d_pairs(
     d2d_range: float,
     min_dist: float,
     rng: np.random.Generator,
-    start_id: int = 0,
     *,
     counters: Optional[DropCounters] = None,
-) -> list[tuple[UeRecord, UeRecord]]:
-    """Drop transmitter/receiver pairs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop transmitter/receiver pairs, sector by sector. Returns positions
+    (2n, 2) and home sectors (2n,), whose rows 2j and 2j + 1 are pair j's
+    transmitter and receiver.
 
     Transmitters are dropped like cellular terminals. Each receiver sits at
     the transmitter plus a polar offset: angle uniform on [0, 2pi), radius
@@ -444,32 +422,27 @@ def drop_d2d_pairs(
             f"need 0 < min_dist < d2d_range, got min_dist={min_dist}, "
             f"d2d_range={d2d_range}"
         )
-    txs, rx_points = [], []
-    uid = start_id
+    tx_sector = np.repeat(np.arange(layout.n_sectors), n_tx_per_sector)
+    tx_offsets, rx_offsets = [], []
     with _BlockDoubles(rng) as doubles:
         next_double = doubles.next_double
-        for s in range(layout.n_sectors):
-            for _ in range(n_tx_per_sector):
-                tx_pos = _sample_point_in_sector(layout, s, next_double)
-                # Exactly uniform(0, 2pi) and uniform(0, 1): adding 0.0 and
-                # multiplying by 1.0 change no double.
-                theta = 2.0 * math.pi * next_double()
-                while True:
-                    r = d2d_range * math.sqrt(next_double())
-                    if r >= min_dist:
-                        break
-                rx_points.append(
-                    Point(tx_pos.x + r * math.cos(theta), tx_pos.y + r * math.sin(theta))
-                )
-                txs.append(UeRecord(uid, tx_pos, Role.D2D_TX, s, peer=uid + 1))
-                uid += 2
-    rx_sectors = sectors_of_points(rx_points, layout).tolist()
+        for s in tx_sector.tolist():
+            tx_offsets += _sample_in_sector(s % 3, layout.isd, next_double)
+            # Exactly uniform(0, 2pi) and uniform(0, 1): adding 0.0 and
+            # multiplying by 1.0 change no double.
+            theta = 2.0 * math.pi * next_double()
+            while True:
+                r = d2d_range * math.sqrt(next_double())
+                if r >= min_dist:
+                    break
+            rx_offsets += (r * math.cos(theta), r * math.sin(theta))
+    tx_xy = layout.site_xy[tx_sector // 3] + np.reshape(tx_offsets, (-1, 2))
+    rx_xy = tx_xy + np.reshape(rx_offsets, (-1, 2))
+    rx_sector = sectors_of_points(rx_xy, layout)
     if counters is not None:
         counters.rejection_draws += doubles.used
-        counters.foreign_receivers += sum(
-            tx.home_sector != sector for tx, sector in zip(txs, rx_sectors)
-        )
-    return [
-        (tx, UeRecord(tx.id + 1, pos, Role.D2D_RX, sector, peer=tx.id))
-        for tx, pos, sector in zip(txs, rx_points, rx_sectors)
-    ]
+        counters.foreign_receivers += int(np.count_nonzero(rx_sector != tx_sector))
+    return (
+        np.stack((tx_xy, rx_xy), axis=1).reshape(-1, 2),
+        np.stack((tx_sector, rx_sector), axis=1).ravel(),
+    )

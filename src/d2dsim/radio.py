@@ -10,7 +10,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .channel import CouplingTable, sector_endpoint, ue_endpoint
-from .layout import NetworkLayout, UeRecord
+from .layout import NetworkLayout
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -129,20 +129,20 @@ def _shannon_rate_bps(sinr_db: np.ndarray, bandwidth_hz, rc: RadioConfig, out: n
 
 
 def classify_coverage(
-    ue: UeRecord,
+    ue_id: int,
     layout: NetworkLayout,
     table: CouplingTable,
     enb_tx_power_dbm: float = 46.0,
     rc: RadioConfig = RadioConfig(),
 ) -> Coverage:
-    """Out of coverage iff the downlink SINR from the strongest sector is
-    strictly below the threshold (default -6 dB).
+    """Out of coverage iff the downlink SINR at terminal ``ue_id`` from the
+    strongest sector is strictly below the threshold (default -6 dB).
 
     All sectors transmit at the same power; every non-serving sector is
     interference. The table's downlink entries carry shadowing at its mean,
     so this is the shadowing-averaged wideband SINR.
     """
-    rx = ue_endpoint(ue.id)
+    rx = ue_endpoint(ue_id)
     sectors = [sector_endpoint(s) for s in range(layout.n_sectors)]
     powers = {ep: enb_tx_power_dbm for ep in sectors}
     serving = min(sectors, key=lambda ep: table.loss_db(ep, rx))

@@ -283,12 +283,10 @@ def test_criterion_7_oracle_suites(tmp_path):
 
 
 def test_criterion_8_coverage_flip_is_strict_at_minus_6():
-    from d2dsim.layout import Point, Role, UeRecord
     from d2dsim.radio import RadioConfig, Coverage, classify_coverage
 
     rc = RadioConfig()
     noise = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_ue_db)
-    ue = UeRecord(0, Point(0, 0), Role.CELLULAR_TX, 0)
 
     class OneSector:
         n_sectors = 1
@@ -297,7 +295,7 @@ def test_criterion_8_coverage_flip_is_strict_at_minus_6():
     for delta in np.arange(-0.5, 0.5001, 0.25):
         sinr = -6.0 + float(delta)
         table = _LossTable({(d.sector_endpoint(0), d.ue_endpoint(0)): 46.0 - noise - sinr})
-        state = classify_coverage(ue, OneSector(), table, 46.0, rc)
+        state = classify_coverage(0, OneSector(), table, 46.0, rc)
         flips.append((sinr, state))
     ok = all(
         (state is Coverage.OUT_OF_COVERAGE) == (sinr < -6.0) for sinr, state in flips

@@ -21,9 +21,7 @@ from d2dsim.layout import (
     MIN_UE_UE_DISTANCE_M,
     SECTOR_BORESIGHTS_DEG,
     DropCounters,
-    Point,
-    Role,
-    UeRecord,
+    Terminals,
     build_hex_grid,
     drop_cellular_ues,
     drop_d2d_pairs,
@@ -35,12 +33,13 @@ CFG = ChannelConfig()
 
 
 def wrap_vector(frm, to, layout):
-    """Displacement from ``frm`` to the nearest wrap image of ``to``: a scalar
-    oracle for the wrapped geometry behind the uplink entries."""
+    """Displacement from ``frm`` to the nearest wrap image of ``to`` (both
+    (x, y) pairs): a scalar oracle for the wrapped geometry behind the uplink
+    entries."""
     best = None
-    for t in layout.wrap_offsets:
-        dx = to.x + t.x - frm.x
-        dy = to.y + t.y - frm.y
+    for tx, ty in layout.offset_xy.tolist():
+        dx = to[0] + tx - frm[0]
+        dy = to[1] + ty - frm[1]
         d2 = dx * dx + dy * dy
         if best is None or d2 < best[0]:
             best = (d2, dx, dy)
@@ -184,22 +183,33 @@ def _drop_with_table(seed=0, shadow=True, n_cell=2, n_d2d=2):
         shadow_std_ueue_db=0.0, shadow_std_enbue_db=0.0
     )
     rng = np.random.default_rng(seed)
-    cell = drop_cellular_ues(lay, n_cell, rng)
-    pairs = drop_d2d_pairs(lay, n_d2d, 250.0, 3.0, rng, start_id=len(cell))
-    ues = cell + [u for p in pairs for u in p]
-    table = build_coupling_table(lay, ues, cfg, rng)
-    return lay, cfg, ues, pairs, table
+    terminals = _terminals(drop_cellular_ues(lay, n_cell, rng),
+                           drop_d2d_pairs(lay, n_d2d, 250.0, 3.0, rng))
+    table = build_coupling_table(lay, terminals, cfg, rng)
+    return lay, cfg, terminals, table
+
+
+def _terminals(cell, pairs):
+    """The drop's record from the samplers' (xy, sector) arrays, cellular
+    terminals first."""
+    return Terminals(np.concatenate((cell[0], pairs[0])), np.concatenate((cell[1], pairs[1])),
+                     len(cell[1]))
+
+
+def _first_pair(terminals):
+    """Ids of pair 0's transmitter and receiver."""
+    return terminals.n_cell, terminals.n_cell + 1
 
 
 class TestCouplingTable:
     def test_lookup_recomposes_from_recorded_draws(self):
         from d2dsim.layout import pairwise_wrap_distance, MIN_UE_UE_DISTANCE_M
 
-        lay, cfg, ues, pairs, table = _drop_with_table(seed=3)
-        tx, rx = pairs[0]
-        tx_ep, rx_ep = ue_endpoint(tx.id), ue_endpoint(rx.id)
-        row, col = table.tx_ids.index(tx.id), table.rx_ue_ids.index(rx.id)
-        d, _ = pairwise_wrap_distance([tx.position], [rx.position], lay)
+        lay, cfg, terminals, table = _drop_with_table(seed=3)
+        tx, rx = _first_pair(terminals)
+        tx_ep, rx_ep = ue_endpoint(tx), ue_endpoint(rx)
+        row, col = table.tx_ids.index(tx), table.rx_ue_ids.index(rx)
+        d, _ = pairwise_wrap_distance(terminals.xy[[tx]], terminals.xy[[rx]], lay)
         d_eff = max(float(d[0, 0]), MIN_UE_UE_DISTANCE_M)
         expected = max(
             ue_ue_pathloss(d_eff, table.ue_ue_los[row, col], cfg)
@@ -209,37 +219,37 @@ class TestCouplingTable:
         assert table.loss_db(tx_ep, rx_ep) == pytest.approx(expected, rel=1e-12)
 
     def test_uplink_entry_recomposes(self):
-        lay, cfg, ues, pairs, table = _drop_with_table(seed=4)
-        tx = pairs[0][0]
+        lay, cfg, terminals, table = _drop_with_table(seed=4)
+        tx, _ = _first_pair(terminals)
         sector = 4
-        tx_ep, s_ep = ue_endpoint(tx.id), sector_endpoint(sector)
+        tx_ep, s_ep = ue_endpoint(tx), sector_endpoint(sector)
         # sector i is face i % 3 of site i // 3
-        site = lay.sites[sector // 3]
-        dx, dy = wrap_vector(site, tx.position, lay)
+        site = lay.site_xy[sector // 3].tolist()
+        dx, dy = wrap_vector(site, terminals.xy[tx].tolist(), lay)
         d = math.hypot(dx, dy)
         angle = math.degrees(math.atan2(dy, dx)) - SECTOR_BORESIGHTS_DEG[sector % 3]
         expected = max(
             ue_enb_pathloss(d, cfg.min_pl_db)
-            + table.ue_sector_shadow_db[table.tx_ids.index(tx.id), sector],
+            + table.ue_sector_shadow_db[table.tx_ids.index(tx), sector],
             cfg.min_pl_db,
         ) - sector_antenna_gain(angle)
         assert table.loss_db(tx_ep, s_ep) == pytest.approx(expected, rel=1e-12)
 
     def test_downlink_entry_has_no_shadowing(self):
-        lay, cfg, ues, pairs, table = _drop_with_table(seed=5, shadow=False)
-        tx = pairs[0][0]
+        lay, cfg, terminals, table = _drop_with_table(seed=5, shadow=False)
+        tx, _ = _first_pair(terminals)
         # with all shadowing disabled, downlink equals the reversed uplink
-        up = table.loss_db(ue_endpoint(tx.id), sector_endpoint(2))
-        down = table.loss_db(sector_endpoint(2), ue_endpoint(tx.id))
+        up = table.loss_db(ue_endpoint(tx), sector_endpoint(2))
+        down = table.loss_db(sector_endpoint(2), ue_endpoint(tx))
         assert up == pytest.approx(down, rel=1e-12)
 
     def test_boresight_kilometer_coupling(self):
         lay = build_hex_grid(4000.0, 0, False)
         cfg = ChannelConfig(shadow_std_ueue_db=0.0, shadow_std_enbue_db=0.0)
         # sector 0 boresight is 30 degrees; put the terminal 1 km out on it
-        pos = Point(1000.0 * math.cos(math.radians(30.0)), 1000.0 * math.sin(math.radians(30.0)))
-        ue = UeRecord(0, pos, Role.CELLULAR_TX, 0)
-        table = build_coupling_table(lay, [ue], cfg, np.random.default_rng(0))
+        pos = [1000.0 * math.cos(math.radians(30.0)), 1000.0 * math.sin(math.radians(30.0))]
+        ue = Terminals(np.array([pos]), np.array([0]), 1)
+        table = build_coupling_table(lay, ue, cfg, np.random.default_rng(0))
         assert table.loss_db(ue_endpoint(0), sector_endpoint(0)) == pytest.approx(
             128.1 - 14.0, abs=1e-9
         )
@@ -247,14 +257,14 @@ class TestCouplingTable:
     def test_reverse_terminal_direction_is_not_present(self):
         # LOS/shadowing are per ordered link; the reverse of a pair is not
         # even populated, so no reciprocity is implied.
-        _, _, _, pairs, table = _drop_with_table(seed=6)
-        tx, rx = pairs[0]
+        _, _, terminals, table = _drop_with_table(seed=6)
+        tx, rx = _first_pair(terminals)
         with pytest.raises(KeyError):
-            table.loss_db(ue_endpoint(rx.id), ue_endpoint(tx.id))
+            table.loss_db(ue_endpoint(rx), ue_endpoint(tx))
 
     def test_missing_entry_raises(self):
-        lay, _, _, pairs, table = _drop_with_table(seed=7)
-        tx, rx = ue_endpoint(pairs[0][0].id), ue_endpoint(pairs[0][1].id)
+        lay, _, terminals, table = _drop_with_table(seed=7)
+        tx, rx = map(ue_endpoint, _first_pair(terminals))
         with pytest.raises(KeyError):
             table.loss_db(ue_endpoint(9999), rx)
         with pytest.raises(KeyError):
@@ -269,15 +279,15 @@ class TestCouplingTable:
             table.loss_db(sector_endpoint(0), sector_endpoint(1))
 
     def test_deterministic_given_stream(self):
-        _, _, _, _, t1 = _drop_with_table(seed=8)
-        _, _, _, _, t2 = _drop_with_table(seed=8)
+        *_, t1 = _drop_with_table(seed=8)
+        *_, t2 = _drop_with_table(seed=8)
         assert np.array_equal(t1.ue_ue_loss_db, t2.ue_ue_loss_db)
         assert np.array_equal(t1.ue_sector_loss_db, t2.ue_sector_loss_db)
         assert np.array_equal(t1.sector_ue_loss_db, t2.sector_ue_loss_db)
         assert np.array_equal(t1.ue_ue_los, t2.ue_ue_los)
 
     def test_entries_respect_floor_minus_gain(self):
-        _, cfg, _, _, table = _drop_with_table(seed=9)
+        _, cfg, _, table = _drop_with_table(seed=9)
         assert table.ue_ue_loss_db.min() >= cfg.min_pl_db
         assert table.ue_sector_loss_db.min() >= cfg.min_pl_db - 14.0
 
@@ -285,22 +295,22 @@ class TestCouplingTable:
         lay = build_hex_grid(1000.0, 0, False)
         cfg = ChannelConfig(ue_ue_los="nlos")
         rng = np.random.default_rng(10)
-        pairs = drop_d2d_pairs(lay, 5, 250.0, 3.0, rng)
-        ues = [u for p in pairs for u in p]
-        table = build_coupling_table(lay, ues, cfg, rng)
+        xy, sector = drop_d2d_pairs(lay, 5, 250.0, 3.0, rng)
+        table = build_coupling_table(lay, Terminals(xy, sector, 0), cfg, rng)
         assert not table.ue_ue_los.any()
 
 
 # The full-matrix coupling-table body before the row blocks: every terminal
 # pair in one pass and the terminal-to-sector search over sector columns.
 # Draw order: LOS uniforms, terminal-pair shadowing, terminal-to-base shadowing.
-def _coupling_table_oracle(layout, ues, cfg, rng, counters):
-    txs = [u for u in ues if u.role in (Role.CELLULAR_TX, Role.D2D_TX)]
-    rxs = [u for u in ues if u.role == Role.D2D_RX]
-    tx_xy = np.array([u.position for u in txs], dtype=float).reshape(-1, 2)
-    rx_xy = np.array([u.position for u in rxs], dtype=float).reshape(-1, 2)
-    all_xy = np.array([u.position for u in ues], dtype=float).reshape(-1, 2)
-    n_tx, n_rx = len(txs), len(rxs)
+# Transmitters and receivers are picked by id (see Terminals) with a loop.
+def _coupling_table_oracle(layout, terminals, cfg, rng, counters):
+    n_cell, n = terminals.n_cell, len(terminals.sector)
+    tx_sel = [i for i in range(n) if i < n_cell or (i - n_cell) % 2 == 0]
+    rx_sel = [i for i in range(n) if i >= n_cell and (i - n_cell) % 2 == 1]
+    all_xy = np.array(terminals.xy.tolist(), dtype=float).reshape(-1, 2)
+    tx_xy, rx_xy = all_xy[tx_sel].reshape(-1, 2), all_xy[rx_sel].reshape(-1, 2)
+    n_tx, n_rx = len(tx_sel), len(rx_sel)
     n_sec = layout.n_sectors
 
     d_uu, _ = pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters)
@@ -327,11 +337,12 @@ def _coupling_table_oracle(layout, ues, cfg, rng, counters):
     gain = sector_antenna_gain(arrival_deg - layout.sector_boresight_deg[None, :])
     pl_all_s = ue_enb_pathloss(np.maximum(d_all_s, 1e-6), cfg.min_pl_db)
 
-    pos_of = {u.id: i for i, u in enumerate(ues)}
-    tx_sel = np.array([pos_of[u.id] for u in txs], dtype=int)
     shadow_us = draw_shadowing(cfg.shadow_std_enbue_db, rng, size=(n_tx, n_sec))
     loss_us = np.maximum(pl_all_s[tx_sel] + shadow_us, cfg.min_pl_db) - gain[tx_sel]
     return {
+        "tx_ids": tuple(tx_sel),
+        "rx_ue_ids": tuple(rx_sel),
+        "ue_ids": tuple(range(n)),
         "ue_ue_loss_db": loss_uu,
         "ue_ue_shadow_db": shadow_uu,
         "ue_ue_los": los,
@@ -344,9 +355,8 @@ def _coupling_table_oracle(layout, ues, cfg, rng, counters):
 def _random_drop(isd, n_rings, wrap, n_cell, n_d2d, d2d_range):
     def make(rng):
         lay = build_hex_grid(isd, n_rings, wrap)
-        cell = drop_cellular_ues(lay, n_cell, rng)
-        pairs = drop_d2d_pairs(lay, n_d2d, d2d_range, 3.0, rng, start_id=len(cell))
-        return lay, cell + [u for p in pairs for u in p]
+        return lay, _terminals(drop_cellular_ues(lay, n_cell, rng),
+                               drop_d2d_pairs(lay, n_d2d, d2d_range, 3.0, rng))
     return make
 
 
@@ -356,17 +366,16 @@ def _lattice_drop(rng):
     # the exact fallback settles.
     lay = build_hex_grid(500.0, 2, True)
     sites, offs = lay.site_xy, lay.offset_xy
-    ues = [UeRecord(i, Point(*xy), Role.CELLULAR_TX, 3 * i) for i, xy in enumerate(sites.tolist())]
+    xy, sector = list(sites), [3 * i for i in range(lay.n_sites)]
     rx_points = [(sites[s] + sites[(5 * s + 3) % lay.n_sites] + offs[1 + s % 6]) / 2
                  for s in range(lay.n_sites)]
     # Two more receivers of site 0: one at the 3 m minimum, one inside it.
     rx_points += [np.array([3.0, 0.0]), np.array([0.0, 1.0])]
     for s, rx in enumerate(rx_points):
         s %= lay.n_sites
-        uid = len(ues)
-        ues.append(UeRecord(uid, Point(*sites[s]), Role.D2D_TX, 3 * s, peer=uid + 1))
-        ues.append(UeRecord(uid + 1, Point(*rx), Role.D2D_RX, 3 * s, peer=uid))
-    return lay, ues
+        xy += [sites[s], rx]
+        sector += [3 * s, 3 * s]
+    return lay, Terminals(np.array(xy), np.array(sector), lay.n_sites)
 
 
 _TABLE_CASES = {
@@ -389,11 +398,13 @@ def test_row_blocks_equal_the_full_matrix_oracle(case, block, monkeypatch):
         monkeypatch.setattr(channel_module, "_PAIR_BLOCK", size)
         monkeypatch.setattr(layout_module, "_WRAP_BLOCK", size)
     make, cfg = _TABLE_CASES[case]
-    lay, ues = make(np.random.default_rng(11))
+    lay, terminals = make(np.random.default_rng(11))
     rng, ref = np.random.default_rng(12), np.random.default_rng(12)
     counters, ref_counters = DropCounters(), DropCounters()
-    table = build_coupling_table(lay, ues, cfg, rng, counters=counters)
-    want = _coupling_table_oracle(lay, ues, cfg, ref, ref_counters)
+    table = build_coupling_table(lay, terminals, cfg, rng, counters=counters)
+    want = _coupling_table_oracle(lay, terminals, cfg, ref, ref_counters)
+    for name in ("tx_ids", "rx_ue_ids", "ue_ids"):
+        assert getattr(table, name) == want.pop(name), name
     for name, value in want.items():
         got = getattr(table, name)
         assert got.dtype == value.dtype and got.shape == value.shape, name

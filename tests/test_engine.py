@@ -1,3 +1,4 @@
+import csv
 import math
 from collections.abc import Mapping
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dsim import engine
+from d2dsim import cli, engine
 from d2dsim.channel import ChannelConfig, sector_endpoint, ue_endpoint, ue_ue_pathloss
 from d2dsim.engine import (
     ExperimentConfig,
@@ -26,7 +27,6 @@ from d2dsim.engine import (
 from d2dsim.layout import (
     MIN_UE_UE_DISTANCE_M,
     DropCounters,
-    Role,
     build_hex_grid,
     drop_cellular_ues,
     drop_d2d_pairs,
@@ -41,6 +41,13 @@ from d2dsim.scheduling import ORTHOGONAL_TDM, UNCOORDINATED, spatial_reuse
 
 from d2dsim.engine import _setting_pc  # engine-internal, exercised on purpose
 from test_scheduling import active_slot_indices, cycle_length  # per-mode oracle
+
+
+def _pairs(terminals):
+    """(transmitter id, receiver id) of every pair, in drop order: the drop's
+    id convention, written out with a loop."""
+    n_cell = terminals.n_cell
+    return [(n_cell + 2 * j, n_cell + 2 * j + 1) for j in range(terminals.n_pairs)]
 
 
 SMALL = ExperimentConfig(
@@ -187,11 +194,13 @@ class TestSinrExperiment:
         noise_enb = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_enb_db)
         n_tx = cfg.n_d2d_tx_per_sector
         for drop in (0, 1):
-            cell, pairs, table, _ = build_drop(cfg, lay, drop)
-            peer = {tx.id: rx.id for tx, rx in pairs}
+            terminals, table = build_drop(cfg, lay, drop)
+            cell, pairs = range(terminals.n_cell), _pairs(terminals)
+            home = terminals.sector.tolist()
+            peer = dict(pairs)
             txs_by_sector = {}
             for tx, _ in pairs:
-                txs_by_sector.setdefault(tx.home_sector, []).append(tx.id)
+                txs_by_sector.setdefault(home[tx], []).append(tx)
             # Samples come per setting, then per cycle position, then per
             # sector and position: the order the oracle rule gives.
             expected_links, active_sets = [], []
@@ -202,18 +211,18 @@ class TestSinrExperiment:
                     for i in active_slot_indices(mode, n_tx, t)
                 ]
                 expected_links += on_air
-                active = {ue_endpoint(i) for i in on_air} | {ue_endpoint(u.id) for u in cell}
+                active = {ue_endpoint(i) for i in on_air} | {ue_endpoint(u) for u in cell}
                 active_sets += [active] * len(on_air)
             sel = rep.samples[rep.samples["drop"] == drop]
             assert sel.size == len(settings) * len(expected_links)
             for si, setting in enumerate(settings):
                 p = {}
                 for tx, rx in pairs:
-                    pl = table.loss_db(ue_endpoint(tx.id), ue_endpoint(rx.id))
-                    p[ue_endpoint(tx.id)] = open_loop_tx_power(_setting_pc(setting, noise_ue), pl)
+                    pl = table.loss_db(ue_endpoint(tx), ue_endpoint(rx))
+                    p[ue_endpoint(tx)] = open_loop_tx_power(_setting_pc(setting, noise_ue), pl)
                 for u in cell:
-                    pl = table.loss_db(ue_endpoint(u.id), sector_endpoint(u.home_sector))
-                    p[ue_endpoint(u.id)] = open_loop_tx_power(_setting_pc(setting, noise_enb), pl)
+                    pl = table.loss_db(ue_endpoint(u), sector_endpoint(home[u]))
+                    p[ue_endpoint(u)] = open_loop_tx_power(_setting_pc(setting, noise_enb), pl)
                 rows = sel[sel["setting_id"] == si]
                 assert rows["link"].tolist() == expected_links
                 for row, active in zip(rows, active_sets, strict=True):
@@ -235,6 +244,65 @@ class TestSinrExperiment:
             assert row["fraction_above"] == fraction_above(vals, -6.0)
             assert row["mean_db"] == pytest.approx(vals.mean())
             assert row["p5_db"] == percentile(vals, 0.05)
+
+
+# Three sectors with 2 cellular terminals and 3 pairs each. Ids 0-5 are the
+# cellular terminals; pair j's transmitter is 6 + 2j and its receiver 7 + 2j.
+IDS = ExperimentConfig(
+    experiment="throughput", isd_m=500.0, n_rings=0, wraparound=False, n_cellular_per_sector=2,
+    n_d2d_tx_per_sector=3, d2d_range_m=50.0, alpha_list=(), snr_target_db_list=(),
+    n_drops=2, n_subframes=20, k_d2d=1, seed=3,
+)
+IDS_TX = (0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 20, 22)
+IDS_RX = (7, 9, 11, 13, 15, 17, 19, 21, 23)
+
+
+class TestDropIds:
+    def test_table_rows_and_columns_follow_the_ids(self):
+        lay = build_hex_grid(IDS.isd_m, IDS.n_rings, IDS.wraparound)
+        terminals, table = build_drop(IDS, lay, 0)
+        assert terminals.xy.shape == (24, 2) and terminals.sector.shape == (24,)
+        assert (terminals.n_cell, terminals.n_pairs) == (6, 9)
+        assert terminals.sector[:6].tolist() == [0, 0, 1, 1, 2, 2]
+        assert terminals.sector[6::2].tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        assert terminals.tx_ids.tolist() == list(IDS_TX)
+        assert table.tx_ids == IDS_TX
+        assert table.rx_ue_ids == IDS_RX
+        assert table.ue_ids == tuple(range(24))
+        # loss_db by id equals the entry at the id's position in each block.
+        for row, tx in enumerate(IDS_TX):
+            for col, rx in enumerate(IDS_RX):
+                got = table.loss_db(ue_endpoint(tx), ue_endpoint(rx))
+                assert got == table.ue_ue_loss_db[row, col]
+            for s in range(lay.n_sectors):
+                got = table.loss_db(ue_endpoint(tx), sector_endpoint(s))
+                assert got == table.ue_sector_loss_db[row, s]
+        for s in range(lay.n_sectors):
+            for u in range(24):
+                got = table.loss_db(sector_endpoint(s), ue_endpoint(u))
+                assert got == table.sector_ue_loss_db[s, u]
+        # Pair j: transmitter row 6 + j, receiver column j.
+        for j in range(9):
+            got = table.loss_db(ue_endpoint(6 + 2 * j), ue_endpoint(7 + 2 * j))
+            assert got == table.ue_ue_loss_db[6 + j, j]
+
+    def test_csv_link_and_flow_ids_are_transmitter_ids(self, tmp_path):
+        sinr_cfg = replace(IDS, experiment="sinr")
+        cli.emit_reports(run_sinr_experiment(sinr_cfg), sinr_cfg, str(tmp_path / "sinr"), 0.0)
+        with open(tmp_path / "sinr" / "sinr_samples.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # One setting, every link on the air: per drop, links in sector order.
+        assert [int(r["link"]) for r in rows] == 2 * list(IDS_TX[6:])
+        assert [int(r["sector"]) for r in rows] == 2 * [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+        cli.emit_reports(run_throughput_experiment(IDS), IDS, str(tmp_path / "tput"), 0.0)
+        with open(tmp_path / "tput" / "throughput.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["flow"]) for r in rows] == 4 * list(IDS_TX)
+        # The first pair of each sector sends to its peer in the offload run.
+        direct = [int(r["flow"]) for r in rows if r["role"] == "d2d"]
+        assert all(r["run"] == "offload" for r in rows if r["role"] == "d2d")
+        assert direct == 2 * [6, 12, 18]
 
 
 TPUT = ExperimentConfig(
@@ -273,8 +341,10 @@ class TestThroughputExperiment:
 
     def test_paired_runs_share_geometry_and_shadowing(self):
         lay = build_hex_grid(TPUT.isd_m, TPUT.n_rings, TPUT.wraparound)
-        _, _, t1, _ = build_drop(TPUT, lay, 1)
-        _, _, t2, _ = build_drop(TPUT, lay, 1)
+        terminals_1, t1 = build_drop(TPUT, lay, 1)
+        terminals_2, t2 = build_drop(TPUT, lay, 1)
+        assert np.array_equal(terminals_1.xy, terminals_2.xy)
+        assert np.array_equal(terminals_1.sector, terminals_2.sector)
         assert np.array_equal(t1.ue_ue_loss_db, t2.ue_ue_loss_db)
         assert np.array_equal(t1.ue_sector_loss_db, t2.ue_sector_loss_db)
         assert np.array_equal(t1.ue_ue_los, t2.ue_ue_los)
@@ -332,18 +402,18 @@ class TestThroughputExperiment:
             k_d2d=k_d2d, seed=7,
         )
         lay = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
-        cell, pairs, table, _ = build_drop(cfg, lay, 0)
-        home = {u.id: u.home_sector for u in cell + [tx for tx, _ in pairs]}
-        expected = {u.id: (sector_endpoint(u.home_sector), "cellular") for u in cell}
+        terminals, table = build_drop(cfg, lay, 0)
+        home = terminals.sector.tolist()
+        expected = {u: (sector_endpoint(home[u]), "cellular") for u in range(terminals.n_cell)}
         offloaded = {}
-        for tx, rx in pairs:
-            s = tx.home_sector
+        for tx, rx in _pairs(terminals):
+            s = home[tx]
             offloaded[s] = offloaded.get(s, 0) + 1
             if offloaded[s] <= k_d2d:
-                expected[tx.id] = (ue_endpoint(rx.id), "d2d")
+                expected[tx] = (ue_endpoint(rx), "d2d")
             else:
-                expected[tx.id] = (sector_endpoint(s), "cellular")
-        flows = engine._flows_for(cell, pairs, cfg.n_d2d_tx_per_sector, k_d2d)
+                expected[tx] = (sector_endpoint(s), "cellular")
+        flows = engine._flows_for(terminals, cfg.n_d2d_tx_per_sector, k_d2d)
         from_terminals = np.hstack((table.ue_ue_loss_db, table.ue_sector_loss_db))
         seen = set()
         for s, sector_flows in flows.items():
@@ -401,8 +471,8 @@ class TestThroughputExperiment:
         lay = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
         totals = np.zeros(3)
         for drop in range(cfg.n_drops):
-            _, pairs, _, _ = build_drop(cfg, lay, drop)
-            sector_of = {tx.id: tx.home_sector for tx, _ in pairs}
+            terminals, _ = build_drop(cfg, lay, drop)
+            sector_of = {tx: int(terminals.sector[tx]) for tx, _ in _pairs(terminals)}
             rows = base.samples[base.samples["drop"] == drop]
             for row in rows:
                 totals[sector_of[int(row["flow"])]] += row["throughput_bps"]
@@ -431,34 +501,34 @@ class TestDropCounters:
     def test_counters_match_a_direct_recount(self):
         lay = build_hex_grid(TINY.isd_m, TINY.n_rings, TINY.wraparound)
         counters = DropCounters()
-        cell, pairs, table, ues = build_drop(TINY, lay, 0, counters=counters)
+        terminals, table = build_drop(TINY, lay, 0, counters=counters)
 
         # The drop functions leave the stream exactly rejection_draws doubles in.
         rng = np.random.default_rng(drop_stream_seed(TINY.seed, 0))
         drop_cellular_ues(lay, TINY.n_cellular_per_sector, rng)
         drop_d2d_pairs(lay, TINY.n_d2d_tx_per_sector, TINY.d2d_range_m,
-                       TINY.min_d2d_dist_m, rng, start_id=len(cell))
+                       TINY.min_d2d_dist_m, rng)
         ref = np.random.default_rng(drop_stream_seed(TINY.seed, 0))
         ref.random(counters.rejection_draws - 1)
         assert ref.bit_generator.state != rng.bit_generator.state
         ref.random()
         assert ref.bit_generator.state == rng.bit_generator.state
 
-        txs = [u for u in ues if u.role is not Role.D2D_RX]
-        rxs = [u for u in ues if u.role is Role.D2D_RX]
+        xy, home, pairs = terminals.xy.tolist(), terminals.sector.tolist(), _pairs(terminals)
+        txs = xy[: terminals.n_cell] + [xy[tx] for tx, _ in pairs]
+        rxs = [xy[rx] for _, rx in pairs]
         ch = ChannelConfig(carrier_ghz=TINY.carrier_ghz, d2d_offset_db=TINY.d2d_offset_db)
         clamped = floor = 0
         for i, tx in enumerate(txs):
             for j, rx in enumerate(rxs):
                 d = min(
-                    math.hypot(tx.position.x - rx.position.x - t.x,
-                               tx.position.y - rx.position.y - t.y)
-                    for t in lay.wrap_offsets
+                    math.hypot(tx[0] - rx[0] - t_x, tx[1] - rx[1] - t_y)
+                    for t_x, t_y in lay.offset_xy.tolist()
                 )
                 clamped += d < MIN_UE_UE_DISTANCE_M
                 pl = ue_ue_pathloss(max(d, MIN_UE_UE_DISTANCE_M), bool(table.ue_ue_los[i, j]), ch)
                 floor += pl + table.ue_ue_shadow_db[i, j] <= ch.min_pl_db
-        foreign = sum(tx.home_sector != rx.home_sector for tx, rx in pairs)
+        foreign = sum(home[tx] != home[rx] for tx, rx in pairs)
         assert counters == DropCounters(counters.rejection_draws, clamped, floor, foreign)
         assert min(clamped, floor, foreign) > 0
 
@@ -497,14 +567,14 @@ def test_sinr_never_exceeds_the_links_snr(isd, n_rings, n_cell, n_d2d, coordinat
     )
     rep = run_sinr_experiment(cfg)
     lay = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
-    cell, pairs, table, _ = build_drop(cfg, lay, 0)
+    terminals, table = build_drop(cfg, lay, 0)
     # Signal and noise as the engine forms them, without interference.
     rc = RadioConfig()
     noise_dbm = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_ue_db)
-    links = np.arange(len(pairs))
-    own_loss = table.ue_ue_loss_db[len(cell) + links, links]
-    own_gain = table.ue_ue_gain_lin[len(cell) + links, links]
-    link_of = {tx.id: j for j, (tx, _) in enumerate(pairs)}
+    links = np.arange(terminals.n_pairs)
+    own_loss = table.ue_ue_loss_db[terminals.n_cell + links, links]
+    own_gain = table.ue_ue_gain_lin[terminals.n_cell + links, links]
+    link_of = {tx: j for j, (tx, _) in enumerate(_pairs(terminals))}
     for si, setting in enumerate(rep.settings):
         p_dbm = np.asarray(open_loop_tx_power(_setting_pc(setting, noise_dbm), own_loss))
         snr_db = 10.0 * np.log10(10.0 ** (p_dbm / 10.0) * own_gain / 10.0 ** (noise_dbm / 10.0))

@@ -12,9 +12,6 @@ from d2dsim.layout import (
     MIN_UE_UE_DISTANCE_M,
     SECTOR_BORESIGHTS_DEG,
     DropCounters,
-    Point,
-    Role,
-    UeRecord,
     _face_of_angle,
     _in_hexagon,
     build_hex_grid,
@@ -65,21 +62,22 @@ def _wrap_distance_oracle(a_xy, b_xy, layout):
 def _sector_of_point_oracle(p, layout):
     d, k = _wrap_distance_oracle([p], layout.site_xy, layout)
     site_idx = int(np.argmin(d[0]))
-    t = layout.offset_xy[int(k[0, site_idx])]
-    site = layout.sites[site_idx]
-    dx = p.x - t[0] - site.x
-    dy = p.y - t[1] - site.y
+    tx, ty = layout.offset_xy[int(k[0, site_idx])].tolist()
+    site_x, site_y = layout.site_xy[site_idx].tolist()
+    dx = p[0] - tx - site_x
+    dy = p[1] - ty - site_y
     ang = math.degrees(math.atan2(dy, dx))
     return 3 * site_idx + _face_of_angle(ang)
 
 
 # The per-draw samplers the block reader replaced: one rng.uniform call per
-# draw. Positions and the generator state after each drop function must equal
-# theirs.
+# draw, with positions as Python floats. The drop functions' positions and
+# sectors must equal theirs, and so must the generator state after each drop
+# function.
 
 
 def _sample_point_oracle(layout, sector_index, rng):
-    site = layout.sites[sector_index // 3]
+    site_x, site_y = layout.site_xy[sector_index // 3].tolist()
     face = sector_index % 3
     radius = hex_circumradius(layout.isd)
     while True:
@@ -88,37 +86,35 @@ def _sample_point_oracle(layout, sector_index, rng):
         if not _in_hexagon(dx, dy, layout.isd):
             continue
         if _face_of_angle(math.degrees(math.atan2(dy, dx))) == face:
-            return Point(site.x + dx, site.y + dy)
+            return (site_x + dx, site_y + dy)
 
 
-def _drop_cellular_oracle(layout, n_per_sector, rng, start_id=0):
-    ues = []
+def _drop_cellular_oracle(layout, n_per_sector, rng):
+    """Positions and home sectors as lists, in drop order."""
+    xy, sectors = [], []
     for s in range(layout.n_sectors):
         for _ in range(n_per_sector):
-            pos = _sample_point_oracle(layout, s, rng)
-            ues.append(UeRecord(start_id + len(ues), pos, Role.CELLULAR_TX, s))
-    return ues
+            xy.append(list(_sample_point_oracle(layout, s, rng)))
+            sectors.append(s)
+    return xy, sectors
 
 
-def _drop_d2d_pairs_oracle(layout, n_tx_per_sector, d2d_range, min_dist, rng, start_id=0):
-    pairs = []
-    uid = start_id
+def _drop_d2d_pairs_oracle(layout, n_tx_per_sector, d2d_range, min_dist, rng):
+    """Positions and home sectors as lists: each pair's transmitter, then
+    its receiver."""
+    xy, sectors = [], []
     for s in range(layout.n_sectors):
         for _ in range(n_tx_per_sector):
-            tx_pos = _sample_point_oracle(layout, s, rng)
+            tx_x, tx_y = _sample_point_oracle(layout, s, rng)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             while True:
                 r = d2d_range * math.sqrt(rng.uniform(0.0, 1.0))
                 if r >= min_dist:
                     break
-            rx_pos = Point(tx_pos.x + r * math.cos(theta), tx_pos.y + r * math.sin(theta))
-            pairs.append((
-                UeRecord(uid, tx_pos, Role.D2D_TX, s, peer=uid + 1),
-                UeRecord(uid + 1, rx_pos, Role.D2D_RX,
-                         _sector_of_point_oracle(rx_pos, layout), peer=uid),
-            ))
-            uid += 2
-    return pairs
+            rx_pos = (tx_x + r * math.cos(theta), tx_y + r * math.sin(theta))
+            xy += [[tx_x, tx_y], list(rx_pos)]
+            sectors += [s, _sector_of_point_oracle(rx_pos, layout)]
+    return xy, sectors
 
 
 class _CountingRng:
@@ -142,8 +138,8 @@ def _same_state(a, b):
 
 
 def point_in_sector_region(p, sector_index, layout):
-    site = layout.sites[sector_index // 3]
-    dx, dy = p.x - site.x, p.y - site.y
+    site_x, site_y = layout.site_xy[sector_index // 3].tolist()
+    dx, dy = p[0] - site_x, p[1] - site_y
     if not _in_hexagon(dx, dy, layout.isd):
         return False
     ang = math.degrees(math.atan2(dy, dx))
@@ -169,7 +165,7 @@ def test_sector_i_is_face_i_mod_3_of_site_i_div_3():
     lay = build_hex_grid(500.0, 2, wraparound=True)
     sector_site_xy = np.repeat(lay.site_xy, 3, axis=0)
     for i in range(lay.n_sectors):
-        assert tuple(sector_site_xy[i]) == lay.sites[i // 3]
+        assert sector_site_xy[i].tolist() == lay.site_xy[i // 3].tolist()
         assert lay.sector_boresight_deg[i] == SECTOR_BORESIGHTS_DEG[i % 3]
 
 
@@ -192,24 +188,31 @@ def test_rejects_bad_arguments():
 
 
 def test_wrap_offsets_population():
-    assert len(build_hex_grid(500, 2, True).wrap_offsets) == 7
-    assert len(build_hex_grid(500, 2, False).wrap_offsets) == 1
-    assert len(build_hex_grid(500, 0, True).wrap_offsets) == 1
-    assert build_hex_grid(500, 2, True).wrap_offsets[0] == Point(0.0, 0.0)
+    assert build_hex_grid(500, 2, True).offset_xy.shape == (7, 2)
+    assert build_hex_grid(500, 2, False).offset_xy.shape == (1, 2)
+    assert build_hex_grid(500, 0, True).offset_xy.shape == (1, 2)
+    assert build_hex_grid(500, 2, True).offset_xy[0].tolist() == [0.0, 0.0]
+
+
+def test_layout_arrays_are_read_only():
+    lay = build_hex_grid(500, 2, True)
+    for arr in (lay.site_xy, lay.offset_xy):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 def test_wrap_offsets_close_under_negation():
     lay = build_hex_grid(500, 2, True)
-    offs = {(round(p.x, 6), round(p.y, 6)) for p in lay.wrap_offsets}
+    offs = {(round(x, 6), round(y, 6)) for x, y in lay.offset_xy.tolist()}
     for x, y in offs:
         assert (round(-x, 6), round(-y, 6)) in offs
 
 
 def test_wrap_distance_identity_and_no_wrap():
     lay = build_hex_grid(500, 1, False)
-    p = Point(123.0, -45.0)
+    p = (123.0, -45.0)
     assert wrap_distance(p, p, lay) == 0.0
-    q = Point(-10.0, 80.0)
+    q = (-10.0, 80.0)
     assert wrap_distance(p, q, lay) == pytest.approx(math.hypot(133.0, -125.0))
 
 
@@ -217,10 +220,10 @@ def test_wrap_distance_matches_brute_force_over_offsets():
     lay = build_hex_grid(1732.0, 2, True)
     rng = np.random.default_rng(3)
     for _ in range(200):
-        a = Point(*rng.uniform(-6000, 6000, 2))
-        b = Point(*rng.uniform(-6000, 6000, 2))
+        a = rng.uniform(-6000, 6000, 2).tolist()
+        b = rng.uniform(-6000, 6000, 2).tolist()
         oracle = min(
-            math.hypot(a.x - (b.x + t.x), a.y - (b.y + t.y)) for t in lay.wrap_offsets
+            math.hypot(a[0] - (b[0] + tx), a[1] - (b[1] + ty)) for tx, ty in lay.offset_xy.tolist()
         )
         assert wrap_distance(a, b, lay) == pytest.approx(oracle, rel=1e-12)
 
@@ -229,38 +232,37 @@ def test_wrap_distance_properties():
     lay = build_hex_grid(1732.0, 2, True)
     rng = np.random.default_rng(4)
     for _ in range(100):
-        a = Point(*rng.uniform(-5000, 5000, 2))
-        b = Point(*rng.uniform(-5000, 5000, 2))
+        a = rng.uniform(-5000, 5000, 2).tolist()
+        b = rng.uniform(-5000, 5000, 2).tolist()
         d = wrap_distance(a, b, lay)
         assert d >= 0.0
         assert d == pytest.approx(wrap_distance(b, a, lay), rel=1e-12)
-        assert d <= math.hypot(a.x - b.x, a.y - b.y) + 1e-9
+        assert d <= math.hypot(a[0] - b[0], a[1] - b[1]) + 1e-9
 
 
 def test_drop_cellular_counts_and_membership():
     lay = build_hex_grid(1732.0, 2, True)
     rng = np.random.default_rng(5)
-    assert drop_cellular_ues(lay, 0, rng) == []
-    ues = drop_cellular_ues(lay, 10, rng)
-    assert len(ues) == 570
-    per_sector = {}
-    for u in ues:
-        assert u.role is Role.CELLULAR_TX
-        assert point_in_sector_region(u.position, u.home_sector, lay)
-        per_sector[u.home_sector] = per_sector.get(u.home_sector, 0) + 1
-    assert all(per_sector[s] == 10 for s in range(lay.n_sectors))
+    xy, sector = drop_cellular_ues(lay, 0, rng)
+    assert xy.shape == (0, 2) and sector.shape == (0,)
+    xy, sector = drop_cellular_ues(lay, 10, rng)
+    assert xy.shape == (570, 2) and xy.dtype == np.float64
+    # Sector by sector, 10 each.
+    assert sector.tolist() == np.repeat(np.arange(lay.n_sectors), 10).tolist()
+    for p, s in zip(xy.tolist(), sector.tolist()):
+        assert point_in_sector_region(p, s, lay)
 
 
 def _sector_polygon_centroid(lay, sector_index):
     # The sector region is the kite (site, vertex(b-60), vertex(b), vertex(b+60));
     # shoelace centroid as an independent oracle.
-    site = lay.sites[sector_index // 3]
+    site_x, site_y = lay.site_xy[sector_index // 3].tolist()
     boresight = SECTOR_BORESIGHTS_DEG[sector_index % 3]
     radius = hex_circumradius(lay.isd)
     angles = [boresight - 60, boresight, boresight + 60]
-    pts = [(site.x, site.y)] + [
-        (site.x + radius * math.cos(math.radians(a)),
-         site.y + radius * math.sin(math.radians(a)))
+    pts = [(site_x, site_y)] + [
+        (site_x + radius * math.cos(math.radians(a)),
+         site_y + radius * math.sin(math.radians(a)))
         for a in angles
     ]
     area2 = 0.0
@@ -278,9 +280,8 @@ def _sector_polygon_centroid(lay, sector_index):
 def test_drop_centroid_matches_polygon_oracle():
     lay = build_hex_grid(500.0, 0, wraparound=False)
     rng = np.random.default_rng(6)
-    ues = drop_cellular_ues(lay, 100_000, rng)
-    xs = np.array([u.position.x for u in ues if u.home_sector == 1])
-    ys = np.array([u.position.y for u in ues if u.home_sector == 1])
+    xy, sector = drop_cellular_ues(lay, 100_000, rng)
+    xs, ys = xy[sector == 1].T
     cx, cy = _sector_polygon_centroid(lay, 1)
     radius = hex_circumradius(500.0)
     assert abs(xs.mean() - cx) < 0.01 * radius
@@ -290,15 +291,19 @@ def test_drop_centroid_matches_polygon_oracle():
 def test_d2d_pair_distances_and_linkage():
     lay = build_hex_grid(500.0, 1, True)
     rng = np.random.default_rng(7)
-    pairs = drop_d2d_pairs(lay, 5, 250.0, 3.0, rng)
-    assert len(pairs) == 5 * lay.n_sectors
-    for tx, rx in pairs:
-        d = math.hypot(tx.position.x - rx.position.x, tx.position.y - rx.position.y)
+    xy, sector = drop_d2d_pairs(lay, 5, 250.0, 3.0, rng)
+    n = 5 * lay.n_sectors
+    assert xy.shape == (2 * n, 2) and sector.shape == (2 * n,)
+    # Rows 2j and 2j + 1 are pair j's transmitter and receiver; the
+    # transmitters are dropped sector by sector, 5 each.
+    assert sector[0::2].tolist() == np.repeat(np.arange(lay.n_sectors), 5).tolist()
+    for tx, rx, tx_sector, rx_sector in zip(
+        xy[0::2].tolist(), xy[1::2].tolist(), sector[0::2].tolist(), sector[1::2].tolist()
+    ):
+        d = math.hypot(tx[0] - rx[0], tx[1] - rx[1])
         assert 3.0 <= d <= 250.0
-        assert tx.role is Role.D2D_TX and rx.role is Role.D2D_RX
-        assert tx.peer == rx.id and rx.peer == tx.id
-        assert point_in_sector_region(tx.position, tx.home_sector, lay)
-        assert rx.home_sector == _sector_of_point_oracle(rx.position, lay)
+        assert point_in_sector_region(tx, tx_sector, lay)
+        assert rx_sector == _sector_of_point_oracle(rx, lay)
 
 
 def test_d2d_rejects_bad_min_distance():
@@ -314,15 +319,8 @@ def test_d2d_radius_is_area_uniform():
     # (r/range)^2 restricted above (min/range)^2 must be uniform.
     lay = build_hex_grid(500.0, 0, False)
     rng = np.random.default_rng(9)
-    pairs = []
-    for _ in range(200):
-        pairs += drop_d2d_pairs(lay, 170, 250.0, 25.0, rng)
-    r2 = np.array(
-        [
-            (tx.position.x - rx.position.x) ** 2 + (tx.position.y - rx.position.y) ** 2
-            for tx, rx in pairs
-        ]
-    ) / 250.0**2
+    xy = np.concatenate([drop_d2d_pairs(lay, 170, 250.0, 25.0, rng)[0] for _ in range(200)])
+    r2 = ((xy[0::2] - xy[1::2]) ** 2).sum(axis=1) / 250.0**2
     lo = (25.0 / 250.0) ** 2
     rescaled = (r2 - lo) / (1.0 - lo)
     assert len(rescaled) >= 100_000
@@ -331,20 +329,20 @@ def test_d2d_radius_is_area_uniform():
 
 def test_drops_are_deterministic_per_stream():
     lay = build_hex_grid(1732.0, 1, True)
-    a = drop_cellular_ues(lay, 4, np.random.default_rng(11))
-    b = drop_cellular_ues(lay, 4, np.random.default_rng(11))
-    assert a == b
-    pa = drop_d2d_pairs(lay, 4, 250.0, 3.0, np.random.default_rng(12))
-    pb = drop_d2d_pairs(lay, 4, 250.0, 3.0, np.random.default_rng(12))
-    assert pa == pb
+    xy_a, sector_a = drop_cellular_ues(lay, 4, np.random.default_rng(11))
+    xy_b, sector_b = drop_cellular_ues(lay, 4, np.random.default_rng(11))
+    assert xy_a.tolist() == xy_b.tolist() and sector_a.tolist() == sector_b.tolist()
+    xy_a, sector_a = drop_d2d_pairs(lay, 4, 250.0, 3.0, np.random.default_rng(12))
+    xy_b, sector_b = drop_d2d_pairs(lay, 4, 250.0, 3.0, np.random.default_rng(12))
+    assert xy_a.tolist() == xy_b.tolist() and sector_a.tolist() == sector_b.tolist()
 
 
 def test_sector_of_point_agrees_with_membership():
     lay = build_hex_grid(500.0, 2, True)
     rng = np.random.default_rng(13)
-    ues = drop_cellular_ues(lay, 3, rng)
-    for u in ues:
-        assert sector_of_point(u.position, lay) == u.home_sector
+    xy, sector = drop_cellular_ues(lay, 3, rng)
+    for p, s in zip(xy.tolist(), sector.tolist()):
+        assert sector_of_point(p, lay) == s
 
 
 def _philox(seed):
@@ -374,19 +372,20 @@ def test_block_sampler_equals_per_draw_oracle(case, seed, monkeypatch):
     rng, ref = make_rng(seed), _CountingRng(make_rng(seed))
     counters = DropCounters()
 
-    cell = drop_cellular_ues(lay, n_cell, rng, counters=counters)
-    assert cell == _drop_cellular_oracle(lay, n_cell, ref)
+    xy, sector = drop_cellular_ues(lay, n_cell, rng, counters=counters)
+    assert (xy.tolist(), sector.tolist()) == _drop_cellular_oracle(lay, n_cell, ref)
     assert _same_state(rng.bit_generator.state, ref.rng.bit_generator.state)
     assert counters.rejection_draws == ref.calls
 
-    pairs = drop_d2d_pairs(lay, n_pairs, d2d_range, 3.0, rng, start_id=len(cell),
-                           counters=counters)
-    assert pairs == _drop_d2d_pairs_oracle(lay, n_pairs, d2d_range, 3.0, ref,
-                                           start_id=len(cell))
+    xy, sector = drop_d2d_pairs(lay, n_pairs, d2d_range, 3.0, rng, counters=counters)
+    assert (xy.tolist(), sector.tolist()) == _drop_d2d_pairs_oracle(
+        lay, n_pairs, d2d_range, 3.0, ref
+    )
     assert _same_state(rng.bit_generator.state, ref.rng.bit_generator.state)
     assert counters.rejection_draws == ref.calls
-    assert counters.foreign_receivers == sum(tx.home_sector != rx.home_sector
-                                             for tx, rx in pairs)
+    assert counters.foreign_receivers == sum(
+        tx != rx for tx, rx in zip(sector[0::2].tolist(), sector[1::2].tolist())
+    )
     assert rng.random(3).tolist() == ref.rng.random(3).tolist()
 
 
@@ -522,8 +521,8 @@ def test_wrap_distance_is_symmetric_and_at_most_plain(data, lay):
 def test_sectors_of_points_equals_scalar_oracle(data, lay):
     xy = _points(data, lay, max_rows=30)
     got = sectors_of_points(xy, lay)
-    assert got.tolist() == [_sector_of_point_oracle(Point(x, y), lay) for x, y in xy.tolist()]
-    assert [sector_of_point(Point(x, y), lay) for x, y in xy.tolist()] == got.tolist()
+    assert got.tolist() == [_sector_of_point_oracle(p, lay) for p in xy.tolist()]
+    assert [sector_of_point(p, lay) for p in xy.tolist()] == got.tolist()
 
 
 @given(
@@ -538,7 +537,8 @@ def test_sectors_of_points_inside_the_cluster_match_the_region(lay, data, u, v):
     dx, dy = u * radius, v * radius
     # Keep clear of the cell edge, where two cells share the boundary.
     assume(_in_hexagon(dx * 1.001, dy * 1.001, lay.isd))
-    p = Point(lay.sites[site].x + dx, lay.sites[site].y + dy)
+    site_x, site_y = lay.site_xy[site].tolist()
+    p = (site_x + dx, site_y + dy)
     (sector,) = sectors_of_points([p], lay).tolist()
     assert sector // 3 == site
     assert point_in_sector_region(p, sector, lay)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from d2dsim.channel import ChannelConfig, build_coupling_table, sector_endpoint, ue_endpoint
-from d2dsim.layout import Point, Role, UeRecord, build_hex_grid
+from d2dsim.layout import Terminals, build_hex_grid, drop_cellular_ues
 from d2dsim.radio import (
     Coverage,
     PowerControlConfig,
@@ -169,44 +169,39 @@ class _TinyLayout:
 
 class TestClassifyCoverage:
     def test_strictly_less_than_threshold(self):
-        ue = UeRecord(0, Point(0, 0), Role.CELLULAR_TX, 0)
         lay = _TinyLayout(1)
-        assert classify_coverage(ue, lay, _coverage_table(-6.0), 46.0, RC) is Coverage.IN_COVERAGE
-        assert classify_coverage(ue, lay, _coverage_table(-6.01), 46.0, RC) is Coverage.OUT_OF_COVERAGE
+        assert classify_coverage(0, lay, _coverage_table(-6.0), 46.0, RC) is Coverage.IN_COVERAGE
+        assert classify_coverage(0, lay, _coverage_table(-6.01), 46.0, RC) is Coverage.OUT_OF_COVERAGE
 
     def test_single_sector_strong_signal(self):
-        ue = UeRecord(0, Point(0, 0), Role.CELLULAR_TX, 0)
-        assert classify_coverage(ue, _TinyLayout(1), _coverage_table(40.0), 46.0, RC) is Coverage.IN_COVERAGE
+        assert classify_coverage(0, _TinyLayout(1), _coverage_table(40.0), 46.0, RC) is Coverage.IN_COVERAGE
 
     def test_power_scan_is_monotone(self):
         # raising base power uniformly never flips in -> out
         lay = build_hex_grid(1732.0, 1, True)
         cfg = ChannelConfig()
         rng = np.random.default_rng(2)
-        from d2dsim.layout import drop_cellular_ues
-
-        ues = drop_cellular_ues(lay, 1, rng)
-        table = build_coupling_table(lay, ues, cfg, rng)
-        for ue in ues[:5]:
+        xy, sector = drop_cellular_ues(lay, 1, rng)
+        table = build_coupling_table(lay, Terminals(xy, sector, len(sector)), cfg, rng)
+        for ue_id in range(5):
             was_in = False
             for p in np.arange(-20.0, 60.0, 5.0):
-                state = classify_coverage(ue, lay, table, float(p), RC)
+                state = classify_coverage(ue_id, lay, table, float(p), RC)
                 if was_in:
                     assert state is Coverage.IN_COVERAGE
                 was_in = state is Coverage.IN_COVERAGE
 
     def test_interference_limited_when_sectors_compete(self):
         # with many equal sectors the SINR saturates below the single-sector SNR
-        ue = UeRecord(0, Point(0, 0), Role.CELLULAR_TX, 0)
         noise = thermal_noise_dbm(RC.bandwidth_hz, RC.noise_figure_ue_db)
         rx = ue_endpoint(0)
         losses = {(sector_endpoint(s), rx): 120.0 for s in range(3)}
         table = FakeTable(losses)
         # equal couplings: SINR ~ -3 dB regardless of power once I >> N
-        assert classify_coverage(ue, _TinyLayout(3), table, 46.0, RC) is Coverage.IN_COVERAGE
+        assert classify_coverage(0, _TinyLayout(3), table, 46.0, RC) is Coverage.IN_COVERAGE
         losses2 = {(sector_endpoint(s), rx): 120.0 for s in range(5)}
         assert (
-            classify_coverage(ue, _TinyLayout(5), FakeTable(losses2), 46.0, RC)
+            classify_coverage(0, _TinyLayout(5), FakeTable(losses2), 46.0, RC)
             is Coverage.OUT_OF_COVERAGE
         )
 

@@ -241,6 +241,24 @@ class TestPfUpdate:
         with pytest.raises(ValueError):
             pf_update(np.array([1.0]), np.array([0.0]), 0)
 
+    @pytest.mark.parametrize("t_c", [3, 7, 100])
+    def test_step_is_bit_exact(self, t_c):
+        # The step divides the served rate by t_c. Multiplying by 1 / t_c
+        # rounds differently on some inputs; a seeded search picks inputs where
+        # the two averages differ in the last bit, so either form shows.
+        rng = np.random.default_rng(t_c)
+        avg = rng.uniform(1e5, 2e7, 20_000)
+        served = np.where(rng.random(avg.size) < 0.2, 0.0, rng.uniform(1e5, 2e7, avg.size))
+        expected = avg * (1 - 1 / t_c) + served / t_c
+        by_reciprocal = avg * (1 - 1 / t_c) + served * (1.0 / t_c)
+        pick = np.flatnonzero(expected != by_reciprocal)[:50]
+        assert pick.size >= 10
+        avg, served, expected = avg[pick], served[pick], expected[pick]
+        assert pf_update(avg, served, t_c).tolist() == expected.tolist()
+        # In place, as the PF loop calls it.
+        assert pf_update(avg, served, t_c, out=avg) is avg
+        assert avg.tolist() == expected.tolist()
+
 
 def _isolated_sector(n_flows, loss_to_enb, seed=0):
     """One sector, no cross interference worth mentioning."""
@@ -442,14 +460,17 @@ def _mixed_drop_flows():
         seed=5,
     )
     layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
-    cell, pairs, table, _ = build_drop(cfg, layout, 0)
-    dest = {u.id: sector_endpoint(u.home_sector) for u in cell}
-    for j, (tx, rx) in enumerate(pairs):
+    terminals, table = build_drop(cfg, layout, 0)
+    # Cellular terminals are ids 0..n_cell-1; pair j is ids n_cell + 2j, + 1.
+    n_cell, home = terminals.n_cell, terminals.sector.tolist()
+    dest = {u: sector_endpoint(home[u]) for u in range(n_cell)}
+    for j in range(terminals.n_pairs):
+        tx = n_cell + 2 * j
         direct = j % cfg.n_d2d_tx_per_sector < 2
-        dest[tx.id] = ue_endpoint(rx.id) if direct else sector_endpoint(tx.home_sector)
+        dest[tx] = ue_endpoint(tx + 1) if direct else sector_endpoint(home[tx])
     flows = {}
-    for u in cell + [tx for tx, _ in pairs]:
-        flows.setdefault(u.home_sector, []).append(_flow_to(table, u.id, dest[u.id]))
+    for u in dest:  # cellular terminals, then pair transmitters
+        flows.setdefault(home[u], []).append(_flow_to(table, u, dest[u]))
     flows = {s: fl[: len(fl) - s % 3] for s, fl in flows.items()}
     flows = {s: fl[::-1] if s % 2 else fl for s, fl in flows.items()}
     assert layout.n_sectors == 21
@@ -570,12 +591,15 @@ def _multi_site_drop_flows(k_d2d):
         seed=2,
     )
     layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
-    _, pairs, table, _ = build_drop(cfg, layout, 0)
+    terminals, table = build_drop(cfg, layout, 0)
+    # No cellular terminals: pair j is ids 2j (transmitter) and 2j + 1.
+    assert terminals.n_cell == 0
+    home = terminals.sector.tolist()
     flows, dest = {}, {}
-    for tx, rx in pairs:
-        fl = flows.setdefault(tx.home_sector, [])
-        dest[tx.id] = ue_endpoint(rx.id) if len(fl) < k_d2d else sector_endpoint(tx.home_sector)
-        fl.append(_flow_to(table, tx.id, dest[tx.id]))
+    for tx in range(0, len(home), 2):
+        fl = flows.setdefault(home[tx], [])
+        dest[tx] = ue_endpoint(tx + 1) if len(fl) < k_d2d else sector_endpoint(home[tx])
+        fl.append(_flow_to(table, tx, dest[tx]))
     assert layout.n_sectors == 57 and sum(map(len, flows.values())) == 570
     return flows, table, dest
 
