@@ -53,7 +53,6 @@ class ChannelConfig:
     shadow_std_ueue_db: float = 7.0
     shadow_std_enbue_db: float = 8.0
     min_pl_db: float = 30.0
-    ue_ue_los: str = "umi"  # "umi" = distance-based probability, "nlos" = never
 
     def __post_init__(self):
         if self.carrier_ghz <= 0:
@@ -62,8 +61,6 @@ class ChannelConfig:
             raise ValueError("ue_height_m must exceed 1 m (breakpoint model)")
         if self.shadow_std_ueue_db < 0 or self.shadow_std_enbue_db < 0:
             raise ValueError("shadowing std must be >= 0")
-        if self.ue_ue_los not in ("umi", "nlos"):
-            raise ValueError(f"unknown ue_ue_los mode {self.ue_ue_los!r}")
 
 
 def los_probability(d):
@@ -250,9 +247,9 @@ def build_coupling_table(
     # Terminal -> terminal entries: the draws for all pairs, then the LOS
     # state, pathloss and floor one row block at a time.
     d_uu, _ = pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters)
-    los_u = rng.random((n_tx, n_rx))  # drawn in "nlos" mode too: same stream
+    los_u = rng.random((n_tx, n_rx))  # one LOS uniform per entry: part of the stream
     shadow_uu = draw_shadowing(cfg.shadow_std_ueue_db, rng, size=(n_tx, n_rx))
-    los = np.zeros((n_tx, n_rx), dtype=bool)
+    los = np.empty((n_tx, n_rx), dtype=bool)
     loss_uu = np.empty((n_tx, n_rx))
     clamped = floored = 0
     rows = max(1, _PAIR_BLOCK // max(n_rx, 1))
@@ -261,8 +258,7 @@ def build_coupling_table(
         d = d_uu[blk]
         clamped += np.count_nonzero(d < MIN_UE_UE_DISTANCE_M)
         np.maximum(d, MIN_UE_UE_DISTANCE_M, out=d)
-        if cfg.ue_ue_los == "umi":
-            np.less(los_u[blk], los_probability(d), out=los[blk])
+        np.less(los_u[blk], los_probability(d), out=los[blk])
         loss = np.add(ue_ue_pathloss(d, los[blk], cfg), shadow_uu[blk], out=loss_uu[blk])
         np.maximum(loss, cfg.min_pl_db, out=loss)
         floored += np.count_nonzero(loss == cfg.min_pl_db)

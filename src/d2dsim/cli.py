@@ -169,7 +169,7 @@ def _row_chunks(*columns):
 # Float cells use f"{v:.6g}" on Python floats, the format _fmt applies.
 def _write_sinr_csv(path: str, report: ExperimentReport) -> None:
     heads = [
-        f"{si},,," if s.is_no_pc else f"{si},{_fmt(s.alpha)},{_fmt(s.snr_target_db)},"
+        f"{si},{_fmt(s.alpha)},{_fmt(s.snr_target_db)}," if s.enabled else f"{si},,,"
         for si, s in enumerate(report.settings)
     ]
     samples = report.samples

@@ -10,7 +10,7 @@ identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -65,24 +65,6 @@ def _splitmix64(x: int) -> int:
 def drop_stream_seed(seed: int, drop_index: int) -> int:
     """Stream seed for one drop; independent of every other drop index."""
     return _splitmix64((seed & _MASK64) ^ _splitmix64(drop_index))
-
-
-@dataclass(frozen=True)
-class PowerSetting:
-    """One sweep point; alpha None means no power control (max power)."""
-
-    alpha: Optional[float]
-    snr_target_db: Optional[float]
-
-    @property
-    def is_no_pc(self) -> bool:
-        return self.alpha is None
-
-    @property
-    def label(self) -> str:
-        if self.is_no_pc:
-            return "no_power_control"
-        return f"alpha={self.alpha:g} snr_target_db={self.snr_target_db:g}"
 
 
 @dataclass(frozen=True)
@@ -172,36 +154,25 @@ class ExperimentConfig:
             raise ValueError("carrier_ghz must be positive")
 
 
-def sweep_settings(cfg: ExperimentConfig) -> list[PowerSetting]:
+def sweep_settings(cfg: ExperimentConfig) -> list[PowerControlConfig]:
+    """The power-control sweep, alpha-major, then max power (``enabled`` false)
+    if configured. ``noise_dbm`` is left unset: it is the receiver's."""
     settings = [
-        PowerSetting(a, t) for a in cfg.alpha_list for t in cfg.snr_target_db_list
+        PowerControlConfig(t, alpha=a) for a in cfg.alpha_list for t in cfg.snr_target_db_list
     ]
     if cfg.no_power_control:
-        settings.append(PowerSetting(None, None))
+        settings.append(PowerControlConfig(0.0, alpha=0.0, enabled=False))
     return settings
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
     experiment: str  # "sinr" | "throughput"
-    settings: tuple[PowerSetting, ...]
+    settings: tuple[PowerControlConfig, ...]
     samples: np.ndarray  # SINR_SAMPLE_DTYPE or THROUGHPUT_SAMPLE_DTYPE
     run_label: str = ""  # "baseline" | "offload" for throughput reports
     counters: DropCounters = field(default_factory=DropCounters)  # summed over drops
     starved_flows: int = 0  # throughput: PF flows granted no subframe, summed over drops
-
-
-def _setting_pc(setting: PowerSetting, noise_dbm: Optional[float]) -> PowerControlConfig:
-    if setting.is_no_pc:
-        return PowerControlConfig(
-            snr_target_db=0.0, noise_dbm=noise_dbm, alpha=0.0, enabled=False
-        )
-    return PowerControlConfig(
-        snr_target_db=setting.snr_target_db,
-        noise_dbm=noise_dbm,
-        alpha=setting.alpha,
-        enabled=True,
-    )
 
 
 def build_drop(
@@ -268,11 +239,11 @@ def _sinr_drop_samples(cfg, layout, settings, rc, drop_index) -> tuple[np.ndarra
     cell_loss = table.ue_sector_loss_db[np.arange(n_cell), terminals.sector[:n_cell]]
     chunks = []
     for si, setting in enumerate(settings):
-        p_d2d = np.asarray(open_loop_tx_power(_setting_pc(setting, noise_ue_dbm), own_loss))
+        p_d2d = open_loop_tx_power(replace(setting, noise_dbm=noise_ue_dbm), own_loss)
         p_lin = 10.0 ** (p_d2d / 10.0)
         # Cellular terminals transmit uplink in every subframe; their power is
         # set against their own serving-sector link (none: cell_at_rx is 0).
-        p_cell = np.asarray(open_loop_tx_power(_setting_pc(setting, noise_enb_dbm), cell_loss))
+        p_cell = open_loop_tx_power(replace(setting, noise_dbm=noise_enb_dbm), cell_loss)
         cell_at_rx = (10.0 ** (p_cell / 10.0)) @ gain[:n_cell]
         for sel, cross_gain, own_gain in active:
             received = p_lin[sel] @ cross_gain + cell_at_rx[sel]
@@ -359,7 +330,6 @@ def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, 
     layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
     (setting,) = sweep_settings(cfg)
     rc = RadioConfig()
-    pc = _setting_pc(setting, None)
 
     chunks = {"baseline": [], "offload": []}
     starved = dict.fromkeys(chunks, 0)
@@ -368,7 +338,7 @@ def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, 
         terminals, table = build_drop(cfg, layout, drop, counters=counters)
         for label, k_d2d in (("baseline", 0), ("offload", cfg.k_d2d)):
             flows = _flows_for(terminals, cfg.n_d2d_tx_per_sector, k_d2d)
-            result = run_pf_uplink(flows, cfg.n_subframes, rc, pc, table)
+            result = run_pf_uplink(flows, cfg.n_subframes, rc, setting, table)
             chunks[label].append(_throughput_rows(drop, flows, result))
             starved[label] += sum(g == 0 for g in result.granted_subframes.values())
 
@@ -425,13 +395,11 @@ def sinr_summary(report: ExperimentReport, threshold_db: float = -6.0) -> list[d
     rows = []
     for si, setting in enumerate(report.settings):
         vals = report.samples["sinr_db"][report.samples["setting_id"] == si]
-        row = {
-            "setting_id": si,
-            "alpha": setting.alpha,
-            "snr_target_db": setting.snr_target_db,
-            "label": setting.label,
-            "n": int(vals.size),
-        }
+        label = (
+            f"alpha={setting.alpha:g} snr_target_db={setting.snr_target_db:g}"
+            if setting.enabled else "no_power_control"
+        )
+        row = {"setting_id": si, "label": label, "n": int(vals.size)}
         if vals.size:
             row["fraction_above"] = fraction_above(vals, threshold_db)
             row["mean_db"] = float(vals.mean())

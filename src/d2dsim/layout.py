@@ -43,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -109,16 +109,31 @@ class NetworkLayout:
         return np.tile(SECTOR_BORESIGHTS_DEG, self.n_sites)
 
 
-class Terminals(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Terminals:
     """The terminals of one drop, by id: terminal i sits at ``xy[i]`` with
     home sector ``sector[i]``. The ``n_cell`` cellular terminals come first,
     then each D2D pair's transmitter and receiver, so pair j's transmitter is
     terminal ``n_cell + 2j`` and its receiver the next one. ``tx_ids`` lists
     the transmitters: the cellular ones, then pair j's at entry n_cell + j."""
 
-    xy: np.ndarray
-    sector: np.ndarray
+    xy: np.ndarray  # (n, 2)
+    sector: np.ndarray  # (n,)
     n_cell: int
+
+    def __post_init__(self):
+        shape = np.shape(self.xy)
+        if len(shape) != 2 or shape[1] != 2:
+            raise ValueError(f"Terminals: xy must be (n, 2), got shape {shape}")
+        n = shape[0]
+        if np.shape(self.sector) != (n,):
+            raise ValueError(
+                f"Terminals: sector must have {n} entries, got shape {np.shape(self.sector)}"
+            )
+        if not 0 <= self.n_cell <= n or (n - self.n_cell) % 2:
+            raise ValueError(
+                f"Terminals: n_cell = {self.n_cell} of {n} terminals leaves no whole number of pairs"
+            )
 
     @property
     def n_pairs(self) -> int:

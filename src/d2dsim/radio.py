@@ -20,8 +20,10 @@ class PowerControlConfig:
     """Open-loop uplink power control: min(p_max, target + noise + alpha * PL).
 
     ``noise_dbm`` is the noise power over the scheduled bandwidth at the
-    intended receiver; callers that schedule mixed link types fill it in per
-    link. ``enabled=False`` means every terminal transmits at maximum power.
+    intended receiver. A sweep point (`engine.sweep_settings`) leaves it
+    unset, and the engine fills it in per receiver: UE or eNB noise, or per
+    link in a PF run. ``enabled=False`` means every terminal transmits at
+    maximum power.
     """
 
     snr_target_db: float

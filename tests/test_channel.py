@@ -291,14 +291,6 @@ class TestCouplingTable:
         assert table.ue_ue_loss_db.min() >= cfg.min_pl_db
         assert table.ue_sector_loss_db.min() >= cfg.min_pl_db - 14.0
 
-    def test_always_nlos_mode(self):
-        lay = build_hex_grid(1000.0, 0, False)
-        cfg = ChannelConfig(ue_ue_los="nlos")
-        rng = np.random.default_rng(10)
-        xy, sector = drop_d2d_pairs(lay, 5, 250.0, 3.0, rng)
-        table = build_coupling_table(lay, Terminals(xy, sector, 0), cfg, rng)
-        assert not table.ue_ue_los.any()
-
 
 # The full-matrix coupling-table body before the row blocks: every terminal
 # pair in one pass and the terminal-to-sector search over sector columns.
@@ -316,11 +308,7 @@ def _coupling_table_oracle(layout, terminals, cfg, rng, counters):
     d_uu, _ = pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters)
     counters.clamped_distances += int(np.count_nonzero(d_uu < MIN_UE_UE_DISTANCE_M))
     d_uu = np.maximum(d_uu, MIN_UE_UE_DISTANCE_M)
-    if cfg.ue_ue_los == "umi":
-        los = rng.random((n_tx, n_rx)) < los_probability(d_uu)
-    else:
-        los = np.zeros((n_tx, n_rx), dtype=bool)
-        rng.random((n_tx, n_rx))
+    los = rng.random((n_tx, n_rx)) < los_probability(d_uu)
     shadow_uu = draw_shadowing(cfg.shadow_std_ueue_db, rng, size=(n_tx, n_rx))
     pl_uu = ue_ue_pathloss(d_uu, los, cfg)
     loss_uu = np.maximum(pl_uu + shadow_uu, cfg.min_pl_db)
@@ -382,7 +370,7 @@ _TABLE_CASES = {
     "wide_area": (_random_drop(1732.0, 2, True, 0, 10, 250.0), CFG),
     "dense_discovery": (_random_drop(500.0, 2, True, 50, 10, 50.0), CFG),
     "single_site": (_random_drop(500.0, 0, False, 4, 6, 250.0), CFG),
-    "nlos": (_random_drop(1732.0, 2, True, 2, 5, 250.0), ChannelConfig(ue_ue_los="nlos")),
+    "wide_area_cellular": (_random_drop(1732.0, 2, True, 2, 5, 250.0), CFG),
     "lattice_ties": (_lattice_drop, CFG),
 }
 

@@ -11,10 +11,10 @@ from d2dsim.engine import (
     THROUGHPUT_SAMPLE_DTYPE,
     ExperimentConfig,
     ExperimentReport,
-    PowerSetting,
     expected_sinr_sample_count,
 )
 from d2dsim.layout import build_hex_grid
+from d2dsim.radio import PowerControlConfig
 from d2dsim.scheduling import CoordinationMode, run_pf_uplink
 
 # A run that warns (numpy overflow, invalid value) fails here.
@@ -337,6 +337,9 @@ class TestMain:
         assert not (tmp_path / "out" / "summary.txt").exists()
 
 
+MAX_POWER = PowerControlConfig(0.0, alpha=0.0, enabled=False)  # the sweep's max-power point
+
+
 # The per-row writers the columnar ones replaced, kept as the byte oracle.
 
 
@@ -346,8 +349,8 @@ def _write_sinr_csv_oracle(path, report):
         settings = report.settings
         for row in report.samples:
             s = settings[int(row["setting_id"])]
-            alpha = "" if s.is_no_pc else _fmt(s.alpha)
-            target = "" if s.is_no_pc else _fmt(s.snr_target_db)
+            alpha = _fmt(s.alpha) if s.enabled else ""
+            target = _fmt(s.snr_target_db) if s.enabled else ""
             fh.write(
                 f"{int(row['setting_id'])},{alpha},{target},{int(row['drop'])},"
                 f"{int(row['sector'])},{int(row['link'])},{_fmt(float(row['sinr_db']))}\n"
@@ -382,9 +385,9 @@ class TestColumnarEmission:
     @pytest.mark.parametrize("n_rows", [0, 1, N_ROWS], ids=["empty", "one_row", "two_chunks"])
     def test_sinr_csv_bytes_equal_per_row_oracle(self, tmp_path, n_rows):
         settings = (
-            PowerSetting(0.8, -5.5),
-            PowerSetting(1.0, 1e-5),
-            PowerSetting(None, None),
+            PowerControlConfig(-5.5, alpha=0.8),
+            PowerControlConfig(1e-5, alpha=1.0),
+            MAX_POWER,
         )
         samples = np.zeros(n_rows, dtype=SINR_SAMPLE_DTYPE)
         samples["setting_id"] = np.arange(n_rows) % len(settings)
@@ -405,7 +408,7 @@ class TestColumnarEmission:
             samples["role"] = np.where(np.arange(n_rows) % 3 == 0, "d2d", "cellular")
             samples["throughput_bps"] = _values(n_rows)[::-1]
             return ExperimentReport(
-                "throughput", (PowerSetting(None, None),), samples, run_label=label
+                "throughput", (MAX_POWER,), samples, run_label=label
             )
 
         baseline, offload = report("baseline", self.N_ROWS), report("offload", 5)

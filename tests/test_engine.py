@@ -32,6 +32,7 @@ from d2dsim.layout import (
     drop_d2d_pairs,
 )
 from d2dsim.radio import (
+    PowerControlConfig,
     RadioConfig,
     compute_sinr,
     open_loop_tx_power,
@@ -39,7 +40,6 @@ from d2dsim.radio import (
 )
 from d2dsim.scheduling import ORTHOGONAL_TDM, UNCOORDINATED, spatial_reuse
 
-from d2dsim.engine import _setting_pc  # engine-internal, exercised on purpose
 from test_scheduling import active_slot_indices, cycle_length  # per-mode oracle
 
 
@@ -219,10 +219,10 @@ class TestSinrExperiment:
                 p = {}
                 for tx, rx in pairs:
                     pl = table.loss_db(ue_endpoint(tx), ue_endpoint(rx))
-                    p[ue_endpoint(tx)] = open_loop_tx_power(_setting_pc(setting, noise_ue), pl)
+                    p[ue_endpoint(tx)] = open_loop_tx_power(replace(setting, noise_dbm=noise_ue), pl)
                 for u in cell:
                     pl = table.loss_db(ue_endpoint(u), sector_endpoint(home[u]))
-                    p[ue_endpoint(u)] = open_loop_tx_power(_setting_pc(setting, noise_enb), pl)
+                    p[ue_endpoint(u)] = open_loop_tx_power(replace(setting, noise_dbm=noise_enb), pl)
                 rows = sel[sel["setting_id"] == si]
                 assert rows["link"].tolist() == expected_links
                 for row, active in zip(rows, active_sets, strict=True):
@@ -389,6 +389,20 @@ class TestThroughputExperiment:
             rows = report.samples[report.samples["drop"] == i // 2]
             assert rows["flow"].tolist() == list(result.throughput_bps)
             assert rows["throughput_bps"].tolist() == list(result.throughput_bps.values())
+
+    def test_pf_runs_take_the_configured_power_setting(self, monkeypatch):
+        # TPUT's one sweep point, with the noise left for run_pf_uplink to
+        # fill in per link; a max-power run would give other throughputs.
+        settings = []
+        original = engine.run_pf_uplink
+
+        def recording(flows, n_subframes, rc, pc, table):
+            settings.append(pc)
+            return original(flows, n_subframes, rc, pc, table)
+
+        monkeypatch.setattr(engine, "run_pf_uplink", recording)
+        run_throughput_experiment(TPUT)
+        assert settings == [PowerControlConfig(10.0, alpha=1.0)] * (2 * TPUT.n_drops)
 
     @pytest.mark.parametrize("k_d2d", [0, 2, 4])
     def test_flows_carry_their_table_positions(self, k_d2d):
@@ -576,7 +590,7 @@ def test_sinr_never_exceeds_the_links_snr(isd, n_rings, n_cell, n_d2d, coordinat
     own_gain = table.ue_ue_gain_lin[terminals.n_cell + links, links]
     link_of = {tx: j for j, (tx, _) in enumerate(_pairs(terminals))}
     for si, setting in enumerate(rep.settings):
-        p_dbm = np.asarray(open_loop_tx_power(_setting_pc(setting, noise_dbm), own_loss))
+        p_dbm = open_loop_tx_power(replace(setting, noise_dbm=noise_dbm), own_loss)
         snr_db = 10.0 * np.log10(10.0 ** (p_dbm / 10.0) * own_gain / 10.0 ** (noise_dbm / 10.0))
         rows = rep.samples[rep.samples["setting_id"] == si]
         j = np.array([link_of[int(i)] for i in rows["link"]])
@@ -651,6 +665,17 @@ class TestConfigValidation:
         cfg = ExperimentConfig()
         settings = sweep_settings(cfg)
         assert len(settings) == 3 * 4 + 1
-        assert settings[-1].is_no_pc
+        assert not settings[-1].enabled
+        assert all(s.enabled for s in settings[:-1])
+        assert all(s.noise_dbm is None for s in settings)  # filled in per receiver
+        # Alpha-major, in config order; the summary labels name each point.
+        assert [(s.alpha, s.snr_target_db) for s in settings[:-1]] == [
+            (a, t) for a in (0.0, 0.8, 1.0) for t in (0.0, 5.0, 10.0, 15.0)
+        ]
+        no_samples = np.zeros(0, engine.SINR_SAMPLE_DTYPE)
+        report = engine.ExperimentReport("sinr", tuple(settings), no_samples)
+        assert [row["label"] for row in sinr_summary(report)] == [
+            f"alpha={a} snr_target_db={t}" for a in ("0", "0.8", "1") for t in ("0", "5", "10", "15")
+        ] + ["no_power_control"]
         cfg2 = ExperimentConfig(alpha_list=(), snr_target_db_list=())
         assert len(sweep_settings(cfg2)) == 1

@@ -12,6 +12,7 @@ from d2dsim.layout import (
     MIN_UE_UE_DISTANCE_M,
     SECTOR_BORESIGHTS_DEG,
     DropCounters,
+    Terminals,
     _face_of_angle,
     _in_hexagon,
     build_hex_grid,
@@ -304,6 +305,44 @@ def test_d2d_pair_distances_and_linkage():
         assert 3.0 <= d <= 250.0
         assert point_in_sector_region(tx, tx_sector, lay)
         assert rx_sector == _sector_of_point_oracle(rx, lay)
+
+
+def _six_pairs():
+    return drop_d2d_pairs(build_hex_grid(500.0, 0, False), 2, 250.0, 3.0, np.random.default_rng(3))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["xy_transposed", "xy_three_columns", "xy_flat", "sector_short", "sector_2d",
+     "n_cell_odd", "n_cell_3", "n_cell_negative", "n_cell_beyond_n"],
+)
+def test_terminals_rejects_inconsistent_records(case):
+    xy, sector = _six_pairs()
+    assert xy.shape == (12, 2)
+    args = {
+        "xy_transposed": (xy.T, sector, 0),
+        "xy_three_columns": (np.hstack((xy, xy[:, :1])), sector, 0),
+        "xy_flat": (xy.ravel(), sector, 0),
+        "sector_short": (xy, sector[:5], 0),
+        "sector_2d": (xy, sector[:, None], 0),
+        "n_cell_odd": (xy, sector, 1),
+        "n_cell_3": (xy, sector, 3),
+        "n_cell_negative": (xy, sector, -2),
+        "n_cell_beyond_n": (xy, sector, 14),
+    }[case]
+    with pytest.raises(ValueError, match="Terminals"):
+        Terminals(*args)
+
+
+def test_terminals_reads_n_cell_as_given():
+    # Twelve rows with n_cell = 2 are a consistent record of two cellular
+    # terminals and five pairs; a record cannot tell which rows the sampler
+    # meant as pairs, so only the counts are checked.
+    xy, sector = _six_pairs()
+    assert Terminals(xy, sector, 0).n_pairs == 6
+    two_cell = Terminals(xy, sector, n_cell=2)
+    assert two_cell.n_pairs == 5 and two_cell.tx_ids.tolist() == [0, 1, 2, 4, 6, 8, 10]
+    assert Terminals(np.zeros((0, 2)), np.zeros(0, int), 0).n_pairs == 0
 
 
 def test_d2d_rejects_bad_min_distance():
