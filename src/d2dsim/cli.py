@@ -232,6 +232,7 @@ def _write_diagnostics(path: str, reports: tuple[ExperimentReport, ...]) -> None
     counters = reports[0].counters
     lines = [(f.name, getattr(counters, f.name)) for f in fields(counters)]
     lines += [(f"{r.run_label}_starved_flows", r.starved_flows) for r in reports if r.run_label]
+    lines += [("offload_d2d_grants", r.d2d_grants) for r in reports if r.run_label == "offload"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(f"{name} = {value}\n" for name, value in lines)
 

@@ -173,6 +173,7 @@ class ExperimentReport:
     run_label: str = ""  # "baseline" | "offload" for throughput reports
     counters: DropCounters = field(default_factory=DropCounters)  # summed over drops
     starved_flows: int = 0  # throughput: PF flows granted no subframe, summed over drops
+    d2d_grants: int = 0  # throughput: PF grants to direct flows, summed over drops
 
 
 def build_drop(
@@ -332,7 +333,7 @@ def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, 
     rc = RadioConfig()
 
     chunks = {"baseline": [], "offload": []}
-    starved = dict.fromkeys(chunks, 0)
+    starved, d2d_grants = dict.fromkeys(chunks, 0), dict.fromkeys(chunks, 0)
     counters = DropCounters()
     for drop in range(cfg.n_drops):
         terminals, table = build_drop(cfg, layout, drop, counters=counters)
@@ -340,12 +341,14 @@ def run_throughput_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, 
             flows = _flows_for(terminals, cfg.n_d2d_tx_per_sector, k_d2d)
             result = run_pf_uplink(flows, cfg.n_subframes, rc, setting, table)
             chunks[label].append(_throughput_rows(drop, flows, result))
-            starved[label] += sum(g == 0 for g in result.granted_subframes.values())
+            grants = result.granted_subframes
+            starved[label] += sum(g == 0 for g in grants.values())
+            d2d_grants[label] += sum(grants[f.id] for fl in flows.values() for f in fl if f.role == "d2d")
 
     return tuple(
         ExperimentReport(
             "throughput", (setting,), np.concatenate(chunks[label]), run_label=label,
-            counters=counters, starved_flows=starved[label],
+            counters=counters, starved_flows=starved[label], d2d_grants=d2d_grants[label],
         )
         for label in chunks
     )

@@ -17,11 +17,11 @@ transmits from table row `row` to column `col` of the drop's terminal-row
 loss matrix (row and column order: see `CouplingTable`). The PF state lives
 in arrays indexed by position in flow id order: one flows x flows coupling
 matrix gathered from the drop's table by those rows and columns, and per-flow
-averages. `run_pf_uplink` runs each subframe as one fixed sequence of
-in-place steps on buffers allocated once per run (listed in its docstring),
-calling the single-step rules `pf_select` and `pf_update` with output
-buffers. The rates at the snapshot of subframe t are both what the flows
-granted at t are served and what the grants at t+1 are chosen from.
+averages. `run_pf_uplink` calls the single-step rules `pf_select` and
+`pf_update` every subframe, with output buffers. The rates at the snapshot of
+subframe t are both what the flows granted at t are served and what the
+grants at t+1 are chosen from. They depend only on t's grant set, so a run
+computes them once per distinct set and looks them up when a set repeats.
 """
 
 from __future__ import annotations
@@ -164,16 +164,20 @@ def run_pf_uplink(
     receiver (terminal or base). PF averages start at the flow's
     no-interference rate. Sectors with no flows are skipped.
 
-    Each subframe, on buffers allocated once per run: `pf_select` on the
-    rates at the current interference snapshot; the granted coupling rows
-    summed, less each flow's own sector's row and floored at 0, as the next
-    snapshot, and the rates at it; the served rates (the granted flows'
-    entries, 0 elsewhere) passed to `pf_update` and added to the per-flow
-    bits and grant counts.
+    Each subframe: `pf_select` on the rates at the current interference
+    snapshot, then the rates at the snapshot of its grants, then `pf_update`
+    on the served rates (the granted flows' entries, 0 elsewhere). A grant
+    set's rates (granted coupling rows summed, less each flow's own sector's
+    row, floored at 0, then the rate map) are computed on first use and
+    reused, the same floats, when the set repeats: coupling, signal and noise
+    are fixed for the run. The memo holds at most n_subframes x n_flows floats
+    and lives only in this call. After the loop, `np.add.at` sums the logged
+    bits in time order, as the per-subframe sums did (adding 0.0 is exact).
 
-    One call is one PF run. `run_throughput_experiment` makes one call per
-    run, in run order, passing the flows and `n_subframes` as the first two
-    arguments; `perfbench/tracing.py` wraps this function and derives its
+    One call is one PF run, with one `pf_select` and one `pf_update` call per
+    subframe. `run_throughput_experiment` makes one call per run, in run
+    order, passing the flows and `n_subframes` as the first two arguments;
+    `perfbench/tracing.py` wraps these functions and derives its call counts,
     grant counters and golden `grants_digest` from exactly those calls, so a
     change that batches several runs into one call must change it too.
     """
@@ -214,56 +218,58 @@ def run_pf_uplink(
     snr_db = 10.0 * np.array([math.log10(r) for r in (signal_lin / noise_lin).tolist()])
     avg = np.maximum(_shannon_rate_bps(snr_db, rc.bandwidth_hz, rc, snr_db), 1.0)
 
-    # Buffers allocated once per run. inst holds each flow's rate at the
-    # current interference snapshot. It drives the next grants, and right
-    # after the snapshot is taken it is also the served rate of every flow
-    # granted in it: a granted flow's interference from the other grants is
-    # exactly its snapshot entry. own_at indexes granted_rows[sector of f, f].
+    # Buffers allocated once per run. inst is each flow's rate at the current
+    # interference snapshot. It drives the next grants, and it is also the
+    # served rate of every flow granted in that snapshot: a granted flow's
+    # interference from the other grants is exactly its snapshot entry.
+    # rate_at maps a grant set's bytes to its read-only inst. own_at indexes
+    # granted_rows[sector of f, f]. Row t of the logs holds subframe t's
+    # grants and the rates they were served.
     n_sectors = len(sectors)
-    inst = np.empty(n_flows)
     select_work = _select_work(slots, n_flows)
-    grants = np.empty(n_sectors, dtype=np.intp)
     granted_rows = np.empty((n_sectors, n_flows))
     grant_total = np.empty(n_flows)
     interference = np.zeros(n_flows)
     own_at = sector_of_pos * n_flows + np.arange(n_flows)
-    granted = np.empty(n_flows)  # 1.0 at this subframe's grants, else 0.0
     served = np.empty(n_flows)
-    bits = np.zeros(n_flows)
-    grant_count = np.zeros(n_flows)
+    grant_log = np.empty((n_subframes, n_sectors), dtype=np.intp)
+    served_log = np.empty((n_subframes, n_sectors))
+    rate_at: dict[bytes, np.ndarray] = {}
 
     def rate_at_snapshot():
         # Grants use the previous subframe's interference snapshot
         # (noise-only at t=0); service uses the grants concurrent at t.
-        np.add(noise_lin, interference, out=inst)
+        inst = np.add(noise_lin, interference)
         np.divide(signal_lin, inst, out=inst)
         np.log10(inst, out=inst)
         np.multiply(10.0, inst, out=inst)
         _shannon_rate_bps(inst, rc.bandwidth_hz, rc, inst)
+        inst.flags.writeable = False
+        return inst
 
-    rate_at_snapshot()
-    for _ in range(n_subframes):
+    inst = rate_at_snapshot()
+    for grants, served_rates in zip(grant_log, served_log):
         pf_select(inst, avg, slots, grants, select_work)
-
-        coupling_lin.take(grants, axis=0, out=granted_rows, mode="wrap")
-        np.add.reduce(granted_rows, axis=0, out=grant_total)
-        granted_rows.take(own_at, out=interference, mode="wrap")
-        np.subtract(grant_total, interference, out=interference)
-        np.maximum(interference, 0.0, out=interference)
-        rate_at_snapshot()
-
-        # The 0.0 served off the grants leaves those flows' bits unchanged.
-        granted.fill(0.0)
-        granted[grants] = 1.0
-        np.multiply(inst, granted, out=served)
+        key = grants.tobytes()
+        inst = rate_at.get(key)
+        if inst is None:
+            coupling_lin.take(grants, axis=0, out=granted_rows, mode="wrap")
+            np.add.reduce(granted_rows, axis=0, out=grant_total)
+            granted_rows.take(own_at, out=interference, mode="wrap")
+            np.subtract(grant_total, interference, out=interference)
+            np.maximum(interference, 0.0, out=interference)
+            inst = rate_at[key] = rate_at_snapshot()
+        inst.take(grants, out=served_rates, mode="wrap")
+        served.fill(0.0)
+        served.put(grants, served_rates)
         pf_update(avg, served, t_c, out=avg)
-        np.multiply(served, SUBFRAME_S, out=served)
-        np.add(bits, served, out=bits)
-        np.add(grant_count, granted, out=grant_count)
 
+    bits = np.zeros(n_flows)
+    np.add.at(bits, grant_log, served_log * SUBFRAME_S)
+    grant_count = np.bincount(grant_log.ravel(), minlength=n_flows)
     ids = [f.id for f in flows]
     duration_s = n_subframes * SUBFRAME_S
     return PfResult(
         throughput_bps=dict(zip(ids, (bits / duration_s).tolist())),
-        granted_subframes=dict(zip(ids, grant_count.astype(int).tolist())),
+        granted_subframes=dict(zip(ids, grant_count.tolist())),
     )

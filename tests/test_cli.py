@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from d2dsim.engine import (
 from d2dsim.layout import build_hex_grid
 from d2dsim.radio import PowerControlConfig
 from d2dsim.scheduling import CoordinationMode, run_pf_uplink
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # A run that warns (numpy overflow, invalid value) fails here.
 pytestmark = pytest.mark.filterwarnings("error")
@@ -200,11 +205,15 @@ class TestMain:
 
     def test_throughput_diagnostics_count_starved_flows(self, tmp_path, monkeypatch):
         # Two subframes grant at most two of each sector's five flows.
-        starved = []
+        starved, d2d_grants = [], []
 
-        def recording(*args, **kwargs):
-            result = run_pf_uplink(*args, **kwargs)
-            starved.append(sum(g == 0 for g in result.granted_subframes.values()))
+        def recording(sector_flows, *args, **kwargs):
+            result = run_pf_uplink(sector_flows, *args, **kwargs)
+            grants = result.granted_subframes
+            starved.append(sum(g == 0 for g in grants.values()))
+            d2d_grants.append(
+                sum(grants[f.id] for fl in sector_flows.values() for f in fl if f.role == "d2d")
+            )
             return result
 
         monkeypatch.setattr(engine, "run_pf_uplink", recording)
@@ -219,11 +228,31 @@ class TestMain:
         assert list(lines) == [
             "rejection_draws", "clamped_distances", "floor_entries", "foreign_receivers",
             "wrap_near_ties", "baseline_starved_flows", "offload_starved_flows",
+            "offload_d2d_grants",
         ]
         # Runs go drop 0 baseline, drop 0 offload, drop 1 baseline, ...
         assert len(starved) == 2 * 4
         assert int(lines["baseline_starved_flows"]) == starved[0] + starved[2] >= 2 * 3 * 3
         assert int(lines["offload_starved_flows"]) == starved[1] + starved[3] >= 2 * 3 * 3
+        assert d2d_grants[0] == d2d_grants[2] == 0
+        assert int(lines["offload_d2d_grants"]) == d2d_grants[1] + d2d_grants[3] > 0
+
+    def test_throughput_offload_preset_bytes_are_pinned(self, tmp_path):
+        # SHA-256 digests of configs/throughput_offload.cfg at 2 drops,
+        # recorded before the PF loop's rate memo; manifest without # lines.
+        expected = {
+            "throughput.csv": "33f4577d887cc26c6f0eabfb7d518f30081f6ab859e4ee6f8e20a10e98063cf0",
+            "summary.txt": "f0f96373cbea71d0ba2f8c6335420b265612424fe54969d139af4813caab3857",
+            "manifest.txt": "16bc6ee85b24e10bc87726248524e3a4cb5bad1967fad822fc7abe21414bf754",
+        }
+        cfg = replace(parse_config(str(CONFIGS / "throughput_offload.cfg")), n_drops=2)
+        cli.emit_reports(engine.run_experiment(cfg), cfg, str(tmp_path), 0.0)
+        got = {}
+        for name in expected:
+            lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+            data = b"".join(line for line in lines if not line.startswith(b"#"))
+            got[name] = hashlib.sha256(data).hexdigest()
+        assert got == expected
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SMALL_SINR + f"out_dir = {tmp_path}/q\n")

@@ -519,7 +519,9 @@ def _oracle_select(inst_rate_bps, avg_rate_bps, slots):
     return slots[np.arange(len(slots)), metric[slots].argmax(axis=1)]
 
 
-def _array_pf_oracle(sector_flows, dest, n_subframes, rc, pc, table, t_c=100):
+def _array_pf_oracle(sector_flows, dest, n_subframes, rc, pc, table, t_c=100, grant_log=None):
+    """The oracle loop. When `grant_log` is a list, each subframe's grants
+    are appended to it as a tuple of flow positions."""
     sectors = sorted(s for s in sector_flows if sector_flows[s])
     flows = sorted((f for s in sectors for f in sector_flows[s]), key=lambda f: f.id)
     n_flows = len(flows)
@@ -550,6 +552,8 @@ def _array_pf_oracle(sector_flows, dest, n_subframes, rc, pc, table, t_c=100):
     for _ in range(n_subframes):
         est_sinr_db = 10.0 * np.log10(signal_lin / (noise_lin + interference))
         grants = _oracle_select(_oracle_rate(est_sinr_db, rc), avg, slots)
+        if grant_log is not None:
+            grant_log.append(tuple(grants.tolist()))
 
         grant_total = coupling_lin[grants].sum(axis=0)
         other = np.maximum(grant_total[grants] - coupling_lin[grants, grants], 0.0)
@@ -570,11 +574,26 @@ def _array_pf_oracle(sector_flows, dest, n_subframes, rc, pc, table, t_c=100):
     )
 
 
+def _engine_drop_flows(cfg, k_d2d, drop_index=0):
+    """The flows of one drop of a throughput config with no cellular
+    terminals, laid out as the engine lays them out."""
+    layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
+    terminals, table = build_drop(cfg, layout, drop_index)
+    # No cellular terminals: pair j is ids 2j (transmitter) and 2j + 1.
+    assert terminals.n_cell == 0
+    home = terminals.sector.tolist()
+    flows, dest = {}, {}
+    for tx in range(0, len(home), 2):
+        fl = flows.setdefault(home[tx], [])
+        dest[tx] = ue_endpoint(tx + 1) if len(fl) < k_d2d else sector_endpoint(home[tx])
+        fl.append(_flow_to(table, tx, dest[tx]))
+    return flows, table, dest
+
+
 def _multi_site_drop_flows(k_d2d):
     """Drop 0 of a throughput_multi_site-shaped run at seed 2 (57 sectors,
-    570 flows), with flows laid out as the engine lays them out. Its
-    first-subframe grants include near-ties that flip if any float step of
-    the loop changes."""
+    570 flows). Its first-subframe grants include near-ties that flip if any
+    float step of the loop changes."""
     cfg = ExperimentConfig(
         experiment="throughput",
         isd_m=500.0,
@@ -590,18 +609,29 @@ def _multi_site_drop_flows(k_d2d):
         k_d2d=5,
         seed=2,
     )
-    layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
-    terminals, table = build_drop(cfg, layout, 0)
-    # No cellular terminals: pair j is ids 2j (transmitter) and 2j + 1.
-    assert terminals.n_cell == 0
-    home = terminals.sector.tolist()
-    flows, dest = {}, {}
-    for tx in range(0, len(home), 2):
-        fl = flows.setdefault(home[tx], [])
-        dest[tx] = ue_endpoint(tx + 1) if len(fl) < k_d2d else sector_endpoint(home[tx])
-        fl.append(_flow_to(table, tx, dest[tx]))
-    assert layout.n_sectors == 57 and sum(map(len, flows.values())) == 570
+    flows, table, dest = _engine_drop_flows(cfg, k_d2d)
+    assert len(flows) == 57 and sum(map(len, flows.values())) == 570
     return flows, table, dest
+
+
+# The shape of configs/throughput_offload.cfg: 3 sectors of 10 transmitters,
+# 50 m links, 2,000 subframes. Most of its subframes repeat an earlier grant
+# set, so run_pf_uplink serves them from its rate memo.
+SINGLE_SITE = ExperimentConfig(
+    experiment="throughput",
+    isd_m=500.0,
+    n_rings=0,
+    wraparound=False,
+    n_d2d_tx_per_sector=10,
+    d2d_range_m=50.0,
+    alpha_list=(),
+    snr_target_db_list=(),
+    no_power_control=True,
+    n_drops=2,
+    n_subframes=2000,
+    k_d2d=5,
+    seed=20260809,
+)
 
 
 MAX_POWER = PowerControlConfig(snr_target_db=0.0, noise_dbm=None, alpha=0.0, enabled=False)
@@ -627,6 +657,35 @@ def test_loop_is_bit_equal_to_array_oracle_on_57_sectors(pc, k_d2d):
     sector_flows, table, dest = _multi_site_drop_flows(k_d2d)
     expected = _array_pf_oracle(sector_flows, dest, 60, RC, pc, table)
     _assert_bit_equal(run_pf_uplink(sector_flows, 60, RC, pc, table), expected)
+
+
+@pytest.mark.parametrize("pc", [MAX_POWER, OPEN_LOOP], ids=["max_power", "open_loop"])
+@pytest.mark.parametrize("k_d2d", [0, 5], ids=["baseline", "offload"])
+def test_loop_is_bit_equal_to_array_oracle_where_grant_sets_repeat(pc, k_d2d):
+    sector_flows, table, dest = _engine_drop_flows(SINGLE_SITE, k_d2d)
+    assert len(sector_flows) == 3 and sum(map(len, sector_flows.values())) == 30
+    n = SINGLE_SITE.n_subframes
+    log = []
+    expected = _array_pf_oracle(sector_flows, dest, n, RC, pc, table, grant_log=log)
+    _assert_bit_equal(run_pf_uplink(sector_flows, n, RC, pc, table), expected)
+    assert len(log) == n and len(set(log)) <= n // 2
+
+
+def test_rate_memo_lives_within_one_call():
+    """Drop 1 alone, then drop 0 and drop 1 again in one process: every run
+    equals the oracle, so no rate vector leaks from one call into the next,
+    and the input tables are left as they were."""
+    runs = [_engine_drop_flows(SINGLE_SITE, SINGLE_SITE.k_d2d, drop) for drop in (0, 1)]
+    before = [
+        {k: v.copy() for k, v in vars(table).items() if isinstance(v, np.ndarray)}
+        for _, table, _ in runs
+    ]
+    oracle = [_array_pf_oracle(f, dest, 500, RC, MAX_POWER, table) for f, table, dest in runs]
+    got = [run_pf_uplink(runs[d][0], 500, RC, MAX_POWER, runs[d][1]) for d in (1, 0, 1)]
+    assert got[0] == got[2] == oracle[1]
+    assert got[1] == oracle[0]
+    for (_, table, _), arrays in zip(runs, before):
+        assert arrays and all(np.array_equal(getattr(table, k), v) for k, v in arrays.items())
 
 
 def test_average_reaching_zero_raises():
