@@ -21,11 +21,16 @@ averages. `run_pf_uplink` calls the single-step rules `pf_select` and
 `pf_update` every subframe, with output buffers. The rates at the snapshot of
 subframe t are both what the flows granted at t are served and what the
 grants at t+1 are chosen from. They depend only on t's grant set, so a run
-computes them once per distinct set and looks them up when a set repeats.
+keeps a memo with one entry per grant set: its rates and its served vector.
+When a run's possible grant sets (one flow per sector) number no more than
+its subframes, one batched pass computes all of them before the loop;
+otherwise each set is computed, alone, the first time it is granted. Either
+way the memo holds at most n_subframes entries of two n_flows vectors each.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
@@ -42,6 +47,10 @@ from .radio import (
 )
 
 SUBFRAME_S = 1e-3
+
+# Entries per row block of the (sets x sectors x flows) gather that fills a
+# run's memo before its loop.
+_SET_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -148,6 +157,60 @@ class PfResult:
     granted_subframes: dict[int, int]
 
 
+def _snapshot_rates(
+    grants: np.ndarray,
+    coupling_lin: np.ndarray,
+    own_at: np.ndarray,
+    signal_lin: np.ndarray,
+    noise_lin: np.ndarray,
+    rc: RadioConfig,
+    rates: np.ndarray,
+    served: np.ndarray,
+    work: tuple,
+) -> None:
+    """Rates at the interference snapshots of B grant sets, (B x sectors) in,
+    written into `rates` (B x flows), and the served vectors into `served`
+    (B x flows, zeros on entry): each set's granted flows' rates at their
+    positions. One set may come without the leading axis. `work` is
+    `_rate_work` for the same leading shape.
+
+    A flow's interference is the granted coupling rows summed in sector
+    order, less its own sector's granted row, floored at 0. Each set's row is
+    computed alone, elementwise, so a batch of sets gives the floats that one
+    call per set gives.
+    """
+    rows, flat_rows, total, row_start = work
+    coupling_lin.take(grants, axis=0, out=rows, mode="wrap")
+    np.add.reduce(rows, axis=-2, out=total)
+    flat_rows.take(own_at, axis=-1, out=rates, mode="wrap")
+    np.subtract(total, rates, out=rates)
+    np.maximum(rates, 0.0, out=rates)
+    _rates_from_interference(rates, signal_lin, noise_lin, rc)
+    # Flat positions of the granted entries: set b's row starts at b * flows.
+    at = grants + row_start
+    served.put(at, rates.take(at))
+
+
+def _rate_work(shape: tuple, n_sectors: int, n_flows: int) -> tuple:
+    """Scratch buffers of `_snapshot_rates` for grant sets of leading shape
+    `shape`: () for one set, (B,) for a batch."""
+    rows = np.empty(shape + (n_sectors, n_flows))
+    row_start = np.arange(shape[0])[:, None] * n_flows if shape else 0
+    return rows, rows.reshape(shape + (-1,)), np.empty(shape + (n_flows,)), row_start
+
+
+def _rates_from_interference(
+    interference: np.ndarray, signal_lin: np.ndarray, noise_lin: np.ndarray, rc: RadioConfig
+) -> np.ndarray:
+    """The rate map of the loop, in place: noise added, SINR in dB, then
+    `_shannon_rate_bps`."""
+    np.add(noise_lin, interference, out=interference)
+    np.divide(signal_lin, interference, out=interference)
+    np.log10(interference, out=interference)
+    np.multiply(10.0, interference, out=interference)
+    return _shannon_rate_bps(interference, rc.bandwidth_hz, rc, interference)
+
+
 def run_pf_uplink(
     sector_flows: Mapping[int, Sequence[Flow]],
     n_subframes: int,
@@ -166,13 +229,23 @@ def run_pf_uplink(
 
     Each subframe: `pf_select` on the rates at the current interference
     snapshot, then the rates at the snapshot of its grants, then `pf_update`
-    on the served rates (the granted flows' entries, 0 elsewhere). A grant
-    set's rates (granted coupling rows summed, less each flow's own sector's
-    row, floored at 0, then the rate map) are computed on first use and
-    reused, the same floats, when the set repeats: coupling, signal and noise
-    are fixed for the run. The memo holds at most n_subframes x n_flows floats
-    and lives only in this call. After the loop, `np.add.at` sums the logged
-    bits in time order, as the per-subframe sums did (adding 0.0 is exact).
+    on the served rates (the granted flows' entries, 0 elsewhere). Coupling,
+    signal and noise are fixed for the run, so both vectors depend only on
+    the grant set, and the run keeps a memo with one entry per set, each
+    holding the two n_flows vectors. The rule that fills it is
+    `_snapshot_rates`:
+    - Prefill: when the possible grant sets, the product of the sectors'
+      flow counts, number no more than n_subframes, one batched call per
+      row block of about `_SET_BLOCK` gathered floats computes all of them
+      before the loop, and every subframe finds its set.
+    - Otherwise the loop calls the rule on one set the first time it is
+      granted, with buffers allocated once per run, and reuses the entry
+      when the set repeats.
+    Either way the memo holds at most min(possible sets, n_subframes)
+    entries, so at most 2 x n_subframes x n_flows floats, and lives only in
+    this call. The rule computes each set alone, so both ways serve the same
+    floats. After the loop, `np.add.at` sums the logged bits in time order,
+    as the per-subframe sums did (adding 0.0 is exact).
 
     One call is one PF run, with one `pf_select` and one `pf_update` call per
     subframe. `run_throughput_experiment` makes one call per run, in run
@@ -218,52 +291,53 @@ def run_pf_uplink(
     snr_db = 10.0 * np.array([math.log10(r) for r in (signal_lin / noise_lin).tolist()])
     avg = np.maximum(_shannon_rate_bps(snr_db, rc.bandwidth_hz, rc, snr_db), 1.0)
 
-    # Buffers allocated once per run. inst is each flow's rate at the current
-    # interference snapshot. It drives the next grants, and it is also the
-    # served rate of every flow granted in that snapshot: a granted flow's
-    # interference from the other grants is exactly its snapshot entry.
-    # rate_at maps a grant set's bytes to its read-only inst. own_at indexes
-    # granted_rows[sector of f, f]. Row t of the logs holds subframe t's
-    # grants and the rates they were served.
+    # inst is each flow's rate at the current interference snapshot. It drives
+    # the next grants, and it is also the served rate of every flow granted in
+    # that snapshot: a granted flow's interference from the other grants is
+    # exactly its snapshot entry. Row i of rates and served is the memo entry
+    # of the grant set whose bytes map to i; the loop reads them through
+    # read-only views. own_at indexes a set's granted rows [sector of f, f].
+    # Row t of the logs holds subframe t's grants and the entry they were
+    # served from.
     n_sectors = len(sectors)
-    select_work = _select_work(slots, n_flows)
-    granted_rows = np.empty((n_sectors, n_flows))
-    grant_total = np.empty(n_flows)
-    interference = np.zeros(n_flows)
     own_at = sector_of_pos * n_flows + np.arange(n_flows)
-    served = np.empty(n_flows)
+    args = (coupling_lin, own_at, signal_lin, noise_lin, rc)
+    n_sets = math.prod(map(len, rows))
+    n_entries = min(n_sets, n_subframes)
+    rates = np.empty((n_entries, n_flows))
+    served = np.zeros((n_entries, n_flows))
+    rates_ro, served_ro = rates.view(), served.view()
+    rates_ro.flags.writeable = served_ro.flags.writeable = False
+    memo: dict[bytes, int] = {}
+    if n_sets <= n_subframes:
+        every_set = np.array(list(itertools.product(*rows)), dtype=np.intp)
+        block = max(1, _SET_BLOCK // (n_sectors * n_flows))
+        for b in range(0, n_sets, block):
+            sets = every_set[b : b + block]
+            blk = slice(b, b + len(sets))
+            blk_work = _rate_work(sets.shape[:1], n_sectors, n_flows)
+            _snapshot_rates(sets, *args, rates[blk], served[blk], blk_work)
+        memo.update(zip((g.tobytes() for g in every_set), range(n_sets)))
+    work = _rate_work((), n_sectors, n_flows)
+    select_work = _select_work(slots, n_flows)
     grant_log = np.empty((n_subframes, n_sectors), dtype=np.intp)
-    served_log = np.empty((n_subframes, n_sectors))
-    rate_at: dict[bytes, np.ndarray] = {}
+    entry_log = np.empty(n_subframes, dtype=np.intp)
 
-    def rate_at_snapshot():
-        # Grants use the previous subframe's interference snapshot
-        # (noise-only at t=0); service uses the grants concurrent at t.
-        inst = np.add(noise_lin, interference)
-        np.divide(signal_lin, inst, out=inst)
-        np.log10(inst, out=inst)
-        np.multiply(10.0, inst, out=inst)
-        _shannon_rate_bps(inst, rc.bandwidth_hz, rc, inst)
-        inst.flags.writeable = False
-        return inst
-
-    inst = rate_at_snapshot()
-    for grants, served_rates in zip(grant_log, served_log):
+    # Grants use the previous subframe's interference snapshot (noise-only at
+    # t=0); service uses the grants concurrent at t.
+    inst = _rates_from_interference(np.zeros(n_flows), signal_lin, noise_lin, rc)
+    for t, grants in enumerate(grant_log):
         pf_select(inst, avg, slots, grants, select_work)
         key = grants.tobytes()
-        inst = rate_at.get(key)
-        if inst is None:
-            coupling_lin.take(grants, axis=0, out=granted_rows, mode="wrap")
-            np.add.reduce(granted_rows, axis=0, out=grant_total)
-            granted_rows.take(own_at, out=interference, mode="wrap")
-            np.subtract(grant_total, interference, out=interference)
-            np.maximum(interference, 0.0, out=interference)
-            inst = rate_at[key] = rate_at_snapshot()
-        inst.take(grants, out=served_rates, mode="wrap")
-        served.fill(0.0)
-        served.put(grants, served_rates)
-        pf_update(avg, served, t_c, out=avg)
+        i = memo.get(key)
+        if i is None:
+            i = memo[key] = len(memo)
+            _snapshot_rates(grants, *args, rates[i], served[i], work)
+        entry_log[t] = i
+        inst = rates_ro[i]
+        pf_update(avg, served_ro[i], t_c, out=avg)
 
+    served_log = rates[entry_log[:, None], grant_log]
     bits = np.zeros(n_flows)
     np.add.at(bits, grant_log, served_log * SUBFRAME_S)
     grant_count = np.bincount(grant_log.ravel(), minlength=n_flows)

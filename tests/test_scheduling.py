@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from d2dsim.radio import (
     rate_from_sinr,
     thermal_noise_dbm,
 )
+from d2dsim import scheduling
 from d2dsim.scheduling import (
     ORTHOGONAL_TDM,
     SUBFRAME_S,
@@ -674,18 +676,94 @@ def test_loop_is_bit_equal_to_array_oracle_where_grant_sets_repeat(pc, k_d2d):
 def test_rate_memo_lives_within_one_call():
     """Drop 1 alone, then drop 0 and drop 1 again in one process: every run
     equals the oracle, so no rate vector leaks from one call into the next,
-    and the input tables are left as they were."""
+    and the input tables are left as they were. At 500 subframes the memo
+    fills as sets are granted; at 1,000 both drops' 1,000 possible sets are
+    computed before the loop."""
     runs = [_engine_drop_flows(SINGLE_SITE, SINGLE_SITE.k_d2d, drop) for drop in (0, 1)]
+    assert all(math.prod(map(len, f.values())) == 1000 for f, _, _ in runs)
     before = [
         {k: v.copy() for k, v in vars(table).items() if isinstance(v, np.ndarray)}
         for _, table, _ in runs
     ]
-    oracle = [_array_pf_oracle(f, dest, 500, RC, MAX_POWER, table) for f, table, dest in runs]
-    got = [run_pf_uplink(runs[d][0], 500, RC, MAX_POWER, runs[d][1]) for d in (1, 0, 1)]
-    assert got[0] == got[2] == oracle[1]
-    assert got[1] == oracle[0]
+    for n in (500, 1000):
+        oracle = [_array_pf_oracle(f, dest, n, RC, MAX_POWER, table) for f, table, dest in runs]
+        got = [run_pf_uplink(runs[d][0], n, RC, MAX_POWER, runs[d][1]) for d in (1, 0, 1)]
+        assert got[0] == got[2] == oracle[1]
+        assert got[1] == oracle[0]
     for (_, table, _), arrays in zip(runs, before):
         assert arrays and all(np.array_equal(getattr(table, k), v) for k, v in arrays.items())
+
+
+def _record_rate_calls(monkeypatch):
+    """Make run_pf_uplink's snapshot-rate rule log a copy of the grant sets
+    of each call, 1-D for one set and 2-D for a batch."""
+    calls = []
+    rule = scheduling._snapshot_rates
+
+    def logged(grants, *args):
+        calls.append(grants.copy())
+        return rule(grants, *args)
+
+    monkeypatch.setattr(scheduling, "_snapshot_rates", logged)
+    return calls
+
+
+@pytest.mark.parametrize("k_d2d", [0, 5], ids=["baseline", "offload"])
+@pytest.mark.parametrize("n_subframes", [999, 1000], ids=["lazy", "prefilled"])
+def test_memo_is_prefilled_when_every_grant_set_fits(monkeypatch, n_subframes, k_d2d):
+    """3 sectors of 10 flows have 1,000 possible grant sets. A run of 1,000
+    subframes computes all of them in batches before the loop and none
+    after; a run of 999 computes each set it grants once, alone."""
+    sector_flows, table, dest = _engine_drop_flows(SINGLE_SITE, k_d2d)
+    assert math.prod(map(len, sector_flows.values())) == 1000
+    calls = _record_rate_calls(monkeypatch)
+    log = []
+    expected = _array_pf_oracle(sector_flows, dest, n_subframes, RC, MAX_POWER, table, grant_log=log)
+    _assert_bit_equal(run_pf_uplink(sector_flows, n_subframes, RC, MAX_POWER, table), expected)
+    computed = [tuple(g) for c in calls for g in np.atleast_2d(c).tolist()]
+    if n_subframes == 1000:
+        assert all(c.ndim == 2 and len(c) > 1 for c in calls)
+        assert len(computed) == len(set(computed)) == 1000
+        assert set(log) <= set(computed)
+    else:
+        assert all(c.ndim == 1 for c in calls)
+        assert computed == list(dict.fromkeys(log))
+
+
+def _stub_sector_flows(rng, counts):
+    """A stub table and flows for sectors of `counts` flows plus one empty
+    sector: flow ids shuffled across sectors, mixed roles."""
+    n_tx, n_sectors = sum(counts), len(counts)
+    tx_ids = rng.permutation(n_tx).tolist()
+    direct = rng.random(n_tx) < 0.5
+    rx_ids = [n_tx + j for j in range(int(direct.sum()))]
+    table = SimpleNamespace(
+        tx_ids=tuple(range(n_tx)),
+        rx_ue_ids=tuple(rx_ids),
+        ue_ue_loss_db=rng.uniform(50.0, 140.0, (n_tx, len(rx_ids))),
+        ue_sector_loss_db=rng.uniform(70.0, 140.0, (n_tx, n_sectors)),
+    )
+    dest, sector_flows, next_rx, i = {}, {n_sectors: []}, iter(rx_ids), 0
+    for s, count in enumerate(counts):
+        for fid in tx_ids[i : i + count]:
+            dest[fid] = ue_endpoint(next(next_rx)) if direct[fid] else sector_endpoint(s)
+            sector_flows.setdefault(s, []).append(_flow_to(table, fid, dest[fid]))
+        i += count
+    return sector_flows, table, dest
+
+
+def test_prefill_grants_only_real_flows_on_a_stub_table(monkeypatch):
+    """Sectors of 3, 1 and 4 flows and an empty one have 12 possible grant
+    sets, fewer than the 40 subframes, so they are all computed before the
+    loop: each takes one flow of every non-empty sector, never a -1 pad."""
+    sector_flows, table, dest = _stub_sector_flows(np.random.default_rng(7), [3, 1, 4])
+    calls = _record_rate_calls(monkeypatch)
+    expected = _array_pf_oracle(sector_flows, dest, 40, RC, OPEN_LOOP, table, t_c=20)
+    _assert_bit_equal(run_pf_uplink(sector_flows, 40, RC, OPEN_LOOP, table, t_c=20), expected)
+    pos_of = {fid: i for i, fid in enumerate(sorted(dest))}
+    positions = [sorted(pos_of[f.id] for f in sector_flows[s]) for s in (0, 1, 2)]
+    assert len(calls) == 1 and calls[0].shape == (12, 3)
+    assert set(map(tuple, calls[0].tolist())) == set(itertools.product(*positions))
 
 
 def test_average_reaching_zero_raises():
@@ -716,22 +794,6 @@ def test_t_c_below_one_raises():
 def test_loop_is_bit_equal_to_array_oracle_on_random_stub_tables(counts, n_subframes, t_c, pc, seed):
     """Random 1-4 sector stub tables with unequal flow counts, flow ids
     shuffled across sectors, mixed roles and one empty sector."""
-    rng = np.random.default_rng(seed)
-    n_tx, n_sectors = sum(counts), len(counts)
-    tx_ids = rng.permutation(n_tx).tolist()
-    direct = rng.random(n_tx) < 0.5
-    rx_ids = [n_tx + j for j in range(int(direct.sum()))]
-    table = SimpleNamespace(
-        tx_ids=tuple(range(n_tx)),
-        rx_ue_ids=tuple(rx_ids),
-        ue_ue_loss_db=rng.uniform(50.0, 140.0, (n_tx, len(rx_ids))),
-        ue_sector_loss_db=rng.uniform(70.0, 140.0, (n_tx, n_sectors)),
-    )
-    dest, sector_flows, next_rx, i = {}, {n_sectors: []}, iter(rx_ids), 0
-    for s, count in enumerate(counts):
-        for fid in tx_ids[i : i + count]:
-            dest[fid] = ue_endpoint(next(next_rx)) if direct[fid] else sector_endpoint(s)
-            sector_flows.setdefault(s, []).append(_flow_to(table, fid, dest[fid]))
-        i += count
+    sector_flows, table, dest = _stub_sector_flows(np.random.default_rng(seed), counts)
     expected = _array_pf_oracle(sector_flows, dest, n_subframes, RC, pc, table, t_c=t_c)
     _assert_bit_equal(run_pf_uplink(sector_flows, n_subframes, RC, pc, table, t_c=t_c), expected)
