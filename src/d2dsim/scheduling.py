@@ -165,38 +165,31 @@ def _snapshot_rates(
     noise_lin: np.ndarray,
     rc: RadioConfig,
     rates: np.ndarray,
-    served: np.ndarray,
     work: tuple,
-) -> None:
+) -> np.ndarray:
     """Rates at the interference snapshots of B grant sets, (B x sectors) in,
-    written into `rates` (B x flows), and the served vectors into `served`
-    (B x flows, zeros on entry): each set's granted flows' rates at their
-    positions. One set may come without the leading axis. `work` is
-    `_rate_work` for the same leading shape.
+    written into `rates` (B x flows). One set may come without the leading
+    axis. `work` is `_rate_work` for the same leading shape.
 
     A flow's interference is the granted coupling rows summed in sector
     order, less its own sector's granted row, floored at 0. Each set's row is
     computed alone, elementwise, so a batch of sets gives the floats that one
     call per set gives.
     """
-    rows, flat_rows, total, row_start = work
+    rows, flat_rows, total = work
     coupling_lin.take(grants, axis=0, out=rows, mode="wrap")
     np.add.reduce(rows, axis=-2, out=total)
     flat_rows.take(own_at, axis=-1, out=rates, mode="wrap")
     np.subtract(total, rates, out=rates)
     np.maximum(rates, 0.0, out=rates)
-    _rates_from_interference(rates, signal_lin, noise_lin, rc)
-    # Flat positions of the granted entries: set b's row starts at b * flows.
-    at = grants + row_start
-    served.put(at, rates.take(at))
+    return _rates_from_interference(rates, signal_lin, noise_lin, rc)
 
 
 def _rate_work(shape: tuple, n_sectors: int, n_flows: int) -> tuple:
     """Scratch buffers of `_snapshot_rates` for grant sets of leading shape
     `shape`: () for one set, (B,) for a batch."""
     rows = np.empty(shape + (n_sectors, n_flows))
-    row_start = np.arange(shape[0])[:, None] * n_flows if shape else 0
-    return rows, rows.reshape(shape + (-1,)), np.empty(shape + (n_flows,)), row_start
+    return rows, rows.reshape(shape + (-1,)), np.empty(shape + (n_flows,))
 
 
 def _rates_from_interference(
@@ -232,8 +225,8 @@ def run_pf_uplink(
     on the served rates (the granted flows' entries, 0 elsewhere). Coupling,
     signal and noise are fixed for the run, so both vectors depend only on
     the grant set, and the run keeps a memo with one entry per set, each
-    holding the two n_flows vectors. The rule that fills it is
-    `_snapshot_rates`:
+    holding the two n_flows vectors. `_snapshot_rates` computes the rates,
+    and the served vector takes them at the granted positions:
     - Prefill: when the possible grant sets, the product of the sectors'
       flow counts, number no more than n_subframes, one batched call per
       row block of about `_SET_BLOCK` gathered floats computes all of them
@@ -294,11 +287,12 @@ def run_pf_uplink(
     # inst is each flow's rate at the current interference snapshot. It drives
     # the next grants, and it is also the served rate of every flow granted in
     # that snapshot: a granted flow's interference from the other grants is
-    # exactly its snapshot entry. Row i of rates and served is the memo entry
-    # of the grant set whose bytes map to i; the loop reads them through
-    # read-only views. own_at indexes a set's granted rows [sector of f, f].
-    # Row t of the logs holds subframe t's grants and the entry they were
-    # served from.
+    # exactly its snapshot entry. So a set's served vector is its inst at the
+    # granted positions and 0 elsewhere. Row i of rates and served belongs to
+    # the memo entry (i, read-only rates row, read-only served row) of the
+    # grant set whose bytes map to it. own_at indexes a set's granted rows
+    # [sector of f, f]. Row t of grant_log holds subframe t's grants, and
+    # entries[t] the memo row they were served from.
     n_sectors = len(sectors)
     own_at = sector_of_pos * n_flows + np.arange(n_flows)
     args = (coupling_lin, own_at, signal_lin, noise_lin, rc)
@@ -308,36 +302,39 @@ def run_pf_uplink(
     served = np.zeros((n_entries, n_flows))
     rates_ro, served_ro = rates.view(), served.view()
     rates_ro.flags.writeable = served_ro.flags.writeable = False
-    memo: dict[bytes, int] = {}
+    memo: dict[bytes, tuple] = {}
     if n_sets <= n_subframes:
         every_set = np.array(list(itertools.product(*rows)), dtype=np.intp)
         block = max(1, _SET_BLOCK // (n_sectors * n_flows))
         for b in range(0, n_sets, block):
             sets = every_set[b : b + block]
-            blk = slice(b, b + len(sets))
             blk_work = _rate_work(sets.shape[:1], n_sectors, n_flows)
-            _snapshot_rates(sets, *args, rates[blk], served[blk], blk_work)
-        memo.update(zip((g.tobytes() for g in every_set), range(n_sets)))
+            _snapshot_rates(sets, *args, rates[b : b + len(sets)], blk_work)
+        at = every_set + np.arange(n_sets)[:, None] * n_flows
+        served.put(at, rates.take(at))
+        keys = (g.tobytes() for g in every_set)
+        memo.update(zip(keys, zip(range(n_sets), rates_ro, served_ro)))
     work = _rate_work((), n_sectors, n_flows)
     select_work = _select_work(slots, n_flows)
     grant_log = np.empty((n_subframes, n_sectors), dtype=np.intp)
-    entry_log = np.empty(n_subframes, dtype=np.intp)
+    entries = []
 
     # Grants use the previous subframe's interference snapshot (noise-only at
     # t=0); service uses the grants concurrent at t.
     inst = _rates_from_interference(np.zeros(n_flows), signal_lin, noise_lin, rc)
-    for t, grants in enumerate(grant_log):
+    for grants in grant_log:
         pf_select(inst, avg, slots, grants, select_work)
         key = grants.tobytes()
-        i = memo.get(key)
-        if i is None:
-            i = memo[key] = len(memo)
-            _snapshot_rates(grants, *args, rates[i], served[i], work)
-        entry_log[t] = i
-        inst = rates_ro[i]
-        pf_update(avg, served_ro[i], t_c, out=avg)
+        entry = memo.get(key)
+        if entry is None:
+            i = len(memo)
+            served[i].put(grants, _snapshot_rates(grants, *args, rates[i], work).take(grants))
+            entry = memo[key] = (i, rates_ro[i], served_ro[i])
+        i, inst, served_rates = entry
+        entries.append(i)
+        pf_update(avg, served_rates, t_c, out=avg)
 
-    served_log = rates[entry_log[:, None], grant_log]
+    served_log = rates[np.array(entries)[:, None], grant_log]
     bits = np.zeros(n_flows)
     np.add.at(bits, grant_log, served_log * SUBFRAME_S)
     grant_count = np.bincount(grant_log.ravel(), minlength=n_flows)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2dsim import scheduling
 from d2dsim.channel import sector_endpoint, ue_endpoint
 from d2dsim.engine import ExperimentConfig, build_drop
 from d2dsim.layout import build_hex_grid
@@ -18,7 +19,6 @@ from d2dsim.radio import (
     rate_from_sinr,
     thermal_noise_dbm,
 )
-from d2dsim import scheduling
 from d2dsim.scheduling import (
     ORTHOGONAL_TDM,
     SUBFRAME_S,
