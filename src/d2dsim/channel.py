@@ -163,8 +163,8 @@ class CouplingTable:
       pathloss with the recorded per-link LOS state, 0 dBi terminal antennas;
     * terminal -> sector (columns are sector indices): macro pathloss plus
       base-side shadowing minus the sector gain at the arrival angle;
-    * sector -> terminal (rows are sectors, columns `ue_ids`, every dropped
-      terminal): the downlink used by coverage classification, with shadowing
+    * sector -> terminal (rows are sectors, columns every dropped terminal in
+      id order): the downlink used by coverage classification, with shadowing
       at its 0 dB mean.
 
     Row and column order: rows are the transmit-capable terminals, terminal
@@ -181,7 +181,6 @@ class CouplingTable:
 
     tx_ids: tuple[int, ...]
     rx_ue_ids: tuple[int, ...]
-    ue_ids: tuple[int, ...]
     n_sectors: int
     ue_ue_loss_db: np.ndarray      # (n_tx, n_rx)
     ue_ue_shadow_db: np.ndarray
@@ -202,7 +201,7 @@ class CouplingTable:
         blocks = {
             ("ue", "ue"): (self.ue_ue_loss_db, self.tx_ids, self.rx_ue_ids),
             ("ue", "sector"): (self.ue_sector_loss_db, self.tx_ids, sectors),
-            ("sector", "ue"): (self.sector_ue_loss_db, sectors, self.ue_ids),
+            ("sector", "ue"): (self.sector_ue_loss_db, sectors, range(self.sector_ue_loss_db.shape[1])),
         }
         try:
             loss, rows, cols = blocks[tx[0], rx[0]]
@@ -290,7 +289,6 @@ def build_coupling_table(
     return CouplingTable(
         tx_ids=tuple(tx_sel.tolist()),
         rx_ue_ids=tuple(rx_sel.tolist()),
-        ue_ids=tuple(range(len(all_xy))),
         n_sectors=n_sec,
         ue_ue_loss_db=loss_uu,
         ue_ue_shadow_db=shadow_uu,

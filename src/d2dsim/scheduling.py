@@ -20,12 +20,12 @@ matrix gathered from the drop's table by those rows and columns, and per-flow
 averages. `run_pf_uplink` calls the single-step rules `pf_select` and
 `pf_update` every subframe, with output buffers. The rates at the snapshot of
 subframe t are both what the flows granted at t are served and what the
-grants at t+1 are chosen from. They depend only on t's grant set, so a run
-keeps a memo with one entry per grant set: its rates and its served vector.
-When a run's possible grant sets (one flow per sector) number no more than
-its subframes, one batched pass computes all of them before the loop;
-otherwise each set is computed, alone, the first time it is granted. Either
-way the memo holds at most n_subframes entries of two n_flows vectors each.
+grants at t+1 are chosen from. They depend only on t's grant set. When a
+run's possible grant sets (one flow per sector) number no more than its
+subframes, one batched pass computes every set's rates and served vector
+before the loop, and each subframe looks its set up in that memo. Otherwise
+each subframe computes its set's rates into one n_flows buffer: the run keeps
+O(n_flows) rate state plus an (n_subframes x sectors) log of served rates.
 """
 
 from __future__ import annotations
@@ -224,21 +224,18 @@ def run_pf_uplink(
     snapshot, then the rates at the snapshot of its grants, then `pf_update`
     on the served rates (the granted flows' entries, 0 elsewhere). Coupling,
     signal and noise are fixed for the run, so both vectors depend only on
-    the grant set, and the run keeps a memo with one entry per set, each
-    holding the two n_flows vectors. `_snapshot_rates` computes the rates,
-    and the served vector takes them at the granted positions:
-    - Prefill: when the possible grant sets, the product of the sectors'
+    the grant set, and `_snapshot_rates` computes them from it:
+    - Prefilled: when the possible grant sets, the product of the sectors'
       flow counts, number no more than n_subframes, one batched call per
       row block of about `_SET_BLOCK` gathered floats computes all of them
-      before the loop, and every subframe finds its set.
-    - Otherwise the loop calls the rule on one set the first time it is
-      granted, with buffers allocated once per run, and reuses the entry
-      when the set repeats.
-    Either way the memo holds at most min(possible sets, n_subframes)
-    entries, so at most 2 x n_subframes x n_flows floats, and lives only in
-    this call. The rule computes each set alone, so both ways serve the same
-    floats. After the loop, `np.add.at` sums the logged bits in time order,
-    as the per-subframe sums did (adding 0.0 is exact).
+      before the loop, into a read-only memo of two n_flows vectors per set
+      that every subframe finds its set in.
+    - Otherwise each subframe calls the rule on its one set, into one
+      n_flows buffer, and logs the granted entries: no memo, O(n_flows) rate
+      state and an (n_subframes x sectors) log.
+    The rule computes each set alone, so both ways serve the same floats.
+    After the loop, `np.add.at` sums the logged bits in time order, as the
+    per-subframe sums did (adding 0.0 is exact).
 
     One call is one PF run, with one `pf_select` and one `pf_update` call per
     subframe. `run_throughput_experiment` makes one call per run, in run
@@ -288,53 +285,51 @@ def run_pf_uplink(
     # the next grants, and it is also the served rate of every flow granted in
     # that snapshot: a granted flow's interference from the other grants is
     # exactly its snapshot entry. So a set's served vector is its inst at the
-    # granted positions and 0 elsewhere. Row i of rates and served belongs to
-    # the memo entry (i, read-only rates row, read-only served row) of the
-    # grant set whose bytes map to it. own_at indexes a set's granted rows
-    # [sector of f, f]. Row t of grant_log holds subframe t's grants, and
-    # entries[t] the memo row they were served from.
+    # granted positions and 0 elsewhere. own_at indexes a set's granted rows
+    # [sector of f, f]. Row t of grant_log holds subframe t's grants. Memo entry
+    # i of a prefilled run is (i, rates row, served row), entries[t] the one
+    # subframe t used; a direct run rewrites inst in place and fills served_log.
     n_sectors = len(sectors)
     own_at = sector_of_pos * n_flows + np.arange(n_flows)
     args = (coupling_lin, own_at, signal_lin, noise_lin, rc)
     n_sets = math.prod(map(len, rows))
-    n_entries = min(n_sets, n_subframes)
-    rates = np.empty((n_entries, n_flows))
-    served = np.zeros((n_entries, n_flows))
-    rates_ro, served_ro = rates.view(), served.view()
-    rates_ro.flags.writeable = served_ro.flags.writeable = False
-    memo: dict[bytes, tuple] = {}
+    select_work = _select_work(slots, n_flows)
+    grant_log = np.empty((n_subframes, n_sectors), dtype=np.intp)
+
+    # Grants use the previous subframe's interference snapshot (noise-only at
+    # t=0); service uses the grants concurrent at t.
+    inst = _rates_from_interference(np.zeros(n_flows), signal_lin, noise_lin, rc)
     if n_sets <= n_subframes:
         every_set = np.array(list(itertools.product(*rows)), dtype=np.intp)
+        rates = np.empty((n_sets, n_flows))
         block = max(1, _SET_BLOCK // (n_sectors * n_flows))
         for b in range(0, n_sets, block):
             sets = every_set[b : b + block]
             blk_work = _rate_work(sets.shape[:1], n_sectors, n_flows)
             _snapshot_rates(sets, *args, rates[b : b + len(sets)], blk_work)
+        served = np.zeros((n_sets, n_flows))
         at = every_set + np.arange(n_sets)[:, None] * n_flows
         served.put(at, rates.take(at))
-        keys = (g.tobytes() for g in every_set)
-        memo.update(zip(keys, zip(range(n_sets), rates_ro, served_ro)))
-    work = _rate_work((), n_sectors, n_flows)
-    select_work = _select_work(slots, n_flows)
-    grant_log = np.empty((n_subframes, n_sectors), dtype=np.intp)
-    entries = []
+        rates.flags.writeable = served.flags.writeable = False
+        memo = dict(zip((g.tobytes() for g in every_set), zip(range(n_sets), rates, served)))
+        entries = []
+        for grants in grant_log:
+            pf_select(inst, avg, slots, grants, select_work)
+            i, inst, served_rates = memo[grants.tobytes()]
+            entries.append(i)
+            pf_update(avg, served_rates, t_c, out=avg)
+        served_log = rates[np.array(entries)[:, None], grant_log]
+    else:
+        work = _rate_work((), n_sectors, n_flows)
+        served_log = np.empty((n_subframes, n_sectors))
+        served = np.zeros(n_flows)
+        for grants, served_rates in zip(grant_log, served_log):
+            pf_select(inst, avg, slots, grants, select_work)
+            _snapshot_rates(grants, *args, inst, work).take(grants, out=served_rates, mode="wrap")
+            served.fill(0.0)
+            served.put(grants, served_rates)
+            pf_update(avg, served, t_c, out=avg)
 
-    # Grants use the previous subframe's interference snapshot (noise-only at
-    # t=0); service uses the grants concurrent at t.
-    inst = _rates_from_interference(np.zeros(n_flows), signal_lin, noise_lin, rc)
-    for grants in grant_log:
-        pf_select(inst, avg, slots, grants, select_work)
-        key = grants.tobytes()
-        entry = memo.get(key)
-        if entry is None:
-            i = len(memo)
-            served[i].put(grants, _snapshot_rates(grants, *args, rates[i], work).take(grants))
-            entry = memo[key] = (i, rates_ro[i], served_ro[i])
-        i, inst, served_rates = entry
-        entries.append(i)
-        pf_update(avg, served_rates, t_c, out=avg)
-
-    served_log = rates[np.array(entries)[:, None], grant_log]
     bits = np.zeros(n_flows)
     np.add.at(bits, grant_log, served_log * SUBFRAME_S)
     grant_count = np.bincount(grant_log.ravel(), minlength=n_flows)

@@ -275,6 +275,10 @@ class TestCouplingTable:
                 table.loss_db(tx, sector_endpoint(sector))
             with pytest.raises(KeyError):
                 table.loss_db(sector_endpoint(sector), tx)
+        # Downlink columns are the terminal ids, so these must not wrap either.
+        for ue in (-1, len(terminals.sector)):
+            with pytest.raises(KeyError):
+                table.loss_db(sector_endpoint(0), ue_endpoint(ue))
         with pytest.raises(KeyError):
             table.loss_db(sector_endpoint(0), sector_endpoint(1))
 
@@ -330,7 +334,6 @@ def _coupling_table_oracle(layout, terminals, cfg, rng, counters):
     return {
         "tx_ids": tuple(tx_sel),
         "rx_ue_ids": tuple(rx_sel),
-        "ue_ids": tuple(range(n)),
         "ue_ue_loss_db": loss_uu,
         "ue_ue_shadow_db": shadow_uu,
         "ue_ue_los": los,
@@ -391,7 +394,7 @@ def test_row_blocks_equal_the_full_matrix_oracle(case, block, monkeypatch):
     counters, ref_counters = DropCounters(), DropCounters()
     table = build_coupling_table(lay, terminals, cfg, rng, counters=counters)
     want = _coupling_table_oracle(lay, terminals, cfg, ref, ref_counters)
-    for name in ("tx_ids", "rx_ue_ids", "ue_ids"):
+    for name in ("tx_ids", "rx_ue_ids"):
         assert getattr(table, name) == want.pop(name), name
     for name, value in want.items():
         got = getattr(table, name)

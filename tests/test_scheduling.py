@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -676,9 +677,9 @@ def test_loop_is_bit_equal_to_array_oracle_where_grant_sets_repeat(pc, k_d2d):
 def test_rate_memo_lives_within_one_call():
     """Drop 1 alone, then drop 0 and drop 1 again in one process: every run
     equals the oracle, so no rate vector leaks from one call into the next,
-    and the input tables are left as they were. At 500 subframes the memo
-    fills as sets are granted; at 1,000 both drops' 1,000 possible sets are
-    computed before the loop."""
+    and the input tables are left as they were. At 500 subframes each
+    subframe's rates are computed directly, with no memo; at 1,000 both
+    drops' 1,000 possible sets are computed before the loop."""
     runs = [_engine_drop_flows(SINGLE_SITE, SINGLE_SITE.k_d2d, drop) for drop in (0, 1)]
     assert all(math.prod(map(len, f.values())) == 1000 for f, _, _ in runs)
     before = [
@@ -709,11 +710,12 @@ def _record_rate_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("k_d2d", [0, 5], ids=["baseline", "offload"])
-@pytest.mark.parametrize("n_subframes", [999, 1000], ids=["lazy", "prefilled"])
+@pytest.mark.parametrize("n_subframes", [999, 1000], ids=["direct", "prefilled"])
 def test_memo_is_prefilled_when_every_grant_set_fits(monkeypatch, n_subframes, k_d2d):
     """3 sectors of 10 flows have 1,000 possible grant sets. A run of 1,000
     subframes computes all of them in batches before the loop and none
-    after; a run of 999 computes each set it grants once, alone."""
+    after; a run of 999 keeps no memo and computes its granted set, alone,
+    in every subframe."""
     sector_flows, table, dest = _engine_drop_flows(SINGLE_SITE, k_d2d)
     assert math.prod(map(len, sector_flows.values())) == 1000
     calls = _record_rate_calls(monkeypatch)
@@ -726,8 +728,27 @@ def test_memo_is_prefilled_when_every_grant_set_fits(monkeypatch, n_subframes, k
         assert len(computed) == len(set(computed)) == 1000
         assert set(log) <= set(computed)
     else:
-        assert all(c.ndim == 1 for c in calls)
-        assert computed == list(dict.fromkeys(log))
+        assert len(calls) == n_subframes and all(c.ndim == 1 for c in calls)
+        assert computed == log
+
+
+def test_direct_run_memory_does_not_grow_with_its_subframes():
+    """A 57-sector run has far more possible grant sets than subframes, so it
+    keeps no memo: its traced peak at 2,000 subframes is within 1 MB of its
+    peak at 200, where a memo of two 570-float vectors per subframe would add
+    about 16 MB."""
+    sector_flows, table, _ = _multi_site_drop_flows(5)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (200, 2000):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_pf_uplink(sector_flows, n, RC, MAX_POWER, table)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6, peaks
 
 
 def _stub_sector_flows(rng, counts):
