@@ -9,10 +9,16 @@ probability. Terminal-to-base links use the standard macro model
 ``14 - min(12 (theta/70)^2, 25)`` dBi. Shadowing is i.i.d. lognormal per
 ordered link (no cross-link correlation). Fast fading is not modeled; every
 SINR is computed on these large-scale couplings only.
+
+The coupling table is built on the drop's threads (see `layout`): the pair
+draws run next to the wrap search, on the one stream in their fixed order,
+and the LOS, pathloss and floor pass and the linear gains run in row stripes.
+The table is the same for any number of threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +31,8 @@ from .layout import (
     DropCounters,
     NetworkLayout,
     Terminals,
+    _run_all,
+    _stripes,
     pairwise_wrap_distance,
 )
 
@@ -32,6 +40,11 @@ SPEED_OF_LIGHT_M_S = 3.0e8
 
 # Entries per row block of the terminal-pair LOS and pathloss pass.
 _PAIR_BLOCK = 1 << 15
+
+
+def _block_rows(n_cols: int) -> int:
+    return max(1, _PAIR_BLOCK // max(n_cols, 1))
+
 
 # Endpoint keys of `CouplingTable.loss_db`: a receiver or transmitter is
 # either a terminal ("ue", ue_id) or a base-station sector face ("sector", index).
@@ -144,12 +157,23 @@ def sector_antenna_gain(angle_off_boresight_deg):
     return float(g) if np.ndim(angle_off_boresight_deg) == 0 else g
 
 
-def draw_shadowing(std_db: float, rng: np.random.Generator, size=None):
-    """Zero-mean Gaussian shadowing in dB, independent per draw."""
+def draw_shadowing(std_db: float, rng: np.random.Generator, size=None, *, out=None):
+    """Zero-mean Gaussian shadowing in dB, independent per draw.
+
+    With ``out`` (a float64 array), fills it and returns it, allocating
+    nothing: standard normals scaled in place with the formula
+    ``Generator.normal`` applies, ``0 + std * z``, so it holds the values and
+    leaves the generator where ``rng.normal(0, std_db, out.shape)`` would.
+    """
     if std_db < 0:
         raise ValueError(f"shadowing std must be >= 0, got {std_db}")
-    out = rng.normal(0.0, std_db, size=size)
-    return float(out) if size is None else out
+    if out is None:
+        x = rng.normal(0.0, std_db, size=size)
+        return float(x) if size is None else x
+    rng.standard_normal(out=out)
+    out *= std_db
+    out += 0.0  # as normal's 0.0 + (-0.0) gives 0.0
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +215,19 @@ class CouplingTable:
 
     @cached_property
     def ue_ue_gain_lin(self) -> np.ndarray:
-        """Linear power gain 10^(-loss/10) of every terminal pair entry."""
-        return 10.0 ** (-self.ue_ue_loss_db / 10.0)
+        """Linear power gain 10^(-loss/10) of every terminal pair entry,
+        computed in row stripes on the drop's threads (see `layout`)."""
+        loss = self.ue_ue_loss_db
+        gain = np.empty_like(loss)
+
+        def gain_rows(lo, hi):
+            g = gain[lo:hi]
+            np.divide(loss[lo:hi], -10.0, out=g)  # the bits of -loss / 10
+            np.power(10.0, g, out=g)
+
+        _run_all([functools.partial(gain_rows, lo, hi)
+                  for lo, hi in _stripes(loss.shape[0], _block_rows(loss.shape[1]))])
+        return gain
 
     def loss_db(self, tx, rx) -> float:
         """Loss of one link, its endpoints (`ue_endpoint`, `sector_endpoint`)
@@ -225,11 +260,14 @@ def build_coupling_table(
     fixed order so the table is a pure function of (layout, terminals, cfg,
     rng stream): first the LOS uniforms for all terminal pairs, then
     terminal-pair shadowing, then terminal-to-base shadowing. Each is drawn
-    whole; the terminal-pair clamp, LOS state, pathloss and floor then run
-    one row block of about ``_PAIR_BLOCK`` entries at a time, so their
-    temporaries stay in cache. Distances, arrival angles and macro pathloss
-    are taken per site and repeated over its three sectors; the antenna gain
-    is per sector.
+    whole; the first two on a pool thread while the calling thread runs the
+    terminal-pair wrap search. The terminal-pair clamp, LOS state, pathloss
+    and floor then run one row block of about ``_PAIR_BLOCK`` entries at a
+    time, so their temporaries stay in cache, in row stripes on the pool's
+    threads while the calling thread takes the terminal-to-site geometry.
+    A table of one stripe runs on the calling thread alone. Distances,
+    arrival angles and macro pathloss are taken per site and repeated over
+    its three sectors; the antenna gain is per sector.
 
     Cross-link terminal distances below the drop minimum are clamped to it
     before the pathloss call; an interferer may legitimately land arbitrarily
@@ -243,41 +281,63 @@ def build_coupling_table(
     n_tx, n_rx = len(tx_sel), len(rx_sel)
     n_sec = layout.n_sectors
 
-    # Terminal -> terminal entries: the draws for all pairs, then the LOS
-    # state, pathloss and floor one row block at a time.
-    d_uu, _ = pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters)
-    los_u = rng.random((n_tx, n_rx))  # one LOS uniform per entry: part of the stream
-    shadow_uu = draw_shadowing(cfg.shadow_std_ueue_db, rng, size=(n_tx, n_rx))
+    # Terminal -> terminal entries. The LOS uniforms and the pair shadowing
+    # are drawn on a pool thread while this one runs the wrap search; nothing
+    # else draws from rng until both are done. A table whose pair rows make
+    # one stripe is too small to share, and runs on this thread alone.
+    rows = _block_rows(n_rx)
+    stripes = _stripes(n_tx, rows)
+    shared = len(stripes) > 1
+    los_u, shadow_uu = np.empty((n_tx, n_rx)), np.empty((n_tx, n_rx))
+
+    def draw_pairs():
+        rng.random(out=los_u)  # one LOS uniform per entry: part of the stream
+        draw_shadowing(cfg.shadow_std_ueue_db, rng, out=shadow_uu)
+
+    (d_uu, _), _ = _run_all([
+        lambda: pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters),
+        draw_pairs,
+    ], pool=shared)
+    # Then the LOS state, pathloss and floor, one row block at a time, on the
+    # pool's threads while this one takes the terminal-to-site geometry.
     los = np.empty((n_tx, n_rx), dtype=bool)
     loss_uu = np.empty((n_tx, n_rx))
-    clamped = floored = 0
-    rows = max(1, _PAIR_BLOCK // max(n_rx, 1))
-    for r0 in range(0, n_tx, rows):
-        blk = slice(r0, r0 + rows)
-        d = d_uu[blk]
-        clamped += np.count_nonzero(d < MIN_UE_UE_DISTANCE_M)
-        np.maximum(d, MIN_UE_UE_DISTANCE_M, out=d)
-        np.less(los_u[blk], los_probability(d), out=los[blk])
-        loss = np.add(ue_ue_pathloss(d, los[blk], cfg), shadow_uu[blk], out=loss_uu[blk])
-        np.maximum(loss, cfg.min_pl_db, out=loss)
-        floored += np.count_nonzero(loss == cfg.min_pl_db)
-    if counters is not None:
-        counters.clamped_distances += int(clamped)
-        counters.floor_entries += int(floored)
 
-    # Distances and arrival angles between every terminal and every site,
-    # both taken on the wrap image of the terminal nearest the site; a
-    # sector's column is its site's.
-    site_xy = layout.site_xy
-    d_site, off_idx = pairwise_wrap_distance(all_xy, site_xy, layout, counters=counters)
-    offs = layout.offset_xy[off_idx]
-    rel_x = all_xy[:, 0:1] - offs[..., 0] - site_xy[None, :, 0]
-    rel_y = all_xy[:, 1:2] - offs[..., 1] - site_xy[None, :, 1]
-    arrival_deg = np.repeat(np.degrees(np.arctan2(rel_y, rel_x)), 3, axis=1)
-    gain = sector_antenna_gain(arrival_deg - layout.sector_boresight_deg[None, :])
-    pl_all_s = np.repeat(
-        ue_enb_pathloss(np.maximum(d_site, 1e-6), cfg.min_pl_db), 3, axis=1
+    def pair_rows(lo, hi):
+        """Rows lo..hi; returns their clamped and floored entry counts."""
+        clamped = floored = 0
+        for r0 in range(lo, hi, rows):
+            blk = slice(r0, min(r0 + rows, hi))
+            d = d_uu[blk]
+            clamped += np.count_nonzero(d < MIN_UE_UE_DISTANCE_M)
+            np.maximum(d, MIN_UE_UE_DISTANCE_M, out=d)
+            np.less(los_u[blk], los_probability(d), out=los[blk])
+            loss = np.add(ue_ue_pathloss(d, los[blk], cfg), shadow_uu[blk], out=loss_uu[blk])
+            np.maximum(loss, cfg.min_pl_db, out=loss)
+            floored += np.count_nonzero(loss == cfg.min_pl_db)
+        return clamped, floored
+
+    def site_geometry():
+        """Sector gains and macro pathloss, terminals x sectors. Distances and
+        arrival angles between every terminal and every site are both taken
+        on the wrap image of the terminal nearest the site; a sector's column
+        is its site's."""
+        site_xy = layout.site_xy
+        d_site, off_idx = pairwise_wrap_distance(all_xy, site_xy, layout, counters=counters)
+        offs = layout.offset_xy[off_idx]
+        rel_x = all_xy[:, 0:1] - offs[..., 0] - site_xy[None, :, 0]
+        rel_y = all_xy[:, 1:2] - offs[..., 1] - site_xy[None, :, 1]
+        arrival_deg = np.repeat(np.degrees(np.arctan2(rel_y, rel_x)), 3, axis=1)
+        gain = sector_antenna_gain(arrival_deg - layout.sector_boresight_deg[None, :])
+        pl = np.repeat(ue_enb_pathloss(np.maximum(d_site, 1e-6), cfg.min_pl_db), 3, axis=1)
+        return gain, pl
+
+    (gain, pl_all_s), *counts = _run_all(
+        [site_geometry] + [functools.partial(pair_rows, lo, hi) for lo, hi in stripes], pool=shared
     )
+    if counters is not None:
+        counters.clamped_distances += int(sum(c for c, _ in counts))
+        counters.floor_entries += int(sum(f for _, f in counts))
 
     shadow_us = draw_shadowing(cfg.shadow_std_enbue_db, rng, size=(n_tx, n_sec))
     loss_us = np.maximum(pl_all_s[tx_sel] + shadow_us, cfg.min_pl_db) - gain[tx_sel]

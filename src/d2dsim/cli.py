@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import fields, replace
 
+import numpy as np
+
 from . import __version__
 from .engine import (
     ExperimentConfig,
@@ -166,23 +168,40 @@ def _row_chunks(*columns):
         yield zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in columns))
 
 
-# Float cells use f"{v:.6g}" on Python floats, the format _fmt applies.
+def _sinr_rows(chunk, heads) -> str:
+    """The CSV rows of a slice of SINR samples, ``heads`` the row start of
+    each setting. Each distinct (drop, sector, link) triple is formatted
+    once, and one ``%`` template formats every row: float cells are
+    ``%.6g`` of Python floats, the text ``_fmt`` gives."""
+    n = len(chunk)
+    drop, sector, link = chunk["drop"], chunk["sector"], chunk["link"]
+    order = np.lexsort((link, sector, drop))
+    d, s, k = drop[order], sector[order], link[order]
+    first = np.ones(n, dtype=bool)  # the first sorted row of each triple
+    first[1:] = (d[1:] != d[:-1]) | (s[1:] != s[:-1]) | (k[1:] != k[:-1])
+    triple = np.empty(n, dtype=np.intp)
+    triple[order] = np.cumsum(first) - 1
+    prefixes = np.array(
+        ["%d,%d,%d," % t for t in zip(d[first].tolist(), s[first].tolist(), k[first].tolist())],
+        dtype=object,
+    )
+    cells = [None] * (3 * n)
+    cells[0::3] = heads[chunk["setting_id"]].tolist()
+    cells[1::3] = prefixes[triple].tolist()
+    cells[2::3] = chunk["sinr_db"].tolist()
+    return ("%s%s%.6g\n" * n) % tuple(cells)
+
+
 def _write_sinr_csv(path: str, report: ExperimentReport) -> None:
-    heads = [
+    heads = np.array([
         f"{si},{_fmt(s.alpha)},{_fmt(s.snr_target_db)}," if s.enabled else f"{si},,,"
         for si, s in enumerate(report.settings)
-    ]
+    ], dtype=object)
     samples = report.samples
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("setting_id,alpha,snr_target_db,drop,sector,link,sinr_db\n")
-        for rows in _row_chunks(
-            samples["setting_id"], samples["drop"], samples["sector"],
-            samples["link"], samples["sinr_db"],
-        ):
-            fh.write("".join([
-                f"{heads[si]}{drop},{sector},{link},{v:.6g}\n"
-                for si, drop, sector, link, v in rows
-            ]))
+        for start in range(0, len(samples), _CHUNK_ROWS):
+            fh.write(_sinr_rows(samples[start:start + _CHUNK_ROWS], heads))
 
 
 def _write_throughput_csv(path: str, baseline, offload) -> None:

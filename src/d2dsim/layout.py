@@ -34,16 +34,28 @@ it. The home sectors of D2D receivers draw no random numbers, so
 ``drop_d2d_pairs`` looks them up for all receivers at once after the sampling
 loop (``sectors_of_points``): one receivers x sites distance matrix per drop
 instead of one per receiver. The samplers return position and sector arrays.
+
+A drop's array work uses up to one thread per CPU the process may run on.
+``_stripes`` cuts a row-blocked kernel into contiguous row stripes, one per
+thread, and ``_run_all`` runs independent tasks at once, the first on the
+calling thread and the rest on a thread pool that starts on first use. The
+wrap search here and the coupling table in ``channel`` run this way. Every
+entry takes the same operations in any stripe, and counts are summed in
+stripe order, so the outputs do not depend on the number of threads. A
+forked child does not inherit the pool; it starts its own.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
@@ -65,6 +77,80 @@ _WRAP_BLOCK = 1 << 15
 _NEAR_TIE_REL = 1e-12
 
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
+
+# Threads a drop's array work is split over: one per CPU this process may
+# run on. The outputs do not depend on it.
+_THREADS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+_pool = None  # the ThreadPoolExecutor of _run_all, started on first use
+_pool_lock = threading.Lock()
+
+_T = TypeVar("_T")
+
+
+def _forget_pool() -> None:
+    # A forked child has none of its parent's threads: it starts its own pool.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _stripes(n_rows: int, block_rows: int) -> list[tuple[int, int]]:
+    """Contiguous row ranges ``[lo, hi)`` that cover ``range(n_rows)``: one
+    per thread, but no more than there are blocks of ``block_rows`` rows, so
+    a one-block job stays on the calling thread."""
+    k = max(1, min(_THREADS, -(-n_rows // block_rows)))
+    bounds = [n_rows * i // k for i in range(k + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _run_all(tasks: list[Callable[[], _T]], *, pool: bool = True) -> list[_T]:
+    """Run the zero-argument tasks at once: the first on the calling thread,
+    the others on the pool's ``_THREADS - 1`` threads. The calling thread
+    then runs, in order, each task no pool thread has started, so no more
+    threads run than there are CPUs. Returns the results in task order once
+    every task has ended. With one thread, or with ``pool`` false for work
+    too small to share, the tasks run in turn on the calling thread.
+
+    Only the first task may call a drop, table, wrap-search, scheduling or
+    CLI function: a profiler may wrap those with code that is not
+    thread-safe. The others run internal kernels, which may use the pure
+    pathloss and LOS formulas. They write their results with ``out=`` into
+    arrays the calling thread allocated (glibc keeps what a thread frees in
+    that thread's own arena, which raises peak memory), and set any
+    ``np.errstate`` they need themselves: pool threads start with numpy's
+    default.
+    """
+    global _pool
+    if not pool or len(tasks) == 1 or _THREADS < 2:
+        return [task() for task in tasks]
+    with _pool_lock:
+        if _pool is None:
+            # Imported here, as it takes milliseconds that a process which
+            # never splits a job would pay at start-up.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="d2dsim")
+        futures = [_pool.submit(task) for task in tasks[1:]]
+    results = [None] * len(tasks)
+    try:
+        results[0] = tasks[0]()
+        for i, future in enumerate(futures, 1):
+            if future.cancel():  # no pool thread has started it
+                results[i] = tasks[i]()
+    finally:
+        for future in futures:
+            if not future.cancel():  # after a failure, what has not started never will
+                future.exception()  # waits: the tasks write into the caller's arrays
+    for i, future in enumerate(futures, 1):
+        if not future.cancelled():
+            results[i] = future.result()
+    return results
 
 
 @dataclass
@@ -204,7 +290,8 @@ def pairwise_wrap_distance(
     ``hypot`` argmin over all offsets; so does every entry when that bound
     leaves float range. The returned distance is ``hypot(a - (b + t_k))`` on
     the winning offset k. The search runs in row blocks of about
-    ``_WRAP_BLOCK`` entries, so its temporaries stay in cache. ``counters``,
+    ``_WRAP_BLOCK`` entries, so its temporaries stay in cache, and splits the
+    blocks into row stripes over the drop's threads. ``counters``,
     when given, gets the entries the fallback settled added to its
     ``wrap_near_ties``.
     """
@@ -217,7 +304,6 @@ def pairwise_wrap_distance(
     if dist.size == 0:
         return dist, best_k
     rows = min(n, max(1, _WRAP_BLOCK // m))
-    t_x, t_y = np.empty((2, rows, m))
     search = offs.shape[0] > 1  # without wraparound the identity is the only image
     project = False
     if search:
@@ -234,58 +320,70 @@ def pairwise_wrap_distance(
         # Projections of the row and column points on each axis, one per row.
         proj_a = a[:, 0] * axes[:, 0:1] + a[:, 1] * axes[:, 1:2]
         proj_b = b[:, 0] * axes[:, 0:1] + b[:, 1] * axes[:, 1:2]
-        score = np.empty((3, rows, m))
-        neg = np.empty((3, rows, m), dtype=bool)
-        near = np.empty((3, rows, m), dtype=bool)
-        code = np.empty((3, rows, m), dtype=np.int8)
         axis_code = np.arange(1, 4, dtype=np.int8)[:, None, None]
-    near_ties = 0
-    for r0 in range(0, n, rows):
-        blk = slice(r0, r0 + rows)
-        k = best_k[blk]
-        r = k.shape[0]
-        if project:
-            s, sn, nr, c = score[:, :r], neg[:, :r], near[:, :r], code[:, :r]
-            for ax in range(3):
-                np.subtract.outer(proj_a[ax, blk], proj_b[ax], out=s[ax])
-            np.less(s, 0.0, out=sn)
-            np.abs(s, out=s)
-            # Best score over identity (half_sq) and the three axes, less tol.
-            top = np.maximum(s[0], s[1], out=t_x[:r])
-            np.maximum(top, s[2], out=top)
-            np.maximum(top, half_sq, out=top)
-            top -= tol
-            np.greater_equal(s, top, out=nr)
-            # Outside near ties only the best candidate is within tol of it:
-            # axis j wins with offset j + 1, or j + 4 if its projection is < 0.
-            np.multiply(sn, np.int8(3), out=c)
-            c += axis_code
-            c *= nr
-            np.sum(c, axis=0, dtype=np.int8, out=k)
-            n_near = np.sum(nr, axis=0, dtype=np.int8)
-            n_near += top <= half_sq
-            i, j = np.nonzero(n_near >= 2)
-        elif search:
-            i, j = np.indices((r, m)).reshape(2, -1)
-        else:
-            i = ()
-        if len(i):
-            # argmin takes the first minimum, so the identity wins exact ties.
-            ai = a[r0 + i]
-            k[i, j] = np.argmin(
-                np.hypot(
-                    ai[:, 0:1] - (b[j, 0:1] + offs[:, 0]),
-                    ai[:, 1:2] - (b[j, 1:2] + offs[:, 1]),
-                ),
-                axis=1,
-            )
-            near_ties += len(i)
-        # mode="clip" leaves out= unbuffered; every index is in range.
-        dx = np.take(offs[:, 0], k, out=t_x[:r], mode="clip")
-        dy = np.take(offs[:, 1], k, out=t_y[:r], mode="clip")
-        np.subtract(a[blk, 0:1], np.add(dx, b[:, 0], out=dx), out=dx)
-        np.subtract(a[blk, 1:2], np.add(dy, b[:, 1], out=dy), out=dy)
-        np.hypot(dx, dy, out=dist[blk])
+
+    def search_rows(lo, hi, scratch):
+        """Rows lo..hi, one block at a time; returns their near ties."""
+        t_x, t_y, score, neg, near, code = scratch
+        near_ties = 0
+        for r0 in range(lo, hi, rows):
+            blk = slice(r0, min(r0 + rows, hi))
+            k = best_k[blk]
+            r = k.shape[0]
+            if project:
+                s, sn, nr, c = score[:, :r], neg[:, :r], near[:, :r], code[:, :r]
+                for ax in range(3):
+                    np.subtract.outer(proj_a[ax, blk], proj_b[ax], out=s[ax])
+                np.less(s, 0.0, out=sn)
+                np.abs(s, out=s)
+                # Best score over identity (half_sq) and the three axes, less tol.
+                top = np.maximum(s[0], s[1], out=t_x[:r])
+                np.maximum(top, s[2], out=top)
+                np.maximum(top, half_sq, out=top)
+                top -= tol
+                np.greater_equal(s, top, out=nr)
+                # Outside near ties only the best candidate is within tol of it:
+                # axis j wins with offset j + 1, or j + 4 if its projection is < 0.
+                np.multiply(sn, np.int8(3), out=c)
+                c += axis_code
+                c *= nr
+                np.sum(c, axis=0, dtype=np.int8, out=k)
+                n_near = np.sum(nr, axis=0, dtype=np.int8)
+                n_near += top <= half_sq
+                i, j = np.nonzero(n_near >= 2)
+            elif search:
+                i, j = np.indices((r, m)).reshape(2, -1)
+            else:
+                i = ()
+            if len(i):
+                # argmin takes the first minimum, so the identity wins exact ties.
+                ai = a[r0 + i]
+                k[i, j] = np.argmin(
+                    np.hypot(
+                        ai[:, 0:1] - (b[j, 0:1] + offs[:, 0]),
+                        ai[:, 1:2] - (b[j, 1:2] + offs[:, 1]),
+                    ),
+                    axis=1,
+                )
+                near_ties += len(i)
+            # mode="clip" leaves out= unbuffered; every index is in range.
+            dx = np.take(offs[:, 0], k, out=t_x[:r], mode="clip")
+            dy = np.take(offs[:, 1], k, out=t_y[:r], mode="clip")
+            np.subtract(a[blk, 0:1], np.add(dx, b[:, 0], out=dx), out=dx)
+            np.subtract(a[blk, 1:2], np.add(dy, b[:, 1], out=dy), out=dy)
+            np.hypot(dx, dy, out=dist[blk])
+        return near_ties
+
+    # One scratch set per stripe, allocated on this thread (see _run_all).
+    shape = (3, rows, m)
+    near_ties = sum(_run_all([
+        functools.partial(
+            search_rows, lo, hi,
+            (*np.empty((2, rows, m)), np.empty(shape), np.empty(shape, dtype=bool),
+             np.empty(shape, dtype=bool), np.empty(shape, dtype=np.int8)),
+        )
+        for lo, hi in _stripes(n, rows)
+    ]))
     if counters is not None:
         counters.wrap_near_ties += near_ties
     return dist, best_k

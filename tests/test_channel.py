@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +177,21 @@ class TestShadowing:
     def test_rejects_negative_std(self):
         with pytest.raises(ValueError):
             draw_shadowing(-1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("std", [7.0, 0.0])
+    def test_out_fills_the_normal_draws_in_place(self, std):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        buf = np.empty((570, 570))
+        tracemalloc.start()
+        try:
+            assert draw_shadowing(std, rng, out=buf) is buf
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buf.nbytes // 100  # numpy reports its buffers to tracemalloc
+        want = ref.normal(0.0, std, size=buf.shape)
+        assert np.array_equal(buf.view(np.uint8), want.view(np.uint8))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _drop_with_table(seed=0, shadow=True, n_cell=2, n_d2d=2):
@@ -405,3 +422,44 @@ def test_row_blocks_equal_the_full_matrix_oracle(case, block, monkeypatch):
     assert rng.bit_generator.state == ref.bit_generator.state
     if case == "lattice_ties":
         assert counters.wrap_near_ties > 0
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, np.ascontiguousarray(x).view(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("case", ["wide_area", "dense_discovery", "single_site", "lattice_ties"])
+def test_stripes_change_no_bit(case, monkeypatch):
+    if case in ("single_site", "lattice_ties"):
+        # Small drops: blocks of a few rows, so that they split too.
+        monkeypatch.setattr(channel_module, "_PAIR_BLOCK", 64)
+        monkeypatch.setattr(layout_module, "_WRAP_BLOCK", 64)
+    make, cfg = _TABLE_CASES[case]
+    lay, terminals = make(np.random.default_rng(11))
+    tx_sel = terminals.tx_ids
+    tx_xy, rx_xy = terminals.xy[tx_sel], terminals.xy[tx_sel[terminals.n_cell:] + 1]
+    runs = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(layout_module, "_THREADS", threads)
+        wrap_counters, counters = DropCounters(), DropCounters()
+        dist, image = pairwise_wrap_distance(tx_xy, rx_xy, lay, counters=wrap_counters)
+        rng = np.random.default_rng(12)
+        table = build_coupling_table(lay, terminals, cfg, rng, counters=counters)
+        run = {"wrap_distance": _bits(dist), "wrap_image": _bits(image),
+               "wrap_counters": wrap_counters, "counters": counters,
+               "rng_state": rng.bit_generator.state,
+               "ue_ue_gain_lin": _bits(table.ue_ue_gain_lin)}
+        for f in dataclasses.fields(table):
+            value = getattr(table, f.name)
+            run[f.name] = _bits(value) if isinstance(value, np.ndarray) else value
+        runs.append(run)
+    for run in runs[1:]:
+        for name, value in runs[0].items():
+            assert run[name] == value, name
+    # The gain keeps the bits of the whole-matrix expression.
+    assert _bits(table.ue_ue_gain_lin) == _bits(10.0 ** (-table.ue_ue_loss_db / 10.0))
+    # Three threads split the table into three stripes.
+    assert len(layout_module._stripes(len(tx_sel), channel_module._block_rows(len(rx_xy)))) == 3
+    if case == "lattice_ties":
+        assert runs[0]["wrap_counters"].wrap_near_ties > 0

@@ -411,18 +411,35 @@ class TestColumnarEmission:
     # More rows than one write chunk, so rows cross a chunk boundary.
     N_ROWS = cli._CHUNK_ROWS + 7
 
-    @pytest.mark.parametrize("n_rows", [0, 1, N_ROWS], ids=["empty", "one_row", "two_chunks"])
-    def test_sinr_csv_bytes_equal_per_row_oracle(self, tmp_path, n_rows):
+    @pytest.mark.parametrize(
+        "n_rows, repeated",
+        [(0, False), (1, False), (N_ROWS, False), (N_ROWS, True)],
+        ids=["empty", "one_row", "two_chunks", "triples_repeat_across_settings"],
+    )
+    def test_sinr_csv_bytes_equal_per_row_oracle(self, tmp_path, n_rows, repeated):
         settings = (
             PowerControlConfig(-5.5, alpha=0.8),
             PowerControlConfig(1e-5, alpha=1.0),
             MAX_POWER,
         )
         samples = np.zeros(n_rows, dtype=SINR_SAMPLE_DTYPE)
-        samples["setting_id"] = np.arange(n_rows) % len(settings)
-        samples["drop"] = np.arange(n_rows) // 1000
-        samples["sector"] = np.arange(n_rows) % 57
-        samples["link"] = 2**31 - 1 - np.arange(n_rows)
+        row = np.arange(n_rows)
+        if repeated:
+            # The engine's shape: each setting repeats the (drop, sector,
+            # link) triples of its drop, here across a chunk boundary. Link
+            # ids come in twos with different sectors, and drops go negative,
+            # so a key on fewer columns or on non-negative values fails.
+            per_drop = 9000
+            entry = row % per_drop
+            samples["setting_id"] = row // per_drop % len(settings)
+            samples["drop"] = 1 - row // (per_drop * len(settings))
+            samples["sector"] = entry % 57
+            samples["link"] = 2**31 - 1 - entry // 2
+        else:
+            samples["setting_id"] = row % len(settings)
+            samples["drop"] = row // 1000
+            samples["sector"] = row % 57
+            samples["link"] = 2**31 - 1 - row
         samples["sinr_db"] = _values(n_rows)
         report = ExperimentReport("sinr", settings, samples)
         cli._write_sinr_csv(tmp_path / "new.csv", report)
