@@ -135,6 +135,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _echo(value) -> str:
+    """`_fmt`, or `repr` for a float that `_fmt` does not round-trip."""
+    return repr(value) if isinstance(value, float) and float(_fmt(value)) != value else _fmt(value)
+
+
 def config_echo_lines(cfg: ExperimentConfig) -> list[str]:
     lines = []
     for key in CONFIG_KEYS:
@@ -142,9 +147,9 @@ def config_echo_lines(cfg: ExperimentConfig) -> list[str]:
         if key == "coordination":
             text = _format_coordination(value)
         elif key in ("alpha_list", "snr_target_db_list"):
-            text = ", ".join(_fmt(v) for v in value)
+            text = ", ".join(_echo(v) for v in value)
         else:
-            text = _fmt(value)
+            text = _echo(value)
         lines.append(f"{key} = {text}")
     return lines
 

@@ -100,11 +100,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _stripes(n_rows: int, block_rows: int) -> list[tuple[int, int]]:
-    """Contiguous row ranges ``[lo, hi)`` that cover ``range(n_rows)``: one
-    per thread, but no more than there are blocks of ``block_rows`` rows, so
-    a one-block job stays on the calling thread."""
-    k = max(1, min(_THREADS, -(-n_rows // block_rows)))
+def _stripes(n_rows: int, block_rows: int, per_thread: int = 1) -> list[tuple[int, int]]:
+    """Contiguous row ranges ``[lo, hi)`` that cover ``range(n_rows)``:
+    ``per_thread`` per thread, but no more than there are blocks of
+    ``block_rows`` rows, so a one-block job stays on the calling thread."""
+    k = max(1, min(_THREADS * per_thread, -(-n_rows // block_rows)))
     bounds = [n_rows * i // k for i in range(k + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -322,8 +322,9 @@ def pairwise_wrap_distance(
         proj_b = b[:, 0] * axes[:, 0:1] + b[:, 1] * axes[:, 1:2]
         axis_code = np.arange(1, 4, dtype=np.int8)[:, None, None]
 
-    def search_rows(lo, hi, scratch):
+    def search_rows(lo, hi):
         """Rows lo..hi, one block at a time; returns their near ties."""
+        scratch = free.pop()
         t_x, t_y, score, neg, near, code = scratch
         near_ties = 0
         for r0 in range(lo, hi, rows):
@@ -372,18 +373,19 @@ def pairwise_wrap_distance(
             np.subtract(a[blk, 0:1], np.add(dx, b[:, 0], out=dx), out=dx)
             np.subtract(a[blk, 1:2], np.add(dy, b[:, 1], out=dy), out=dy)
             np.hypot(dx, dy, out=dist[blk])
+        free.append(scratch)
         return near_ties
 
-    # One scratch set per stripe, allocated on this thread (see _run_all).
+    # Two stripes per thread, so a thread free early takes the last ones; a
+    # running stripe borrows one of a scratch set per thread (see _run_all).
+    stripes = _stripes(n, rows, per_thread=2)
     shape = (3, rows, m)
-    near_ties = sum(_run_all([
-        functools.partial(
-            search_rows, lo, hi,
-            (*np.empty((2, rows, m)), np.empty(shape), np.empty(shape, dtype=bool),
-             np.empty(shape, dtype=bool), np.empty(shape, dtype=np.int8)),
-        )
-        for lo, hi in _stripes(n, rows)
-    ]))
+    free = [
+        (*np.empty((2, rows, m)), np.empty(shape), np.empty(shape, dtype=bool),
+         np.empty(shape, dtype=bool), np.empty(shape, dtype=np.int8))
+        for _ in range(min(_THREADS, len(stripes)))
+    ]
+    near_ties = sum(_run_all([functools.partial(search_rows, lo, hi) for lo, hi in stripes]))
     if counters is not None:
         counters.wrap_near_ties += near_ties
     return dist, best_k

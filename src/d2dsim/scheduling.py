@@ -17,15 +17,11 @@ transmits from table row `row` to column `col` of the drop's terminal-row
 loss matrix (row and column order: see `CouplingTable`). The PF state lives
 in arrays indexed by position in flow id order: one flows x flows coupling
 matrix gathered from the drop's table by those rows and columns, and per-flow
-averages. `run_pf_uplink` calls the single-step rules `pf_select` and
-`pf_update` every subframe, with output buffers. The rates at the snapshot of
-subframe t are both what the flows granted at t are served and what the
-grants at t+1 are chosen from. They depend only on t's grant set. When a
-run's possible grant sets (one flow per sector) number no more than its
-subframes, one batched pass computes every set's rates and served vector
-before the loop, and each subframe looks its set up in that memo. Otherwise
-each subframe computes its set's rates into one n_flows buffer: the run keeps
-O(n_flows) rate state plus an (n_subframes x sectors) log of served rates.
+averages. The rates at the snapshot of subframe t are both what the flows
+granted at t are served and what the grants at t+1 are chosen from; they
+depend only on t's grant set. A run with no more possible grant sets than
+subframes computes them all before its loop and does the `pf_select` and
+`pf_update` steps inline; any other run calls both rules every subframe.
 """
 
 from __future__ import annotations
@@ -204,6 +200,13 @@ def _rates_from_interference(
     return _shannon_rate_bps(interference, rc.bandwidth_hz, rc, interference)
 
 
+def _grant_sets(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Every set of one entry per row in `itertools.product` order, and the
+    strides: the set of ranks r_s in row s is row sum(r_s * stride[s])."""
+    every_set = np.array(list(itertools.product(*rows)), dtype=np.intp)
+    return every_set, np.array([math.prod(map(len, rows[s + 1 :])) for s in range(len(rows))])
+
+
 def run_pf_uplink(
     sector_flows: Mapping[int, Sequence[Flow]],
     n_subframes: int,
@@ -220,29 +223,29 @@ def run_pf_uplink(
     receiver (terminal or base). PF averages start at the flow's
     no-interference rate. Sectors with no flows are skipped.
 
-    Each subframe: `pf_select` on the rates at the current interference
-    snapshot, then the rates at the snapshot of its grants, then `pf_update`
-    on the served rates (the granted flows' entries, 0 elsewhere). Coupling,
-    signal and noise are fixed for the run, so both vectors depend only on
-    the grant set, and `_snapshot_rates` computes them from it:
+    Each subframe: the `pf_select` rule on the rates at the current
+    interference snapshot, then the rates at the snapshot of its grants, then
+    the `pf_update` rule on the served rates (the granted flows' entries, 0
+    elsewhere). Coupling, signal and noise are fixed for the run, so both
+    vectors depend only on the grant set, and `_snapshot_rates` computes them:
     - Prefilled: when the possible grant sets, the product of the sectors'
       flow counts, number no more than n_subframes, one batched call per
       row block of about `_SET_BLOCK` gathered floats computes all of them
-      before the loop, into a read-only memo of two n_flows vectors per set
-      that every subframe finds its set in.
-    - Otherwise each subframe calls the rule on its one set, into one
-      n_flows buffer, and logs the granted entries: no memo, O(n_flows) rate
-      state and an (n_subframes x sectors) log.
+      before the loop, into a read-only memo of rates and served rates / t_c
+      per set. Each subframe does the rules' float steps inline and finds its
+      set's memo row from the granted ranks (`_grant_sets`).
+    - Otherwise (direct) each subframe calls `pf_select`, the rule on its one
+      set into one n_flows buffer, and `pf_update`: O(n_flows) rate state.
     The rule computes each set alone, so both ways serve the same floats.
     After the loop, `np.add.at` sums the logged bits in time order, as the
     per-subframe sums did (adding 0.0 is exact).
 
-    One call is one PF run, with one `pf_select` and one `pf_update` call per
-    subframe. `run_throughput_experiment` makes one call per run, in run
-    order, passing the flows and `n_subframes` as the first two arguments;
-    `perfbench/tracing.py` wraps these functions and derives its call counts,
-    grant counters and golden `grants_digest` from exactly those calls, so a
-    change that batches several runs into one call must change it too.
+    One call is one PF run. Only a direct run calls `pf_select` and
+    `pf_update`, so perfbench's call counts of both read 0 on
+    `throughput_single_site`. `run_throughput_experiment` makes one call per
+    run, in run order, with the flows and `n_subframes` first; perfbench
+    derives its grant counters and golden `grants_digest` from exactly those
+    calls, so batching runs into one call must change it.
     """
     if n_subframes < 1:
         raise ValueError(f"n_subframes must be >= 1, got {n_subframes}")
@@ -286,41 +289,56 @@ def run_pf_uplink(
     # that snapshot: a granted flow's interference from the other grants is
     # exactly its snapshot entry. So a set's served vector is its inst at the
     # granted positions and 0 elsewhere. own_at indexes a set's granted rows
-    # [sector of f, f]. Row t of grant_log holds subframe t's grants. Memo entry
-    # i of a prefilled run is (i, rates row, served row), entries[t] the one
-    # subframe t used; a direct run rewrites inst in place and fills served_log.
+    # [sector of f, f]. Row t of grant_log holds subframe t's grants. Memo row
+    # i is the i-th set in product order, entries[t] subframe t's, served_tc
+    # is served / t_c as pf_update divides; a direct run rewrites inst in place.
     n_sectors = len(sectors)
     own_at = sector_of_pos * n_flows + np.arange(n_flows)
     args = (coupling_lin, own_at, signal_lin, noise_lin, rc)
     n_sets = math.prod(map(len, rows))
     select_work = _select_work(slots, n_flows)
-    grant_log = np.empty((n_subframes, n_sectors), dtype=np.intp)
 
     # Grants use the previous subframe's interference snapshot (noise-only at
     # t=0); service uses the grants concurrent at t.
     inst = _rates_from_interference(np.zeros(n_flows), signal_lin, noise_lin, rc)
     if n_sets <= n_subframes:
-        every_set = np.array(list(itertools.product(*rows)), dtype=np.intp)
+        if t_c < 1:
+            raise ValueError(f"t_c must be >= 1, got {t_c}")
+        every_set, stride = _grant_sets(rows)
         rates = np.empty((n_sets, n_flows))
         block = max(1, _SET_BLOCK // (n_sectors * n_flows))
         for b in range(0, n_sets, block):
             sets = every_set[b : b + block]
             blk_work = _rate_work(sets.shape[:1], n_sectors, n_flows)
             _snapshot_rates(sets, *args, rates[b : b + len(sets)], blk_work)
-        served = np.zeros((n_sets, n_flows))
+        served_tc = np.zeros((n_sets, n_flows))
         at = every_set + np.arange(n_sets)[:, None] * n_flows
-        served.put(at, rates.take(at))
-        rates.flags.writeable = served.flags.writeable = False
-        memo = dict(zip((g.tobytes() for g in every_set), zip(range(n_sets), rates, served)))
+        served_tc.put(at, rates.take(at))
+        np.divide(served_tc, t_c, out=served_tc)
+        rates.flags.writeable = served_tc.flags.writeable = False
+        # Averages start >= 1.0, and each subframe multiplies them by keep and
+        # adds a served rate >= 0. Both float steps are monotone, so at
+        # subframe t every average is at least 1.0 * keep repeated t times.
+        # pf_select's positivity check can fail only once that floor is 0.
+        keep = 1.0 - 1.0 / t_c
+        checked_from = 1 + np.count_nonzero(np.multiply.accumulate(np.full(n_subframes, keep)))
+        metric, ratio, slot_metric, best, _ = select_work
         entries = []
-        for grants in grant_log:
-            pf_select(inst, avg, slots, grants, select_work)
-            i, inst, served_rates = memo[grants.tobytes()]
-            entries.append(i)
-            pf_update(avg, served_rates, t_c, out=avg)
+        for t in range(n_subframes):
+            if t >= checked_from and avg[avg.argmin()] <= 0:
+                raise ValueError("PF average rates must be positive")
+            np.divide(inst, avg, out=ratio)
+            metric.take(slots, out=slot_metric, mode="wrap")
+            slot_metric.argmax(axis=1, out=best)
+            entries.append(i := best.dot(stride))
+            inst = rates[i]
+            np.multiply(avg, keep, out=avg)
+            np.add(avg, served_tc[i], out=avg)
+        grant_log = every_set[entries]
         served_log = rates[np.array(entries)[:, None], grant_log]
     else:
         work = _rate_work((), n_sectors, n_flows)
+        grant_log = np.empty((n_subframes, n_sectors), dtype=np.intp)
         served_log = np.empty((n_subframes, n_sectors))
         served = np.zeros(n_flows)
         for grants, served_rates in zip(grant_log, served_log):

@@ -178,6 +178,18 @@ class TestMain:
             tmp_path / "b" / "sinr_samples.csv"
         ).read_bytes()
 
+    def test_manifest_reproduces_a_run_of_floats_beyond_six_digits(self, tmp_path):
+        # 6 significant digits would echo these as 1732.05 and 123.457.
+        text = SMALL_SINR.replace("isd_m = 1732", "isd_m = 1732.0508075688772")
+        text += f"d2d_range_m = 123.456789\nout_dir = {tmp_path}/a\n"
+        assert main([write_cfg(tmp_path, text), "--quiet"]) == 0
+        manifest = (tmp_path / "a" / "manifest.txt").read_text()
+        assert "isd_m = 1732.0508075688772\n" in manifest
+        assert "d2d_range_m = 123.456789\n" in manifest
+        assert main([str(tmp_path / "a" / "manifest.txt"), "--out", str(tmp_path / "b"), "--quiet"]) == 0
+        for name in ("sinr_samples.csv", "summary.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_seed_override_changes_samples_and_manifest(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SMALL_SINR + f"out_dir = {tmp_path}/a\n")
         assert main([cfg_path]) == 0

@@ -787,13 +787,106 @@ def test_prefill_grants_only_real_flows_on_a_stub_table(monkeypatch):
     assert set(map(tuple, calls[0].tolist())) == set(itertools.product(*positions))
 
 
-def test_average_reaching_zero_raises():
+def _record_rule_calls(monkeypatch):
+    """Count run_pf_uplink's calls of pf_select and pf_update."""
+    calls = {"pf_select": 0, "pf_update": 0}
+    for name in calls:
+        rule = getattr(scheduling, name)
+
+        def counted(*args, _rule=rule, _name=name, **kwargs):
+            calls[_name] += 1
+            return _rule(*args, **kwargs)
+
+        monkeypatch.setattr(scheduling, name, counted)
+    return calls
+
+
+@settings(max_examples=25)
+@given(
+    counts=st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(
+        lambda c: len(c) == 1 or len(set(c)) > 1
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_set_index_is_the_position_in_product_order(counts, seed):
+    """1-4 sectors of unequal flow counts and one empty sector, run for as
+    many subframes as they have grant sets, so the memo is prefilled: the
+    strides turn the ranks of every set into its position in
+    itertools.product order of the sectors' rows, and the run equals the
+    oracle."""
+    sector_flows, table, dest = _stub_sector_flows(np.random.default_rng(seed), counts)
+    n_sets = math.prod(counts)
+    seen = []
+    rule = scheduling._grant_sets
+
+    def logged(rows):
+        seen.append((rows, *rule(rows)))
+        return seen[-1][1:]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduling, "_grant_sets", logged)
+        calls = _record_rule_calls(mp)
+        got = run_pf_uplink(sector_flows, n_sets, RC, OPEN_LOOP, table, t_c=20)
+    assert calls == {"pf_select": 0, "pf_update": 0}
+    [(rows, every_set, stride)] = seen
+    pos_of = {fid: i for i, fid in enumerate(sorted(dest))}
+    assert rows == [sorted(pos_of[f.id] for f in sector_flows[s]) for s in range(len(counts))]
+    product = list(itertools.product(*rows))
+    assert every_set.tolist() == [list(g) for g in product]
+    for position, grants in enumerate(product):
+        ranks = [row.index(g) for row, g in zip(rows, grants)]
+        assert sum(r * w for r, w in zip(ranks, stride.tolist())) == position
+    expected = _array_pf_oracle(sector_flows, dest, n_sets, RC, OPEN_LOOP, table, t_c=20)
+    _assert_bit_equal(got, expected)
+
+
+def test_prefilled_run_past_the_floor_underflow_equals_the_oracle(monkeypatch):
+    """At t_c = 2 the floor under every average, 1.0 halved once per
+    subframe, is 0 from subframe 1,075 on, so the last 25 subframes of a
+    1,100-subframe run check the averages; 1,000 sets are prefilled."""
+    floor, zero_from = 1.0, 0
+    while floor > 0:
+        floor, zero_from = floor * 0.5, zero_from + 1
+    assert zero_from == 1075
+    sector_flows, table, dest = _engine_drop_flows(SINGLE_SITE, SINGLE_SITE.k_d2d)
+    assert math.prod(map(len, sector_flows.values())) == 1000
+    calls = _record_rule_calls(monkeypatch)
+    expected = _array_pf_oracle(sector_flows, dest, 1100, RC, MAX_POWER, table, t_c=2)
+    _assert_bit_equal(run_pf_uplink(sector_flows, 1100, RC, MAX_POWER, table, t_c=2), expected)
+    assert calls == {"pf_select": 0, "pf_update": 0}
+
+
+def test_direct_run_calls_the_rules_once_per_subframe(monkeypatch):
+    sector_flows, table, dest = _engine_drop_flows(SINGLE_SITE, SINGLE_SITE.k_d2d)
+    calls = _record_rule_calls(monkeypatch)
+    expected = _array_pf_oracle(sector_flows, dest, 999, RC, MAX_POWER, table)
+    _assert_bit_equal(run_pf_uplink(sector_flows, 999, RC, MAX_POWER, table), expected)
+    assert calls == {"pf_select": 999, "pf_update": 999}
+
+
+def test_average_reaching_zero_raises(monkeypatch):
     # With t_c = 1 the average is the last served rate, so a flow not granted
-    # in the first subframe has average 0 when the second one selects.
+    # in the first subframe has average 0 when the second one selects. The
+    # raising run has 2 grant sets in 2 subframes, so it is prefilled: one
+    # batched call computes both sets.
     sector_flows, table = _isolated_sector(2, [100.0, 100.0])
     run_pf_uplink(sector_flows, 1, RC, MAX_POWER, table, t_c=1)
+    calls = _record_rate_calls(monkeypatch)
     with pytest.raises(ValueError, match="positive"):
         run_pf_uplink(sector_flows, 2, RC, MAX_POWER, table, t_c=1)
+    assert [c.tolist() for c in calls] == [[[0], [1]]]
+
+
+def test_average_underflowing_to_zero_raises_at_the_same_subframe():
+    """A flow with 3,000 dB of loss has rate 0 and starts at the 1.0 floor,
+    so at t_c = 2 it is never granted and its average halves to 0 at
+    subframe 1,075: a 1,075-subframe run ends, a 1,076-subframe run raises
+    there, as pf_select's check did in every subframe."""
+    sector_flows, table = _isolated_sector(2, [100.0, 3000.0])
+    got = run_pf_uplink(sector_flows, 1075, RC, MAX_POWER, table, t_c=2)
+    assert got.granted_subframes == {0: 1075, 1: 0}
+    with pytest.raises(ValueError, match="positive"):
+        run_pf_uplink(sector_flows, 1076, RC, MAX_POWER, table, t_c=2)
 
 
 def test_t_c_below_one_raises():
