@@ -709,16 +709,32 @@ def _record_rate_calls(monkeypatch):
     return calls
 
 
+def _record_rule_calls(monkeypatch):
+    """Count run_pf_uplink's calls of pf_select and pf_update."""
+    calls = {"pf_select": 0, "pf_update": 0}
+    for name in calls:
+        rule = getattr(scheduling, name)
+
+        def counted(*args, _rule=rule, _name=name, **kwargs):
+            calls[_name] += 1
+            return _rule(*args, **kwargs)
+
+        monkeypatch.setattr(scheduling, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("k_d2d", [0, 5], ids=["baseline", "offload"])
 @pytest.mark.parametrize("n_subframes", [999, 1000], ids=["direct", "prefilled"])
 def test_memo_is_prefilled_when_every_grant_set_fits(monkeypatch, n_subframes, k_d2d):
     """3 sectors of 10 flows have 1,000 possible grant sets. A run of 1,000
     subframes computes all of them in batches before the loop and none
-    after; a run of 999 keeps no memo and computes its granted set, alone,
-    in every subframe."""
+    after, and calls neither pf_select nor pf_update; a run of 999 keeps no
+    memo and computes its granted set, alone, in every subframe, with one
+    call of each rule."""
     sector_flows, table, dest = _engine_drop_flows(SINGLE_SITE, k_d2d)
     assert math.prod(map(len, sector_flows.values())) == 1000
     calls = _record_rate_calls(monkeypatch)
+    rule_calls = _record_rule_calls(monkeypatch)
     log = []
     expected = _array_pf_oracle(sector_flows, dest, n_subframes, RC, MAX_POWER, table, grant_log=log)
     _assert_bit_equal(run_pf_uplink(sector_flows, n_subframes, RC, MAX_POWER, table), expected)
@@ -727,9 +743,11 @@ def test_memo_is_prefilled_when_every_grant_set_fits(monkeypatch, n_subframes, k
         assert all(c.ndim == 2 and len(c) > 1 for c in calls)
         assert len(computed) == len(set(computed)) == 1000
         assert set(log) <= set(computed)
+        assert rule_calls == {"pf_select": 0, "pf_update": 0}
     else:
         assert len(calls) == n_subframes and all(c.ndim == 1 for c in calls)
         assert computed == log
+        assert rule_calls == {"pf_select": n_subframes, "pf_update": n_subframes}
 
 
 def test_direct_run_memory_does_not_grow_with_its_subframes():
@@ -787,20 +805,6 @@ def test_prefill_grants_only_real_flows_on_a_stub_table(monkeypatch):
     assert set(map(tuple, calls[0].tolist())) == set(itertools.product(*positions))
 
 
-def _record_rule_calls(monkeypatch):
-    """Count run_pf_uplink's calls of pf_select and pf_update."""
-    calls = {"pf_select": 0, "pf_update": 0}
-    for name in calls:
-        rule = getattr(scheduling, name)
-
-        def counted(*args, _rule=rule, _name=name, **kwargs):
-            calls[_name] += 1
-            return _rule(*args, **kwargs)
-
-        monkeypatch.setattr(scheduling, name, counted)
-    return calls
-
-
 @settings(max_examples=25)
 @given(
     counts=st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(
@@ -854,14 +858,6 @@ def test_prefilled_run_past_the_floor_underflow_equals_the_oracle(monkeypatch):
     expected = _array_pf_oracle(sector_flows, dest, 1100, RC, MAX_POWER, table, t_c=2)
     _assert_bit_equal(run_pf_uplink(sector_flows, 1100, RC, MAX_POWER, table, t_c=2), expected)
     assert calls == {"pf_select": 0, "pf_update": 0}
-
-
-def test_direct_run_calls_the_rules_once_per_subframe(monkeypatch):
-    sector_flows, table, dest = _engine_drop_flows(SINGLE_SITE, SINGLE_SITE.k_d2d)
-    calls = _record_rule_calls(monkeypatch)
-    expected = _array_pf_oracle(sector_flows, dest, 999, RC, MAX_POWER, table)
-    _assert_bit_equal(run_pf_uplink(sector_flows, 999, RC, MAX_POWER, table), expected)
-    assert calls == {"pf_select": 999, "pf_update": 999}
 
 
 def test_average_reaching_zero_raises(monkeypatch):
