@@ -61,6 +61,49 @@ k_d2d = 2
 seed = 42
 """
 
+# SHA-256 digests of each preset's outputs at 2 drops, manifest without its #
+# lines. The throughput CSV, summary and manifest digests were recorded before
+# the PF loop's rate memo; the rest before the CSV, summary, diagnostics and
+# manifest writers became text producers.
+PRESET_DIGESTS = {
+    "sinr_dense_discovery_load": {
+        "sinr_samples.csv": "a96e6715651f5524cf3b3896bf6a96367e92f98ed6b491ac50005e8570b5f0fe",
+        "summary.txt": "ea89153dfac0fc58b90d6446126623b2a24aae05c166d716d36988c7252a5c09",
+        "diagnostics.txt": "7d244a16d257e1ee7d3314e299194b015685e63a4828a5eef878540a8201b944",
+        "manifest.txt": "73faa7f7eeb5032afa35ffb01de7950e884ebd80855e2da94e97ec6f1a82da7e",
+    },
+    "sinr_dense_reuse2": {
+        "sinr_samples.csv": "b034d1fb5dec7332e61f2b737587f11828b1caa61a19a597438d7252cc316037",
+        "summary.txt": "e7b416778f1383182222099f124903dbeb6b2fa0ff368e3d66573ccf17d35b9e",
+        "diagnostics.txt": "8e6d46e7fe8abd712b0bc9d132551e3d403d4cfa8fdd423959a25ed23b681e53",
+        "manifest.txt": "850331136b98345ff42b96b79cc1f3a780a45b323ceb7ebb5a030783f177ae60",
+    },
+    "sinr_dense_single_link": {
+        "sinr_samples.csv": "e0db7a979d588aa8676263222b81036dae887068f7635229074a5930ff05bbad",
+        "summary.txt": "4d3b1c46ac94eb40cf8ac3e50afde65bc37aad34a61813be3008982476061e66",
+        "diagnostics.txt": "9e7b15f7c7faf2408820b415a4b7881375b8c647b38366929ecf40336463e666",
+        "manifest.txt": "63088bd66a39470f9113905909d6683bdc33184f57203cf29a70671ee6a31d83",
+    },
+    "sinr_wide_area_tdm": {
+        "sinr_samples.csv": "2e37855301f843231119a2595d033ef924680fdb1c735bda3daa4174a2eb1c80",
+        "summary.txt": "2d3dd07294a28057466940b056ff116d3a1f34a8c78162ebf57706a50446f7c1",
+        "diagnostics.txt": "f4c1698c8f284ee53c929575a04e9f59e92e9bccdfdde9f0a1921b4fd75fc675",
+        "manifest.txt": "91da449d07235337b16ea50eddf8a90ad4b2bd36754f6411213d8dd74591884b",
+    },
+    "sinr_wide_area_uncoordinated": {
+        "sinr_samples.csv": "696718ee88da498019ab0e11cecbc5fffcb1c3d4ddbb6421310afabf4f06c87c",
+        "summary.txt": "273d2931094586a000b30714b713e1a8c48079761ed31fa218cd83290aa83a29",
+        "diagnostics.txt": "f4c1698c8f284ee53c929575a04e9f59e92e9bccdfdde9f0a1921b4fd75fc675",
+        "manifest.txt": "512f51137d5644f08c371f43d50f662d01c8f6f4f0a0f462410f8772a4c90c17",
+    },
+    "throughput_offload": {
+        "throughput.csv": "33f4577d887cc26c6f0eabfb7d518f30081f6ab859e4ee6f8e20a10e98063cf0",
+        "summary.txt": "f0f96373cbea71d0ba2f8c6335420b265612424fe54969d139af4813caab3857",
+        "diagnostics.txt": "7229f1c4a6de72232c0fb219a37d5ee85c01222b08509425de751b1c11e94653",
+        "manifest.txt": "16bc6ee85b24e10bc87726248524e3a4cb5bad1967fad822fc7abe21414bf754",
+    },
+}
+
 
 class TestParseConfig:
     def test_values_round_trip(self, tmp_path):
@@ -249,15 +292,11 @@ class TestMain:
         assert d2d_grants[0] == d2d_grants[2] == 0
         assert int(lines["offload_d2d_grants"]) == d2d_grants[1] + d2d_grants[3] > 0
 
-    def test_throughput_offload_preset_bytes_are_pinned(self, tmp_path):
-        # SHA-256 digests of configs/throughput_offload.cfg at 2 drops,
-        # recorded before the PF loop's rate memo; manifest without # lines.
-        expected = {
-            "throughput.csv": "33f4577d887cc26c6f0eabfb7d518f30081f6ab859e4ee6f8e20a10e98063cf0",
-            "summary.txt": "f0f96373cbea71d0ba2f8c6335420b265612424fe54969d139af4813caab3857",
-            "manifest.txt": "16bc6ee85b24e10bc87726248524e3a4cb5bad1967fad822fc7abe21414bf754",
-        }
-        cfg = replace(parse_config(str(CONFIGS / "throughput_offload.cfg")), n_drops=2)
+    @pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
+    def test_throughput_offload_preset_bytes_are_pinned(self, tmp_path, preset):
+        # Every preset's output files at 2 drops; manifest without # lines.
+        expected = PRESET_DIGESTS[preset]
+        cfg = replace(parse_config(str(CONFIGS / f"{preset}.cfg")), n_drops=2)
         cli.emit_reports(engine.run_experiment(cfg), cfg, str(tmp_path), 0.0)
         got = {}
         for name in expected:
