@@ -31,20 +31,13 @@ from .layout import (
     DropCounters,
     NetworkLayout,
     Terminals,
+    _block_rows,
     _run_all,
     _stripes,
     pairwise_wrap_distance,
 )
 
 SPEED_OF_LIGHT_M_S = 3.0e8
-
-# Entries per row block of the terminal-pair LOS and pathloss pass.
-_PAIR_BLOCK = 1 << 15
-
-
-def _block_rows(n_cols: int) -> int:
-    return max(1, _PAIR_BLOCK // max(n_cols, 1))
-
 
 # Endpoint keys of `CouplingTable.loss_db`: a receiver or transmitter is
 # either a terminal ("ue", ue_id) or a base-station sector face ("sector", index).
@@ -157,19 +150,16 @@ def sector_antenna_gain(angle_off_boresight_deg):
     return float(g) if np.ndim(angle_off_boresight_deg) == 0 else g
 
 
-def draw_shadowing(std_db: float, rng: np.random.Generator, size=None, *, out=None):
+def draw_shadowing(std_db: float, rng: np.random.Generator, *, out: np.ndarray) -> np.ndarray:
     """Zero-mean Gaussian shadowing in dB, independent per draw.
 
-    With ``out`` (a float64 array), fills it and returns it, allocating
-    nothing: standard normals scaled in place with the formula
-    ``Generator.normal`` applies, ``0 + std * z``, so it holds the values and
-    leaves the generator where ``rng.normal(0, std_db, out.shape)`` would.
+    Fills the float64 array ``out`` and returns it, allocating nothing:
+    standard normals scaled in place with the formula ``Generator.normal``
+    applies, ``0 + std * z``, so it holds the values and leaves the generator
+    where ``rng.normal(0, std_db, out.shape)`` would.
     """
     if std_db < 0:
         raise ValueError(f"shadowing std must be >= 0, got {std_db}")
-    if out is None:
-        x = rng.normal(0.0, std_db, size=size)
-        return float(x) if size is None else x
     rng.standard_normal(out=out)
     out *= std_db
     out += 0.0  # as normal's 0.0 + (-0.0) gives 0.0
@@ -262,10 +252,10 @@ def build_coupling_table(
     terminal-pair shadowing, then terminal-to-base shadowing. Each is drawn
     whole; the first two on a pool thread while the calling thread runs the
     terminal-pair wrap search. The terminal-pair clamp, LOS state, pathloss
-    and floor then run one row block of about ``_PAIR_BLOCK`` entries at a
-    time, so their temporaries stay in cache, in row stripes on the pool's
-    threads while the calling thread takes the terminal-to-site geometry.
-    A table of one stripe runs on the calling thread alone. Distances,
+    and floor then run one row block (``layout._block_rows``) at a time, so
+    their temporaries stay in cache, in row stripes on the pool's threads
+    while the calling thread takes the terminal-to-site geometry. A table
+    of one stripe runs on the calling thread alone. Distances,
     arrival angles and macro pathloss are taken per site and repeated over
     its three sectors; the antenna gain is per sector.
 
@@ -339,7 +329,7 @@ def build_coupling_table(
         counters.clamped_distances += int(sum(c for c, _ in counts))
         counters.floor_entries += int(sum(f for _, f in counts))
 
-    shadow_us = draw_shadowing(cfg.shadow_std_enbue_db, rng, size=(n_tx, n_sec))
+    shadow_us = draw_shadowing(cfg.shadow_std_enbue_db, rng, out=np.empty((n_tx, n_sec)))
     loss_us = np.maximum(pl_all_s[tx_sel] + shadow_us, cfg.min_pl_db) - gain[tx_sel]
 
     # Downlink entries keep shadowing at its mean (coverage is judged on the

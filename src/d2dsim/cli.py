@@ -154,73 +154,60 @@ def config_echo_lines(cfg: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _write_manifest(path: str, cfg: ExperimentConfig, duration_s: float) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in config_echo_lines(cfg):
-            fh.write(line + "\n")
-        fh.write(f"# version = {__version__}\n")
-        fh.write(f"# duration_s = {duration_s:.3f}\n")
+def _manifest_text(cfg: ExperimentConfig, duration_s: float) -> str:
+    echo = "".join(line + "\n" for line in config_echo_lines(cfg))
+    return echo + f"# version = {__version__}\n# duration_s = {duration_s:.3f}\n"
 
 
-# Rows joined into one string per write: bounds the text held in memory.
+# Rows formatted into one string per write: bounds the text held in memory.
 _CHUNK_ROWS = 1 << 16
 
 
-def _row_chunks(*columns):
-    """The rows of equally long array columns, as zips of Python scalars,
-    _CHUNK_ROWS rows at a time."""
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        yield zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in columns))
+def _csv_rows(samples, template: str, columns):
+    """The CSV rows of ``samples``, _CHUNK_ROWS rows per string: ``template``
+    once per row, ``%`` the row's entries of the lists ``columns(chunk)``
+    gives. Float cells are ``%.6g`` of Python floats, the text ``_fmt`` gives."""
+    for start in range(0, len(samples), _CHUNK_ROWS):
+        cols = columns(samples[start:start + _CHUNK_ROWS])
+        cells = [None] * (len(cols) * len(cols[0]))
+        for i, col in enumerate(cols):
+            cells[i::len(cols)] = col
+        yield (template * len(cols[0])) % tuple(cells)
 
 
-def _sinr_rows(chunk, heads) -> str:
-    """The CSV rows of a slice of SINR samples, ``heads`` the row start of
-    each setting. Each distinct (drop, sector, link) triple is formatted
-    once, and one ``%`` template formats every row: float cells are
-    ``%.6g`` of Python floats, the text ``_fmt`` gives."""
-    n = len(chunk)
-    drop, sector, link = chunk["drop"], chunk["sector"], chunk["link"]
-    order = np.lexsort((link, sector, drop))
-    d, s, k = drop[order], sector[order], link[order]
-    first = np.ones(n, dtype=bool)  # the first sorted row of each triple
-    first[1:] = (d[1:] != d[:-1]) | (s[1:] != s[:-1]) | (k[1:] != k[:-1])
-    triple = np.empty(n, dtype=np.intp)
-    triple[order] = np.cumsum(first) - 1
-    prefixes = np.array(
-        ["%d,%d,%d," % t for t in zip(d[first].tolist(), s[first].tolist(), k[first].tolist())],
-        dtype=object,
-    )
-    cells = [None] * (3 * n)
-    cells[0::3] = heads[chunk["setting_id"]].tolist()
-    cells[1::3] = prefixes[triple].tolist()
-    cells[2::3] = chunk["sinr_db"].tolist()
-    return ("%s%s%.6g\n" * n) % tuple(cells)
-
-
-def _write_sinr_csv(path: str, report: ExperimentReport) -> None:
+def _sinr_csv(report: ExperimentReport):
     heads = np.array([
         f"{si},{_fmt(s.alpha)},{_fmt(s.snr_target_db)}," if s.enabled else f"{si},,,"
         for si, s in enumerate(report.settings)
     ], dtype=object)
-    samples = report.samples
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("setting_id,alpha,snr_target_db,drop,sector,link,sinr_db\n")
-        for start in range(0, len(samples), _CHUNK_ROWS):
-            fh.write(_sinr_rows(samples[start:start + _CHUNK_ROWS], heads))
+
+    def columns(chunk):
+        # The row start of each setting, then each distinct (drop, sector,
+        # link) triple formatted once, then the SINR.
+        n = len(chunk)
+        drop, sector, link = chunk["drop"], chunk["sector"], chunk["link"]
+        order = np.lexsort((link, sector, drop))
+        d, s, k = drop[order], sector[order], link[order]
+        first = np.ones(n, dtype=bool)  # the first sorted row of each triple
+        first[1:] = (d[1:] != d[:-1]) | (s[1:] != s[:-1]) | (k[1:] != k[:-1])
+        triple = np.empty(n, dtype=np.intp)
+        triple[order] = np.cumsum(first) - 1
+        prefixes = np.array(["%d,%d,%d," % t for t in zip(
+            d[first].tolist(), s[first].tolist(), k[first].tolist())], dtype=object)
+        return (heads[chunk["setting_id"]].tolist(), prefixes[triple].tolist(),
+                chunk["sinr_db"].tolist())
+
+    yield "setting_id,alpha,snr_target_db,drop,sector,link,sinr_db\n"
+    yield from _csv_rows(report.samples, "%s%s%.6g\n", columns)
 
 
-def _write_throughput_csv(path: str, baseline, offload) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("run,drop,flow,role,throughput_bps\n")
-        for report in (baseline, offload):
-            samples, run = report.samples, report.run_label
-            for rows in _row_chunks(
-                samples["drop"], samples["flow"], samples["role"], samples["throughput_bps"]
-            ):
-                fh.write("".join([
-                    f"{run},{drop},{flow},{role},{v:.6g}\n"
-                    for drop, flow, role, v in rows
-                ]))
+def _throughput_csv(baseline, offload):
+    yield "run,drop,flow,role,throughput_bps\n"
+    for report in (baseline, offload):
+        yield from _csv_rows(
+            report.samples, f"{report.run_label},%d,%d,%s,%.6g\n",
+            lambda chunk: [chunk[k].tolist() for k in ("drop", "flow", "role", "throughput_bps")],
+        )
 
 
 def _sinr_summary_text(report: ExperimentReport) -> str:
@@ -252,34 +239,33 @@ def _throughput_summary_text(baseline, offload, k_d2d: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_diagnostics(path: str, reports: tuple[ExperimentReport, ...]) -> None:
+def _diagnostics_text(reports: tuple[ExperimentReport, ...]) -> str:
     counters = reports[0].counters
     lines = [(f.name, getattr(counters, f.name)) for f in fields(counters)]
     lines += [(f"{r.run_label}_starved_flows", r.starved_flows) for r in reports if r.run_label]
     lines += [("offload_d2d_grants", r.d2d_grants) for r in reports if r.run_label == "offload"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(f"{name} = {value}\n" for name, value in lines)
+    return "".join(f"{name} = {value}\n" for name, value in lines)
 
 
 def emit_reports(result, cfg: ExperimentConfig, out_dir: str, duration_s: float) -> str:
     """Write the CSV, summary, diagnostics and manifest files; returns the
     summary text."""
-    os.makedirs(out_dir, exist_ok=True)
     if cfg.experiment == "sinr":
-        _write_sinr_csv(os.path.join(out_dir, "sinr_samples.csv"), result)
+        reports, csv_name, csv_chunks = (result,), "sinr_samples.csv", _sinr_csv(result)
         summary = _sinr_summary_text(result)
-        reports = (result,)
     else:
-        baseline, offload = result
-        _write_throughput_csv(
-            os.path.join(out_dir, "throughput.csv"), baseline, offload
-        )
-        summary = _throughput_summary_text(baseline, offload, cfg.k_d2d)
-        reports = result
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(summary)
-    _write_diagnostics(os.path.join(out_dir, "diagnostics.txt"), reports)
-    _write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, duration_s)
+        reports, csv_name, csv_chunks = result, "throughput.csv", _throughput_csv(*result)
+        summary = _throughput_summary_text(*result, cfg.k_d2d)
+    os.makedirs(out_dir, exist_ok=True)
+    # One loop opens every file, in this order; each producer gives its text.
+    for name, text in (
+        (csv_name, csv_chunks),
+        ("summary.txt", [summary]),
+        ("diagnostics.txt", [_diagnostics_text(reports)]),
+        ("manifest.txt", [_manifest_text(cfg, duration_s)]),
+    ):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(text)
     return summary
 
 

@@ -36,8 +36,9 @@ loop (``sectors_of_points``): one receivers x sites distance matrix per drop
 instead of one per receiver. The samplers return position and sector arrays.
 
 A drop's array work uses up to one thread per CPU the process may run on.
-``_stripes`` cuts a row-blocked kernel into contiguous row stripes, one per
-thread, and ``_run_all`` runs independent tasks at once, the first on the
+Row-blocked kernels take ``_block_rows`` rows, about ``_BLOCK_ENTRIES``
+entries, at a time. ``_stripes`` cuts one into contiguous row stripes, two
+per thread, and ``_run_all`` runs independent tasks at once, the first on the
 calling thread and the rest on a thread pool that starts on first use. The
 wrap search here and the coupling table in ``channel`` run this way. Every
 entry takes the same operations in any stripe, and counts are summed in
@@ -68,8 +69,8 @@ SECTOR_BORESIGHTS_DEG = (30.0, 150.0, 270.0)
 # Doubles the position sampler draws per rng.random call.
 _BLOCK = 8192
 
-# Entries per row block of the wrap search: its temporaries stay in cache.
-_WRAP_BLOCK = 1 << 15
+# Entries per row block of a kernel (_block_rows): temporaries stay in cache.
+_BLOCK_ENTRIES = 1 << 15
 
 # Near-tie tolerance of the wrap search, relative to the squared coordinate
 # scale. The rounding of the projection scores and of the per-image hypot
@@ -100,11 +101,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _stripes(n_rows: int, block_rows: int, per_thread: int = 1) -> list[tuple[int, int]]:
-    """Contiguous row ranges ``[lo, hi)`` that cover ``range(n_rows)``:
-    ``per_thread`` per thread, but no more than there are blocks of
-    ``block_rows`` rows, so a one-block job stays on the calling thread."""
-    k = max(1, min(_THREADS * per_thread, -(-n_rows // block_rows)))
+def _block_rows(n_cols: int) -> int:
+    return max(1, _BLOCK_ENTRIES // max(n_cols, 1))
+
+
+def _stripes(n_rows: int, block_rows: int) -> list[tuple[int, int]]:
+    """Contiguous row ranges ``[lo, hi)`` that cover ``range(n_rows)``: two
+    per thread, but no more than there are blocks of ``block_rows`` rows, so
+    a one-block job stays on the calling thread."""
+    k = max(1, min(2 * _THREADS, -(-n_rows // block_rows)))
     bounds = [n_rows * i // k for i in range(k + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -289,9 +294,9 @@ def pairwise_wrap_distance(
     the largest coordinate of a, of b and of the offsets, summed), go to the
     ``hypot`` argmin over all offsets; so does every entry when that bound
     leaves float range. The returned distance is ``hypot(a - (b + t_k))`` on
-    the winning offset k. The search runs in row blocks of about
-    ``_WRAP_BLOCK`` entries, so its temporaries stay in cache, and splits the
-    blocks into row stripes over the drop's threads. ``counters``,
+    the winning offset k. The search runs in row blocks of ``_block_rows``,
+    so its temporaries stay in cache, and splits the blocks into row stripes
+    over the drop's threads. ``counters``,
     when given, gets the entries the fallback settled added to its
     ``wrap_near_ties``.
     """
@@ -303,7 +308,7 @@ def pairwise_wrap_distance(
     best_k = np.zeros((n, m), dtype=np.int8)
     if dist.size == 0:
         return dist, best_k
-    rows = min(n, max(1, _WRAP_BLOCK // m))
+    rows = min(n, _block_rows(m))
     search = offs.shape[0] > 1  # without wraparound the identity is the only image
     project = False
     if search:
@@ -376,9 +381,8 @@ def pairwise_wrap_distance(
         free.append(scratch)
         return near_ties
 
-    # Two stripes per thread, so a thread free early takes the last ones; a
-    # running stripe borrows one of a scratch set per thread (see _run_all).
-    stripes = _stripes(n, rows, per_thread=2)
+    # A running stripe borrows one of a scratch set per thread (see _run_all).
+    stripes = _stripes(n, rows)
     shape = (3, rows, m)
     free = [
         (*np.empty((2, rows, m)), np.empty(shape), np.empty(shape, dtype=bool),

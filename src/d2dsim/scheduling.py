@@ -34,6 +34,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .channel import CouplingTable
+from .layout import _block_rows
 from .radio import (
     PowerControlConfig,
     RadioConfig,
@@ -43,10 +44,6 @@ from .radio import (
 )
 
 SUBFRAME_S = 1e-3
-
-# Entries per row block of the (sets x sectors x flows) gather that fills a
-# run's memo before its loop.
-_SET_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -230,7 +227,7 @@ def run_pf_uplink(
     vectors depend only on the grant set, and `_snapshot_rates` computes them:
     - Prefilled: when the possible grant sets, the product of the sectors'
       flow counts, number no more than n_subframes, one batched call per
-      row block of about `_SET_BLOCK` gathered floats computes all of them
+      row block of sets (`layout._block_rows`) computes all of them
       before the loop, into a read-only memo of rates and served rates / t_c
       per set. Each subframe does the rules' float steps inline and finds its
       set's memo row from the granted ranks (`_grant_sets`).
@@ -306,7 +303,7 @@ def run_pf_uplink(
             raise ValueError(f"t_c must be >= 1, got {t_c}")
         every_set, stride = _grant_sets(rows)
         rates = np.empty((n_sets, n_flows))
-        block = max(1, _SET_BLOCK // (n_sectors * n_flows))
+        block = _block_rows(n_sectors * n_flows)
         for b in range(0, n_sets, block):
             sets = every_set[b : b + block]
             blk_work = _rate_work(sets.shape[:1], n_sectors, n_flows)

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from d2dsim import channel as channel_module
 from d2dsim import layout as layout_module
 from d2dsim.channel import (
     ChannelConfig,
@@ -159,24 +158,24 @@ class TestSectorAntennaGain:
 class TestShadowing:
     def test_zero_std_is_exactly_zero(self):
         rng = np.random.default_rng(0)
-        assert draw_shadowing(0.0, rng) == 0.0
-        assert np.all(draw_shadowing(0.0, rng, size=100) == 0.0)
+        assert draw_shadowing(0.0, rng, out=np.empty(())) == 0.0
+        assert np.all(draw_shadowing(0.0, rng, out=np.empty(100)) == 0.0)
 
     def test_moments(self):
         rng = np.random.default_rng(1)
-        x = draw_shadowing(7.0, rng, size=1_000_000)
+        x = draw_shadowing(7.0, rng, out=np.empty(1_000_000))
         assert -0.05 < x.mean() < 0.05
         assert 6.95 < x.std() < 7.05
 
     def test_links_are_uncorrelated(self):
         rng = np.random.default_rng(2)
-        x = draw_shadowing(7.0, rng, size=1_000_000)
-        y = draw_shadowing(7.0, rng, size=1_000_000)
+        x = draw_shadowing(7.0, rng, out=np.empty(1_000_000))
+        y = draw_shadowing(7.0, rng, out=np.empty(1_000_000))
         assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
 
     def test_rejects_negative_std(self):
         with pytest.raises(ValueError):
-            draw_shadowing(-1.0, np.random.default_rng(0))
+            draw_shadowing(-1.0, np.random.default_rng(0), out=np.empty(1))
 
     @pytest.mark.parametrize("std", [7.0, 0.0])
     def test_out_fills_the_normal_draws_in_place(self, std):
@@ -330,7 +329,7 @@ def _coupling_table_oracle(layout, terminals, cfg, rng, counters):
     counters.clamped_distances += int(np.count_nonzero(d_uu < MIN_UE_UE_DISTANCE_M))
     d_uu = np.maximum(d_uu, MIN_UE_UE_DISTANCE_M)
     los = rng.random((n_tx, n_rx)) < los_probability(d_uu)
-    shadow_uu = draw_shadowing(cfg.shadow_std_ueue_db, rng, size=(n_tx, n_rx))
+    shadow_uu = rng.normal(0.0, cfg.shadow_std_ueue_db, (n_tx, n_rx))
     pl_uu = ue_ue_pathloss(d_uu, los, cfg)
     loss_uu = np.maximum(pl_uu + shadow_uu, cfg.min_pl_db)
     counters.floor_entries += int(np.count_nonzero(loss_uu == cfg.min_pl_db))
@@ -346,7 +345,7 @@ def _coupling_table_oracle(layout, terminals, cfg, rng, counters):
     gain = sector_antenna_gain(arrival_deg - layout.sector_boresight_deg[None, :])
     pl_all_s = ue_enb_pathloss(np.maximum(d_all_s, 1e-6), cfg.min_pl_db)
 
-    shadow_us = draw_shadowing(cfg.shadow_std_enbue_db, rng, size=(n_tx, n_sec))
+    shadow_us = rng.normal(0.0, cfg.shadow_std_enbue_db, (n_tx, n_sec))
     loss_us = np.maximum(pl_all_s[tx_sel] + shadow_us, cfg.min_pl_db) - gain[tx_sel]
     return {
         "tx_ids": tuple(tx_sel),
@@ -403,8 +402,7 @@ _TABLE_CASES = {
 def test_row_blocks_equal_the_full_matrix_oracle(case, block, monkeypatch):
     if block != "default":
         size = 1 if block == "one_row" else 10**9
-        monkeypatch.setattr(channel_module, "_PAIR_BLOCK", size)
-        monkeypatch.setattr(layout_module, "_WRAP_BLOCK", size)
+        monkeypatch.setattr(layout_module, "_BLOCK_ENTRIES", size)
     make, cfg = _TABLE_CASES[case]
     lay, terminals = make(np.random.default_rng(11))
     rng, ref = np.random.default_rng(12), np.random.default_rng(12)
@@ -433,8 +431,7 @@ def _bits(x):
 def test_stripes_change_no_bit(case, monkeypatch):
     if case in ("single_site", "lattice_ties"):
         # Small drops: blocks of a few rows, so that they split too.
-        monkeypatch.setattr(channel_module, "_PAIR_BLOCK", 64)
-        monkeypatch.setattr(layout_module, "_WRAP_BLOCK", 64)
+        monkeypatch.setattr(layout_module, "_BLOCK_ENTRIES", 64)
     make, cfg = _TABLE_CASES[case]
     lay, terminals = make(np.random.default_rng(11))
     tx_sel = terminals.tx_ids
@@ -459,7 +456,7 @@ def test_stripes_change_no_bit(case, monkeypatch):
             assert run[name] == value, name
     # The gain keeps the bits of the whole-matrix expression.
     assert _bits(table.ue_ue_gain_lin) == _bits(10.0 ** (-table.ue_ue_loss_db / 10.0))
-    # Three threads split the table into three stripes.
-    assert len(layout_module._stripes(len(tx_sel), channel_module._block_rows(len(rx_xy)))) == 3
+    # Three threads split the table into two stripes each.
+    assert len(layout_module._stripes(len(tx_sel), layout_module._block_rows(len(rx_xy)))) == 2 * 3
     if case == "lattice_ties":
         assert runs[0]["wrap_counters"].wrap_near_ties > 0

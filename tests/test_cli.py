@@ -1,11 +1,16 @@
+import contextlib
 import csv
 import hashlib
+import io
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from d2dsim import cli, engine
 from d2dsim.cli import ConfigError, _fmt, config_echo_lines, main, parse_config
@@ -416,6 +421,67 @@ class TestMain:
         assert "d2d_range_m" in captured.err and "d2d_offset_db" in captured.err
         assert not (tmp_path / "out" / "summary.txt").exists()
 
+    @pytest.mark.parametrize("out", ["{}/o#1", "{}/o\nx", "{}/o\rx", " {}/o", "{}/o ", "{}/o\t"])
+    def test_out_dir_the_manifest_cannot_echo_exits_1(self, tmp_path, capsys, monkeypatch, out):
+        # The config syntax cuts a value at "#", ends it at CR or LF and strips
+        # its edges, so a manifest echoing this out_dir would name another.
+        monkeypatch.chdir(tmp_path)  # where a relative " /..." would land
+        out = out.format(tmp_path)
+        cfg_path = write_cfg(tmp_path, SMALL_SINR)
+        assert main([cfg_path, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "out_dir" in captured.err
+        assert captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+        with pytest.raises(ValueError, match="out_dir"):
+            ExperimentConfig(out_dir=out)
+
+
+# Small runs at extreme settings: each ends in an exit code, never a traceback.
+_SMALL_RUNS = st.fixed_dictionaries({
+    "experiment": st.sampled_from(["sinr", "throughput"]),
+    "n_rings": st.integers(0, 1),
+    "wraparound": st.booleans(),
+    "n_drops": st.integers(1, 2),
+    "n_subframes": st.integers(1, 50),
+    "n_cellular_per_sector": st.integers(0, 2),
+    "n_d2d_tx_per_sector": st.integers(0, 5),
+    "k_d2d": st.integers(0, 6),
+    "isd_m": st.sampled_from(["-1", "0", "1e-300", "1e-3", "1", "60", "500", "1732", "1e6",
+                              "1e160", "1e308"]),
+    "d2d_range_m": st.sampled_from(["5", "50", "250", "1e6"]),
+    "d2d_offset_db": st.sampled_from(["-1e308", "-300", "-10", "0", "300", "1e308", "nan"]),
+    "carrier_ghz": st.sampled_from(["-1", "0", "1e-300", "1e-9", "0.7", "100", "1e300"]),
+    "coordination": st.sampled_from(["uncoordinated", "tdm", "reuse:0", "reuse:1", "reuse:2",
+                                     "reuse:6"]),
+    "alpha_list": st.sampled_from(["", "0", "0.5", "1", "1.5", "0, 1"]),
+    "snr_target_db_list": st.sampled_from(["", "-1e308", "-300", "0", "10", "300", "1e308"]),
+    "no_power_control": st.booleans(),
+})
+
+
+@settings(max_examples=40)
+@given(values=_SMALL_RUNS)
+def test_small_runs_end_in_an_exit_code_never_a_traceback(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        text = "".join(f"{k} = {v}\n" for k, v in values.items()) + f"out_dir = {out}\n"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([write_cfg(Path(tmp), text)])
+        err = stderr.getvalue()
+        event(f"exit {code}")
+        assert code in (0, 1, 2)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert err == ""
+            csv_name = "sinr_samples.csv" if values["experiment"] == "sinr" else "throughput.csv"
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                [csv_name, "summary.txt", "diagnostics.txt", "manifest.txt"]
+            )
+
 
 MAX_POWER = PowerControlConfig(0.0, alpha=0.0, enabled=False)  # the sweep's max-power point
 
@@ -493,9 +559,8 @@ class TestColumnarEmission:
             samples["link"] = 2**31 - 1 - row
         samples["sinr_db"] = _values(n_rows)
         report = ExperimentReport("sinr", settings, samples)
-        cli._write_sinr_csv(tmp_path / "new.csv", report)
         _write_sinr_csv_oracle(tmp_path / "old.csv", report)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert "".join(cli._sinr_csv(report)).encode() == (tmp_path / "old.csv").read_bytes()
 
     def test_throughput_csv_bytes_equal_per_row_oracle(self, tmp_path):
         def report(label, n_rows):
@@ -509,6 +574,6 @@ class TestColumnarEmission:
             )
 
         baseline, offload = report("baseline", self.N_ROWS), report("offload", 5)
-        cli._write_throughput_csv(tmp_path / "new.csv", baseline, offload)
         _write_throughput_csv_oracle(tmp_path / "old.csv", baseline, offload)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        got = "".join(cli._throughput_csv(baseline, offload)).encode()
+        assert got == (tmp_path / "old.csv").read_bytes()

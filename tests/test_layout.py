@@ -532,7 +532,7 @@ def test_wrap_search_settles_voronoi_boundaries_exactly(isd, n_rings):
 
 @pytest.mark.parametrize("block", [1, 7, 10**9])
 def test_wrap_search_blocks_equal_the_oracle(block, monkeypatch):
-    monkeypatch.setattr(layout_module, "_WRAP_BLOCK", block)
+    monkeypatch.setattr(layout_module, "_BLOCK_ENTRIES", block)
     lay = build_hex_grid(500.0, 2, True)
     rng = np.random.default_rng(5)
     mids = (lay.site_xy[:, None] + lay.site_xy[None, :6]).reshape(-1, 2) / 2
