@@ -159,14 +159,14 @@ def _manifest_text(cfg: ExperimentConfig, duration_s: float) -> str:
     return echo + f"# version = {__version__}\n# duration_s = {duration_s:.3f}\n"
 
 
-# Rows formatted into one string per write: bounds the text held in memory.
+# Rows joined into one string per write: bounds the text held in memory.
 _CHUNK_ROWS = 1 << 16
 
 
 def _csv_rows(samples, template: str, columns):
-    """The CSV rows of ``samples``, _CHUNK_ROWS rows per string: ``template``
-    once per row, ``%`` the row's entries of the lists ``columns(chunk)``
-    gives. Float cells are ``%.6g`` of Python floats, the text ``_fmt`` gives."""
+    """The CSV rows of ``samples``, one string per _CHUNK_ROWS rows: each row
+    is ``template % (its entry of each list columns(chunk) returns)``. Float
+    cells are ``%.6g`` of Python floats, the text ``_fmt`` gives."""
     for start in range(0, len(samples), _CHUNK_ROWS):
         cols = columns(samples[start:start + _CHUNK_ROWS])
         cells = [None] * (len(cols) * len(cols[0]))
@@ -257,7 +257,6 @@ def emit_reports(result, cfg: ExperimentConfig, out_dir: str, duration_s: float)
         reports, csv_name, csv_chunks = result, "throughput.csv", _throughput_csv(*result)
         summary = _throughput_summary_text(*result, cfg.k_d2d)
     os.makedirs(out_dir, exist_ok=True)
-    # One loop opens every file, in this order; each producer gives its text.
     for name, text in (
         (csv_name, csv_chunks),
         ("summary.txt", [summary]),

@@ -153,8 +153,8 @@ class ExperimentConfig:
         if self.carrier_ghz <= 0:
             raise ValueError("carrier_ghz must be positive")
         if any(c in self.out_dir for c in "#\r\n") or self.out_dir != self.out_dir.strip():
-            raise ValueError("out_dir must not hold '#', CR or LF or start or end with "
-                             "whitespace: a config line, so the manifest, cannot carry it")
+            raise ValueError("out_dir must not hold '#', CR or LF, nor start or end with "
+                             "whitespace: the manifest could not echo it")
 
 
 def sweep_settings(cfg: ExperimentConfig) -> list[PowerControlConfig]:
