@@ -15,11 +15,12 @@ fixed point.
 A `Flow` is an immutable (id, row, col, role) record: terminal `id`
 transmits from table row `row` to column `col` of the drop's terminal-row
 loss matrix (row and column order: see `CouplingTable`). The PF state lives
-in arrays indexed by position in flow id order: one flows x flows coupling
-matrix gathered from the drop's table by those rows and columns, and per-flow
-averages. The rates at the snapshot of subframe t are both what the flows
-granted at t are served and what the grants at t+1 are chosen from; they
-depend only on t's grant set. A run with no more possible grant sets than
+in arrays indexed by position in flow id order: one flows x receivers
+coupling matrix gathered from the drop's table by those rows and the distinct
+columns, and per-flow averages. Flows that share a receiver, such as the
+cellular flows of one sector, share its column. The rates at the snapshot of
+subframe t are both what the flows granted at t are served and what the
+grants at t+1 are chosen from; they depend only on t's grant set. A run with no more possible grant sets than
 subframes computes them all before its loop and does the `pf_select` and
 `pf_update` steps inline; any other run calls both rules every subframe.
 """
@@ -153,6 +154,7 @@ class PfResult:
 def _snapshot_rates(
     grants: np.ndarray,
     coupling_lin: np.ndarray,
+    recv_of: np.ndarray,
     own_at: np.ndarray,
     signal_lin: np.ndarray,
     noise_lin: np.ndarray,
@@ -164,25 +166,31 @@ def _snapshot_rates(
     written into `rates` (B x flows). One set may come without the leading
     axis. `work` is `_rate_work` for the same leading shape.
 
-    A flow's interference is the granted coupling rows summed in sector
-    order, less its own sector's granted row, floored at 0. Each set's row is
-    computed alone, elementwise, so a batch of sets gives the floats that one
-    call per set gives.
+    `coupling_lin` is flows x receivers and flow f listens at receiver
+    `recv_of[f]`. The granted coupling rows are summed in sector order per
+    receiver; a flow's interference is its receiver's sum less its own
+    sector's granted row there (`own_at` indexes [sector of f, recv_of[f]]),
+    floored at 0. Each set's row is computed alone, elementwise, so a batch of
+    sets gives the floats that one call per set gives, and the floats that a
+    flows x flows coupling gives.
     """
-    rows, flat_rows, total = work
+    rows, flat_rows, total, own = work
     coupling_lin.take(grants, axis=0, out=rows, mode="wrap")
     np.add.reduce(rows, axis=-2, out=total)
-    flat_rows.take(own_at, axis=-1, out=rates, mode="wrap")
-    np.subtract(total, rates, out=rates)
+    flat_rows.take(own_at, axis=-1, out=own, mode="wrap")
+    total.take(recv_of, axis=-1, out=rates, mode="wrap")
+    np.subtract(rates, own, out=rates)
     np.maximum(rates, 0.0, out=rates)
     return _rates_from_interference(rates, signal_lin, noise_lin, rc)
 
 
-def _rate_work(shape: tuple, n_sectors: int, n_flows: int) -> tuple:
+def _rate_work(shape: tuple, n_sectors: int, n_recv: int, n_flows: int) -> tuple:
     """Scratch buffers of `_snapshot_rates` for grant sets of leading shape
-    `shape`: () for one set, (B,) for a batch."""
-    rows = np.empty(shape + (n_sectors, n_flows))
-    return rows, rows.reshape(shape + (-1,)), np.empty(shape + (n_flows,))
+    `shape`, () for one set or (B,) for a batch: the granted rows
+    (sectors x receivers), their sums per receiver and the own-sector terms
+    per flow."""
+    rows = np.empty(shape + (n_sectors, n_recv))
+    return rows, rows.reshape(shape + (-1,)), np.empty(shape + (n_recv,)), np.empty(shape + (n_flows,))
 
 
 def _rates_from_interference(
@@ -224,18 +232,23 @@ def run_pf_uplink(
     interference snapshot, then the rates at the snapshot of its grants, then
     the `pf_update` rule on the served rates (the granted flows' entries, 0
     elsewhere). Coupling, signal and noise are fixed for the run, so both
-    vectors depend only on the grant set, and `_snapshot_rates` computes them:
+    vectors depend only on the grant set, and `_snapshot_rates` computes them
+    from one flows x receivers coupling matrix: a baseline run's flows send
+    to their sectors' receivers only.
     - Prefilled: when the possible grant sets, the product of the sectors'
       flow counts, number no more than n_subframes, one batched call per
-      row block of sets (`layout._block_rows`) computes all of them
-      before the loop, into a read-only memo of rates and served rates / t_c
-      per set. Each subframe does the rules' float steps inline and finds its
-      set's memo row from the granted ranks (`_grant_sets`).
+      row block of sets (`layout._block_rows` of sectors x flows entries)
+      computes all of them before the loop, into a read-only memo of rates
+      and served rates / t_c per set. Each subframe does the rules' float
+      steps inline and finds its set's memo row from the granted ranks
+      (`_grant_sets`); after the loop `np.add.at` sums the logged bits in
+      time order.
     - Otherwise (direct) each subframe calls `pf_select`, the rule on its one
-      set into one n_flows buffer, and `pf_update`: O(n_flows) rate state.
-    The rule computes each set alone, so both ways serve the same floats.
-    After the loop, `np.add.at` sums the logged bits in time order, as the
-    per-subframe sums did (adding 0.0 is exact).
+      set into one n_flows buffer, and `pf_update`, and adds its served bits
+      and grants to per-flow sums: O(n_flows) state for any n_subframes.
+    The rule computes each set alone, so both ways serve the same floats, and
+    each flow's bits are summed in time order either way (adding 0.0 is
+    exact).
 
     One call is one PF run. Only a direct run calls `pf_select` and
     `pf_update`, so perfbench's call counts of both read 0 on
@@ -261,20 +274,30 @@ def run_pf_uplink(
     for si, r in enumerate(rows):
         sector_of_pos[r] = si
 
-    # loss_db[g, f]: loss from flow g's transmitter to flow f's receiver. The
-    # stacked copy of the table lives only in this expression, so it is freed
-    # before the loop's buffers are allocated (peak memory).
-    loss_db = np.hstack((table.ue_ue_loss_db, table.ue_sector_loss_db))[
-        np.ix_([f.row for f in flows], [f.col for f in flows])
-    ]
-    own_loss = loss_db.diagonal()
+    # loss_db[g, r]: loss from flow g's transmitter to receiver r, gathered
+    # from the table block that holds the receiver's column. Flow f listens
+    # at receiver recv_of[f]. numpy sums a stack of one column pairwise, not
+    # in sector order, so a lone receiver's column is gathered twice.
+    recv_cols, recv_of = np.unique([f.col for f in flows], return_inverse=True)
+    if len(recv_cols) == 1:
+        recv_cols = recv_cols.repeat(2)
+    n_recv = len(recv_cols)
+    ue_ue, ue_sector = table.ue_ue_loss_db, table.ue_sector_loss_db
+    split = np.searchsorted(recv_cols, ue_ue.shape[1])
+    tx_rows = np.array([f.row for f in flows])[:, None]
+    loss_db = np.empty((n_flows, n_recv))
+    loss_db[:, :split] = ue_ue[tx_rows, recv_cols[:split]]
+    loss_db[:, split:] = ue_sector[tx_rows, recv_cols[split:] - ue_ue.shape[1]]
+    own_loss = loss_db[np.arange(n_flows), recv_of]
     nf = {"d2d": rc.noise_figure_ue_db, "cellular": rc.noise_figure_enb_db}
     noise_dbm = np.array([thermal_noise_dbm(rc.bandwidth_hz, nf[f.role]) for f in flows])
     p_dbm = open_loop_tx_power(replace(pc, noise_dbm=noise_dbm), own_loss)
     p_lin = 10.0 ** (p_dbm / 10.0)
     noise_lin = 10.0 ** (noise_dbm / 10.0)
     signal_lin = p_lin * 10.0 ** (-own_loss / 10.0)
-    coupling_lin = p_lin[:, None] * 10.0 ** (-loss_db / 10.0)
+    # The float steps of p_lin[:, None] * 10.0 ** (-loss_db / 10.0), in place.
+    coupling_lin = np.divide(np.negative(loss_db, out=loss_db), 10.0, out=loss_db)
+    np.multiply(p_lin[:, None], np.power(10.0, coupling_lin, out=coupling_lin), out=coupling_lin)
     # libm log10 here, numpy's SIMD log10 in the loop: at t=0 both see the
     # same SNRs, and their last-bit differences decide near-tied first grants.
     # Keeping both keeps published outputs byte-stable.
@@ -286,12 +309,12 @@ def run_pf_uplink(
     # that snapshot: a granted flow's interference from the other grants is
     # exactly its snapshot entry. So a set's served vector is its inst at the
     # granted positions and 0 elsewhere. own_at indexes a set's granted rows
-    # [sector of f, f]. Row t of grant_log holds subframe t's grants. Memo row
-    # i is the i-th set in product order, entries[t] subframe t's, served_tc
-    # is served / t_c as pf_update divides; a direct run rewrites inst in place.
+    # [sector of f, recv_of[f]]. Memo row i is the i-th set in product order,
+    # entries[t] subframe t's, served_tc is served / t_c as pf_update divides;
+    # a direct run rewrites inst in place.
     n_sectors = len(sectors)
-    own_at = sector_of_pos * n_flows + np.arange(n_flows)
-    args = (coupling_lin, own_at, signal_lin, noise_lin, rc)
+    own_at = sector_of_pos * n_recv + recv_of
+    args = (coupling_lin, recv_of, own_at, signal_lin, noise_lin, rc)
     n_sets = math.prod(map(len, rows))
     select_work = _select_work(slots, n_flows)
 
@@ -306,7 +329,7 @@ def run_pf_uplink(
         block = _block_rows(n_sectors * n_flows)
         for b in range(0, n_sets, block):
             sets = every_set[b : b + block]
-            blk_work = _rate_work(sets.shape[:1], n_sectors, n_flows)
+            blk_work = _rate_work(sets.shape[:1], n_sectors, n_recv, n_flows)
             _snapshot_rates(sets, *args, rates[b : b + len(sets)], blk_work)
         served_tc = np.zeros((n_sets, n_flows))
         at = every_set + np.arange(n_sets)[:, None] * n_flows
@@ -331,23 +354,30 @@ def run_pf_uplink(
             inst = rates[i]
             np.multiply(avg, keep, out=avg)
             np.add(avg, served_tc[i], out=avg)
+        # Row t of grant_log holds subframe t's grants; np.add.at sums each
+        # flow's bits in time order.
         grant_log = every_set[entries]
-        served_log = rates[np.array(entries)[:, None], grant_log]
+        bits = np.zeros(n_flows)
+        np.add.at(bits, grant_log, rates[np.array(entries)[:, None], grant_log] * SUBFRAME_S)
+        grant_count = np.bincount(grant_log.ravel(), minlength=n_flows)
     else:
-        work = _rate_work((), n_sectors, n_flows)
-        grant_log = np.empty((n_subframes, n_sectors), dtype=np.intp)
-        served_log = np.empty((n_subframes, n_sectors))
+        # Bits and grant counts are summed per subframe, so the run keeps no
+        # log. A flow not granted adds 0.0 to its bits, which is exact.
+        work = _rate_work((), n_sectors, n_recv, n_flows)
+        grants = np.empty(n_sectors, dtype=np.intp)
+        served_rates = np.empty(n_sectors)
         served = np.zeros(n_flows)
-        for grants, served_rates in zip(grant_log, served_log):
+        bits = np.zeros(n_flows)
+        grant_count = np.zeros(n_flows, dtype=np.intp)
+        for _ in range(n_subframes):
             pf_select(inst, avg, slots, grants, select_work)
             _snapshot_rates(grants, *args, inst, work).take(grants, out=served_rates, mode="wrap")
             served.fill(0.0)
             served.put(grants, served_rates)
             pf_update(avg, served, t_c, out=avg)
+            bits += served * SUBFRAME_S
+            grant_count[grants] += 1
 
-    bits = np.zeros(n_flows)
-    np.add.at(bits, grant_log, served_log * SUBFRAME_S)
-    grant_count = np.bincount(grant_log.ravel(), minlength=n_flows)
     ids = [f.id for f in flows]
     duration_s = n_subframes * SUBFRAME_S
     return PfResult(

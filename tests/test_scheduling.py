@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from d2dsim import scheduling
 from d2dsim.channel import sector_endpoint, ue_endpoint
-from d2dsim.engine import ExperimentConfig, build_drop
+from d2dsim.engine import ExperimentConfig, _flows_for, build_drop
 from d2dsim.layout import build_hex_grid
 from d2dsim.radio import (
     PowerControlConfig,
@@ -767,6 +767,114 @@ def test_direct_run_memory_does_not_grow_with_its_subframes():
     finally:
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < 1e6, peaks
+
+
+def _record_coupling_shapes(monkeypatch):
+    """Make run_pf_uplink's snapshot-rate rule log the shape of the coupling
+    matrix of each call."""
+    shapes = []
+    rule = scheduling._snapshot_rates
+
+    def logged(grants, coupling_lin, *args):
+        shapes.append(coupling_lin.shape)
+        return rule(grants, coupling_lin, *args)
+
+    monkeypatch.setattr(scheduling, "_snapshot_rates", logged)
+    return shapes
+
+
+@pytest.mark.parametrize("k_d2d", [0, 5], ids=["baseline", "offload"])
+def test_57_sector_coupling_has_one_column_per_receiver(monkeypatch, k_d2d):
+    """A baseline run's 570 flows send to 57 sectors, so its coupling is
+    570 x 57; an offload run adds one column per direct link, 5 a sector."""
+    sector_flows, table, _ = _multi_site_drop_flows(k_d2d)
+    n_direct = sum(f.role == "d2d" for fl in sector_flows.values() for f in fl)
+    assert n_direct == 57 * k_d2d
+    shapes = _record_coupling_shapes(monkeypatch)
+    run_pf_uplink(sector_flows, 3, RC, MAX_POWER, table)
+    assert shapes == [(570, 57 + n_direct)] * 3
+
+
+def test_57_sector_baseline_peak_is_below_one_flows_by_flows_matrix():
+    """The traced peak of a 570-flow baseline run stays below the 2.6 MB of
+    one 570 x 570 float matrix."""
+    sector_flows, table, _ = _multi_site_drop_flows(0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_pf_uplink(sector_flows, 200, RC, MAX_POWER, table)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 570 * 570 * 8, peak
+
+
+def _cellular_drop_flows(n_rings, k_d2d):
+    """The flows of drop 0 of a throughput config with 2 cellular terminals
+    and 4 pairs per sector, laid out by the engine: the cellular terminals
+    and the pair transmitters that do not offload share their sector's
+    column."""
+    cfg = ExperimentConfig(
+        experiment="throughput",
+        isd_m=500.0,
+        n_rings=n_rings,
+        wraparound=n_rings > 0,
+        n_cellular_per_sector=2,
+        n_d2d_tx_per_sector=4,
+        d2d_range_m=50.0,
+        alpha_list=(),
+        snr_target_db_list=(),
+        no_power_control=True,
+        seed=11,
+    )
+    layout = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
+    terminals, table = build_drop(cfg, layout, 0)
+    assert terminals.n_cell == 2 * layout.n_sectors
+    flows = _flows_for(terminals, cfg.n_d2d_tx_per_sector, k_d2d)
+    n_rx = len(table.rx_ue_ids)
+    dest = {
+        f.id: ue_endpoint(table.rx_ue_ids[f.col]) if f.role == "d2d" else sector_endpoint(f.col - n_rx)
+        for fl in flows.values()
+        for f in fl
+    }
+    return flows, table, dest, layout.n_sectors
+
+
+@pytest.mark.parametrize("k_d2d", [0, 2], ids=["baseline", "offload"])
+@pytest.mark.parametrize(
+    "n_rings, n_subframes", [(1, 60), (0, 300)], ids=["21_sectors_direct", "3_sectors_prefilled"]
+)
+def test_cellular_and_pair_flows_share_their_sector_column(monkeypatch, n_rings, n_subframes, k_d2d):
+    """Every sector's cellular terminals and non-offloading pairs send to one
+    column: the coupling has a column per sector plus one per direct link,
+    and the run is bit-equal to the flows x flows oracle. The 3-sector drop
+    has 6^3 = 216 grant sets, fewer than its 300 subframes, so it is
+    prefilled; the 21-sector drop is direct."""
+    sector_flows, table, dest, n_sectors = _cellular_drop_flows(n_rings, k_d2d)
+    assert all(len(fl) == 6 for fl in sector_flows.values())
+    expected = _array_pf_oracle(sector_flows, dest, n_subframes, RC, OPEN_LOOP, table)
+    shapes = _record_coupling_shapes(monkeypatch)
+    _assert_bit_equal(run_pf_uplink(sector_flows, n_subframes, RC, OPEN_LOOP, table), expected)
+    assert set(shapes) == {(6 * n_sectors, n_sectors + k_d2d * n_sectors)}
+
+
+@pytest.mark.parametrize("per_sector", [1, 2], ids=["prefilled", "direct"])
+def test_flows_of_many_sectors_at_one_receiver_equal_the_oracle(per_sector):
+    """Ten sectors of one or two flows all send to sector 0's receiver, over
+    1 dB of loss spread. numpy sums ten rows of one column pairwise, not in
+    sector order, and here that changes the last bits of the throughput; the
+    run must still equal the oracle. One grant set is prefilled; 2^10 sets in
+    5 subframes are direct."""
+    n = 10 * per_sector
+    table = fake_table(np.zeros((n, 0)), np.random.default_rng(10).uniform(100.0, 101.0, (n, 1)))
+    table.tx_ids, table.rx_ue_ids = tuple(range(n)), ()
+    sector_flows = {
+        s: [Flow(i, i, 0, "cellular") for i in range(s * per_sector, (s + 1) * per_sector)]
+        for s in range(10)
+    }
+    dest = dict.fromkeys(range(n), sector_endpoint(0))
+    expected = _array_pf_oracle(sector_flows, dest, 5, RC, MAX_POWER, table)
+    _assert_bit_equal(run_pf_uplink(sector_flows, 5, RC, MAX_POWER, table), expected)
 
 
 def _stub_sector_flows(rng, counts):
