@@ -20,9 +20,10 @@ coupling matrix gathered from the drop's table by those rows and the distinct
 columns, and per-flow averages. Flows that share a receiver, such as the
 cellular flows of one sector, share its column. The rates at the snapshot of
 subframe t are both what the flows granted at t are served and what the
-grants at t+1 are chosen from; they depend only on t's grant set. A run with no more possible grant sets than
-subframes computes them all before its loop and does the `pf_select` and
-`pf_update` steps inline; any other run calls both rules every subframe.
+grants at t+1 are chosen from; they depend only on t's grant set. A run with
+no more possible grant sets than subframes computes them all before its loop
+and does the `pf_select` and `pf_update` steps inline; any other run calls
+both rules every subframe.
 """
 
 from __future__ import annotations
@@ -283,11 +284,12 @@ def run_pf_uplink(
         recv_cols = recv_cols.repeat(2)
     n_recv = len(recv_cols)
     ue_ue, ue_sector = table.ue_ue_loss_db, table.ue_sector_loss_db
-    split = np.searchsorted(recv_cols, ue_ue.shape[1])
+    n_rx = ue_ue.shape[1]
+    split = np.searchsorted(recv_cols, n_rx)
     tx_rows = np.array([f.row for f in flows])[:, None]
     loss_db = np.empty((n_flows, n_recv))
     loss_db[:, :split] = ue_ue[tx_rows, recv_cols[:split]]
-    loss_db[:, split:] = ue_sector[tx_rows, recv_cols[split:] - ue_ue.shape[1]]
+    loss_db[:, split:] = ue_sector[tx_rows, recv_cols[split:] - n_rx]
     own_loss = loss_db[np.arange(n_flows), recv_of]
     nf = {"d2d": rc.noise_figure_ue_db, "cellular": rc.noise_figure_enb_db}
     noise_dbm = np.array([thermal_noise_dbm(rc.bandwidth_hz, nf[f.role]) for f in flows])
