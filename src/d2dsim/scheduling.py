@@ -278,14 +278,19 @@ def run_pf_uplink(
     # loss_db[g, r]: loss from flow g's transmitter to receiver r, gathered
     # from the table block that holds the receiver's column. Flow f listens
     # at receiver recv_of[f]. numpy sums a stack of one column pairwise, not
-    # in sector order, so a lone receiver's column is gathered twice.
-    recv_cols, recv_of = np.unique([f.col for f in flows], return_inverse=True)
+    # in sector order, so a lone receiver's column is gathered twice. The
+    # receivers are sorted in Python: numpy's sort routines add about 0.3 MB
+    # to the resident set of a process that has not called them yet.
+    recv_cols = sorted({f.col for f in flows})
+    recv_at = {c: r for r, c in enumerate(recv_cols)}
+    recv_of = np.array([recv_at[f.col] for f in flows])
     if len(recv_cols) == 1:
-        recv_cols = recv_cols.repeat(2)
+        recv_cols *= 2
+    recv_cols = np.array(recv_cols)
     n_recv = len(recv_cols)
     ue_ue, ue_sector = table.ue_ue_loss_db, table.ue_sector_loss_db
     n_rx = ue_ue.shape[1]
-    split = np.searchsorted(recv_cols, n_rx)
+    split = np.count_nonzero(recv_cols < n_rx)
     tx_rows = np.array([f.row for f in flows])[:, None]
     loss_db = np.empty((n_flows, n_recv))
     loss_db[:, :split] = ue_ue[tx_rows, recv_cols[:split]]
