@@ -22,14 +22,16 @@ cellular flows of one sector, share its column. The rates at the snapshot of
 subframe t are both what the flows granted at t are served and what the
 grants at t+1 are chosen from; they depend only on t's grant set. A run with
 no more possible grant sets than subframes computes them all before its loop
-and does the `pf_select` and `pf_update` steps inline; any other run calls
-both rules every subframe.
+and does the `pf_select` and `pf_update` steps inline on a grid with one row
+per sector of two or more flows; any other run calls both rules every
+subframe.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
@@ -240,10 +242,15 @@ def run_pf_uplink(
       flow counts, number no more than n_subframes, one batched call per
       row block of sets (`layout._block_rows` of sectors x flows entries)
       computes all of them before the loop, into a read-only memo of rates
-      and served rates / t_c per set. Each subframe does the rules' float
-      steps inline and finds its set's memo row from the granted ranks
-      (`_grant_sets`); after the loop `np.add.at` sums the logged bits in
-      time order.
+      and served rates / t_c per set. The memo and the averages lie on a
+      grid: one row per sector of two or more flows, its flows in id order,
+      padded at the end with cells of rate 0 that never win, then one cell
+      per sector of one flow, which is always granted. Each subframe does
+      one divide, one row-wise argmax, the set index as a Python sum of
+      rank x stride (`_grant_sets`), and the two update steps with its set's
+      memo rows. The loop runs in chunks of `layout._block_rows(n_flows)`
+      subframes; after each chunk `np.add.at` adds its bits in time order,
+      so the run keeps O(sets x flows) state for any n_subframes.
     - Otherwise (direct) each subframe calls `pf_select`, the rule on its one
       set into one n_flows buffer, and `pf_update`, and adds its served bits
       and grants to per-flow sums: O(n_flows) state for any n_subframes.
@@ -316,14 +323,13 @@ def run_pf_uplink(
     # that snapshot: a granted flow's interference from the other grants is
     # exactly its snapshot entry. So a set's served vector is its inst at the
     # granted positions and 0 elsewhere. own_at indexes a set's granted rows
-    # [sector of f, recv_of[f]]. Memo row i is the i-th set in product order,
-    # entries[t] subframe t's, served_tc is served / t_c as pf_update divides;
-    # a direct run rewrites inst in place.
+    # [sector of f, recv_of[f]]. Memo row i is the i-th set in product order
+    # and served_tc is served / t_c as pf_update divides; a direct run
+    # rewrites inst in place.
     n_sectors = len(sectors)
     own_at = sector_of_pos * n_recv + recv_of
     args = (coupling_lin, recv_of, own_at, signal_lin, noise_lin, rc)
     n_sets = math.prod(map(len, rows))
-    select_work = _select_work(slots, n_flows)
 
     # Grants use the previous subframe's interference snapshot (noise-only at
     # t=0); service uses the grants concurrent at t.
@@ -332,44 +338,81 @@ def run_pf_uplink(
         if t_c < 1:
             raise ValueError(f"t_c must be >= 1, got {t_c}")
         every_set, stride = _grant_sets(rows)
-        rates = np.empty((n_sets, n_flows))
+        # The grid: the slots rows of the sectors of two or more flows, in
+        # sector order, then one cell per sector of one flow. Such a sector
+        # always grants its flow, so it takes no part in the argmax, and its
+        # rank, always 0, none in the set index. A pad's rate is 0; its
+        # average starts at 1.0 and it is served 1.0, so the average stays
+        # near 1.0 (+inf would turn NaN at t_c = 1, where keep is 0). So a
+        # pad divides to 0, comes after every flow of its row, never wins a
+        # tie and never trips the positivity check.
+        multi = [s for s, r in enumerate(rows) if len(r) > 1]
+        grid = slots[multi].ravel().tolist() + [r[0] for r in rows if len(r) == 1]
+        n_cells = len(grid)
+        cell_of = {p: c for c, p in enumerate(grid)}
+        cell_of_pos = np.array([cell_of[p] for p in range(n_flows)])
+        set_cells = cell_of_pos.take(every_set)
+        # Memo row i holds the i-th set's rates and served / t_c on the grid.
+        # Each row block of sets is computed in flow order, then scattered.
+        rates = np.zeros((n_sets, n_cells))
         block = _block_rows(n_sectors * n_flows)
+        blk_rates = np.empty((min(block, n_sets), n_flows))
         for b in range(0, n_sets, block):
             sets = every_set[b : b + block]
             blk_work = _rate_work(sets.shape[:1], n_sectors, n_recv, n_flows)
-            _snapshot_rates(sets, *args, rates[b : b + len(sets)], blk_work)
-        served_tc = np.zeros((n_sets, n_flows))
-        at = every_set + np.arange(n_sets)[:, None] * n_flows
+            blk = _snapshot_rates(sets, *args, blk_rates[: len(sets)], blk_work)
+            rates[b : b + len(sets), cell_of_pos] = blk
+        served_tc = np.ones((n_sets, n_cells))
+        served_tc[:, cell_of_pos] = 0.0
+        at = set_cells + np.arange(n_sets)[:, None] * n_cells
         served_tc.put(at, rates.take(at))
         np.divide(served_tc, t_c, out=served_tc)
         rates.flags.writeable = served_tc.flags.writeable = False
+        # The -1 pads of grid take the appended entry.
+        inst, avg = np.append(inst, 0.0)[grid], np.append(avg, 1.0)[grid]
+        ratio = np.empty(n_cells)
+        ratio_rows = ratio[: len(multi) * width].reshape(len(multi), width)
+        best = np.empty(len(multi), dtype=np.intp)
+        strides = stride[multi].tolist()
         # Averages start >= 1.0, and each subframe multiplies them by keep and
         # adds a served rate >= 0. Both float steps are monotone, so at
-        # subframe t every average is at least 1.0 * keep repeated t times.
-        # pf_select's positivity check can fail only once that floor is 0.
+        # subframe t every average is at least its floor, 1.0 times keep t
+        # times. pf_select's positivity check can fail only once that floor
+        # is 0.
         keep = 1.0 - 1.0 / t_c
-        checked_from = 1 + np.count_nonzero(np.multiply.accumulate(np.full(n_subframes, keep)))
-        metric, ratio, slot_metric, best, _ = select_work
-        entries = []
-        for t in range(n_subframes):
-            if t >= checked_from and avg[avg.argmin()] <= 0:
-                raise ValueError("PF average rates must be positive")
-            np.divide(inst, avg, out=ratio)
-            metric.take(slots, out=slot_metric, mode="wrap")
-            slot_metric.argmax(axis=1, out=best)
-            entries.append(i := best.dot(stride))
-            inst = rates[i]
-            np.multiply(avg, keep, out=avg)
-            np.add(avg, served_tc[i], out=avg)
-        # Row t of grant_log holds subframe t's grants; np.add.at sums each
-        # flow's bits in time order.
-        grant_log = every_set[entries]
-        bits = np.zeros(n_flows)
-        np.add.at(bits, grant_log, rates[np.array(entries)[:, None], grant_log] * SUBFRAME_S)
-        grant_count = np.bincount(grant_log.ravel(), minlength=n_flows)
+        floor = 1.0
+        bits = np.zeros(n_cells)
+        grant_count = np.zeros(n_cells, dtype=np.intp)
+        # The loop runs in chunks of subframes and logs one chunk's set
+        # indices, so its state does not grow with n_subframes. After each
+        # chunk np.add.at adds the chunk's bits, which keeps each flow's sum
+        # in time order.
+        chunk = _block_rows(n_flows)
+        for t0 in range(0, n_subframes, chunk):
+            # floors[j] is the floor at subframe t0 + j.
+            floors = np.full(min(chunk, n_subframes - t0), keep)
+            floors[0] = floor
+            np.multiply.accumulate(floors, out=floors)
+            checked_from = t0 + np.count_nonzero(floors)
+            floor = floors[-1] * keep
+            entries = []
+            for t in range(t0, t0 + len(floors)):
+                if t >= checked_from and avg[avg.argmin()] <= 0:
+                    raise ValueError("PF average rates must be positive")
+                np.divide(inst, avg, out=ratio)
+                ratio_rows.argmax(axis=1, out=best)
+                entries.append(i := sum(map(operator.mul, best.tolist(), strides)))
+                inst = rates[i]
+                np.multiply(avg, keep, out=avg)
+                np.add(avg, served_tc[i], out=avg)
+            granted = set_cells[entries]
+            np.add.at(bits, granted, rates[np.array(entries)[:, None], granted] * SUBFRAME_S)
+            grant_count += np.bincount(granted.ravel(), minlength=n_cells)
+        bits, grant_count = bits[cell_of_pos], grant_count[cell_of_pos]
     else:
         # Bits and grant counts are summed per subframe, so the run keeps no
         # log. A flow not granted adds 0.0 to its bits, which is exact.
+        select_work = _select_work(slots, n_flows)
         work = _rate_work((), n_sectors, n_recv, n_flows)
         grants = np.empty(n_sectors, dtype=np.intp)
         served_rates = np.empty(n_sectors)

@@ -769,6 +769,26 @@ def test_direct_run_memory_does_not_grow_with_its_subframes():
     assert peaks[1] - peaks[0] < 1e6, peaks
 
 
+def test_prefilled_run_memory_does_not_grow_with_its_subframes():
+    """A single-site run's 1,000 grant sets are prefilled at 2,000 and at
+    20,000 subframes. The loop logs one chunk of subframes at a time, so its
+    traced peak at 20,000 is within 0.3 MB of its peak at 2,000, where a log
+    of every subframe's grants would add about 1.5 MB."""
+    sector_flows, table, _ = _engine_drop_flows(SINGLE_SITE, SINGLE_SITE.k_d2d)
+    assert math.prod(map(len, sector_flows.values())) == 1000
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (2000, 20000):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_pf_uplink(sector_flows, n, RC, MAX_POWER, table)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.3e6, peaks
+
+
 def _record_coupling_shapes(monkeypatch):
     """Make run_pf_uplink's snapshot-rate rule log the shape of the coupling
     matrix of each call."""
@@ -966,6 +986,80 @@ def test_prefilled_run_past_the_floor_underflow_equals_the_oracle(monkeypatch):
     expected = _array_pf_oracle(sector_flows, dest, 1100, RC, MAX_POWER, table, t_c=2)
     _assert_bit_equal(run_pf_uplink(sector_flows, 1100, RC, MAX_POWER, table, t_c=2), expected)
     assert calls == {"pf_select": 0, "pf_update": 0}
+
+
+def _silence_flow(table, flow):
+    """Give `flow` 3,000 dB of loss to its own receiver, so its rate is 0."""
+    n_rx = table.ue_ue_loss_db.shape[1]
+    if flow.col < n_rx:
+        table.ue_ue_loss_db[flow.row, flow.col] = 3000.0
+    else:
+        table.ue_sector_loss_db[flow.row, flow.col - n_rx] = 3000.0
+
+
+@pytest.mark.parametrize("chunk", [None, 100, 25], ids=["one_chunk", "chunks_of_100", "chunks_of_25"])
+def test_padded_sectors_past_the_floor_underflow_equal_the_oracle(monkeypatch, chunk):
+    """Sectors of 1, 3 and 2 flows with ids interleaved across them: the
+    3-flow and 2-flow sectors are rows of the grid, the second with one pad,
+    and the 1-flow sector is one cell after them. At t_c = 2 the averages'
+    floor is 0 from subframe 1,075 on, and a 1,100-subframe run still equals
+    the oracle, so no pad trips the positivity check. With one flow silenced
+    (rate 0, never granted) its average reaches 0 at subframe 1,075: the run
+    raises there, as the oracle's pf_select check does, whether the loop's
+    chunks of subframes end before it, around it or at it."""
+    if chunk is not None:
+        monkeypatch.setattr("d2dsim.layout._BLOCK_ENTRIES", 6 * chunk)
+    sector_flows, table, dest = _stub_sector_flows(np.random.default_rng(5), [1, 3, 2])
+    ids = [[f.id for f in sector_flows[s]] for s in (0, 1, 2)]
+    assert sorted(sum(ids, [])) != sum(ids, [])
+    calls = _record_rule_calls(monkeypatch)
+    expected = _array_pf_oracle(sector_flows, dest, 1100, RC, OPEN_LOOP, table, t_c=2)
+    _assert_bit_equal(run_pf_uplink(sector_flows, 1100, RC, OPEN_LOOP, table, t_c=2), expected)
+    assert all(n > 0 for n in expected.granted_subframes.values())
+
+    _silence_flow(table, sector_flows[1][0])
+    log = []
+    with pytest.raises(ValueError, match="positive"):
+        _array_pf_oracle(sector_flows, dest, 1100, RC, OPEN_LOOP, table, t_c=2, grant_log=log)
+    assert len(log) == 1075
+    expected = _array_pf_oracle(sector_flows, dest, 1075, RC, OPEN_LOOP, table, t_c=2)
+    _assert_bit_equal(run_pf_uplink(sector_flows, 1075, RC, OPEN_LOOP, table, t_c=2), expected)
+    assert expected.granted_subframes[sector_flows[1][0].id] == 0
+    with pytest.raises(ValueError, match="positive"):
+        run_pf_uplink(sector_flows, 1076, RC, OPEN_LOOP, table, t_c=2)
+    assert calls == {"pf_select": 0, "pf_update": 0}
+
+
+def test_padded_sectors_at_t_c_one_raise_as_the_oracle_does():
+    """At t_c = 1 every average is the last served rate, so a flow not granted
+    in subframe 0 has average 0 in subframe 1 and the run raises there. Its 6
+    grant sets are prefilled; the pad of the 2-flow sector's row is served
+    1.0 and keeps an average of 1.0, where +inf would turn NaN (+inf times
+    keep = 0) and hide the 0 from the check."""
+    sector_flows, table, dest = _stub_sector_flows(np.random.default_rng(5), [1, 3, 2])
+    log = []
+    with pytest.raises(ValueError, match="positive"):
+        _array_pf_oracle(sector_flows, dest, 6, RC, OPEN_LOOP, table, t_c=1, grant_log=log)
+    assert len(log) == 1
+    with pytest.raises(ValueError, match="positive"):
+        run_pf_uplink(sector_flows, 6, RC, OPEN_LOOP, table, t_c=1)
+
+
+@pytest.mark.parametrize("k_d2d", [0, 5], ids=["baseline", "offload"])
+def test_57_one_flow_sectors_are_prefilled_and_equal_the_oracle(monkeypatch, k_d2d):
+    """57 sectors of one flow each have one grant set: it is computed before
+    the loop, every flow is granted in every subframe, and the run equals the
+    oracle."""
+    flows, table, dest = _multi_site_drop_flows(k_d2d)
+    sector_flows = {s: fl[:1] for s, fl in flows.items()}
+    dest = {fl[0].id: dest[fl[0].id] for fl in sector_flows.values()}
+    calls = _record_rate_calls(monkeypatch)
+    rule_calls = _record_rule_calls(monkeypatch)
+    expected = _array_pf_oracle(sector_flows, dest, 200, RC, OPEN_LOOP, table)
+    _assert_bit_equal(run_pf_uplink(sector_flows, 200, RC, OPEN_LOOP, table), expected)
+    assert set(expected.granted_subframes.values()) == {200}
+    assert [c.shape for c in calls] == [(1, 57)]
+    assert rule_calls == {"pf_select": 0, "pf_update": 0}
 
 
 def test_average_reaching_zero_raises(monkeypatch):
