@@ -23,7 +23,9 @@ subframe t are both what the flows granted at t are served and what the
 grants at t+1 are chosen from; they depend only on t's grant set. A run with
 no more possible grant sets than subframes computes them all before its loop
 and does the `pf_select` and `pf_update` steps inline on a grid with one row
-per sector of two or more flows; any other run calls both rules every
+per sector of two or more flows, padded with cells that never win. It finds
+each subframe's memo row as a Python-int sum of rank x stride and adds its
+bits once per chunk of subframes. Any other run calls both rules every
 subframe.
 """
 
