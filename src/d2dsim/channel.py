@@ -13,7 +13,11 @@ SINR is computed on these large-scale couplings only.
 The coupling table is built on the drop's threads (see `layout`): the pair
 draws run next to the wrap search, on the one stream in their fixed order,
 and the LOS, pathloss and floor pass and the linear gains run in row stripes.
-The table is the same for any number of threads.
+The wrap search writes its distances into the loss matrix, and the pass
+turns them into losses one row block at a time in per-thread scratch, through
+the ``out=`` and ``work=`` buffers of the LOS and pathloss formulas; so a drop
+holds no separate distance matrix, and a block makes no temporaries. The
+table is the same for any number of threads.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .layout import (
     Terminals,
     _block_rows,
     _run_all,
+    _scratch_sets,
     _stripes,
     pairwise_wrap_distance,
 )
@@ -69,15 +74,28 @@ class ChannelConfig:
             raise ValueError("shadowing std must be >= 0")
 
 
-def los_probability(d):
-    """Urban-microcell LOS probability; identically 1 up to 18 m."""
+def los_probability(d, *, out=None, work=None):
+    """Urban-microcell LOS probability; identically 1 up to 18 m.
+
+    ``out`` (a float64 array of d's shape) receives the probabilities, and
+    ``work`` (two such arrays) holds the temporaries; each is allocated when
+    not given. Up to 18 m the ratio ``min(18 / d, 1)`` is 1 and the decay is
+    above 1/2, so ``1 - decay`` is exact and the sum is exactly 1: the
+    formula needs no separate branch there.
+    """
     d_arr = np.asarray(d, dtype=float)
     if np.any(d_arr < 0):
         raise ValueError("distance must be >= 0")
-    with np.errstate(divide="ignore"):
-        ratio = np.minimum(18.0 / np.maximum(d_arr, 1e-300), 1.0)
-    decay = np.exp(-d_arr / 36.0)
-    p = np.where(d_arr <= 18.0, 1.0, ratio * (1.0 - decay) + decay)
+    p = np.empty(d_arr.shape) if out is None else out
+    ratio, decay = (np.empty(d_arr.shape), np.empty(d_arr.shape)) if work is None else work
+    np.maximum(d_arr, 1e-300, out=ratio)
+    np.divide(18.0, ratio, out=ratio)
+    np.minimum(ratio, 1.0, out=ratio)
+    np.divide(d_arr, -36.0, out=decay)  # the bits of -d / 36
+    np.exp(decay, out=decay)
+    np.subtract(1.0, decay, out=p)
+    p *= ratio
+    p += decay
     return float(p) if np.ndim(d) == 0 else p
 
 
@@ -86,7 +104,7 @@ def breakpoint_distance_m(cfg: ChannelConfig) -> float:
     return 4.0 * h_eff * h_eff * (cfg.carrier_ghz * 1e9) / SPEED_OF_LIGHT_M_S
 
 
-def ue_ue_pathloss(d, los, cfg: ChannelConfig):
+def ue_ue_pathloss(d, los, cfg: ChannelConfig, *, out=None, work=None):
     """Street-level terminal-to-terminal pathloss in dB.
 
     LOS below the breakpoint: 22.7 log10(d) + 27.0 + 20 log10(f_GHz).
@@ -94,6 +112,9 @@ def ue_ue_pathloss(d, los, cfg: ChannelConfig):
     NLOS: (44.9 - 6.55 log10(h_ue)) log10(d) + 5.83 log10(h_ue) + 14.78
           + 34.97 log10(f_GHz).
     The signed d2d offset is added, then the result is floored at min_pl_db.
+    ``out`` (a C-contiguous float64 array of the broadcast shape) receives
+    the pathloss, and ``work`` (another) holds log10(d); each is allocated
+    when not given.
     """
     d_arr, los_arr = np.broadcast_arrays(
         np.asarray(d, dtype=float), np.asarray(los, dtype=bool)
@@ -105,16 +126,18 @@ def ue_ue_pathloss(d, los, cfg: ChannelConfig):
     f = cfg.carrier_ghz
     h = cfg.ue_height_m
     h_eff = h - 1.0
-    log_d = np.log10(d_arr).ravel()
+    pl_out = np.empty(d_arr.shape) if out is None else out
+    # Flat views: copy=False raises where a view cannot be had.
+    pl = np.reshape(pl_out, -1, copy=False)
+    log_d = np.reshape(np.empty(d_arr.shape) if work is None else work, -1, copy=False)
+    np.log10(d_arr.reshape(-1), out=log_d)
     # NLOS everywhere, then each LOS branch on its own entries: most links are
     # NLOS (about 99% on wide-area drops), so a full pass per branch and a
     # select would be mostly waste. Each entry gets its branch's floats.
-    pl = (
-        (44.9 - 6.55 * math.log10(h)) * log_d
-        + 5.83 * math.log10(h)
-        + 14.78
-        + 34.97 * np.log10(f)
-    )
+    np.multiply(44.9 - 6.55 * math.log10(h), log_d, out=pl)
+    pl += 5.83 * math.log10(h)
+    pl += 14.78
+    pl += 34.97 * np.log10(f)
     i_los = np.flatnonzero(los_arr)
     near = d_arr.ravel()[i_los] < breakpoint_distance_m(cfg)
     i_near, i_far = i_los[near], i_los[~near]
@@ -128,8 +151,7 @@ def ue_ue_pathloss(d, los, cfg: ChannelConfig):
     )
     pl += cfg.d2d_offset_db
     np.maximum(pl, cfg.min_pl_db, out=pl)
-    pl = pl.reshape(d_arr.shape)
-    return float(pl) if np.ndim(d) == 0 and np.ndim(los) == 0 else pl
+    return float(pl_out) if np.ndim(d) == 0 and np.ndim(los) == 0 else pl_out
 
 
 def ue_enb_pathloss(d, min_pl_db: float = 30.0):
@@ -142,11 +164,26 @@ def ue_enb_pathloss(d, min_pl_db: float = 30.0):
     return float(pl) if np.ndim(d) == 0 else pl
 
 
+def _fold_deg(a: np.ndarray) -> np.ndarray:
+    """``abs(((a + 180) % 360) - 180)`` of a float64 array, in a new array:
+    fmod keeps the dividend's sign, and 360 added to a negative remainder
+    gives the divisor's, the steps np.remainder takes without its quotient."""
+    m = np.add(a, 180.0, out=np.empty(a.shape))
+    np.fmod(m, 360.0, out=m)
+    np.add(m, 360.0, out=m, where=m < 0.0)
+    m -= 180.0
+    return np.abs(m, out=m)
+
+
 def sector_antenna_gain(angle_off_boresight_deg):
     """3-sector pattern, 14 dBi peak, 25 dB front-to-back clamp."""
-    a = np.asarray(angle_off_boresight_deg, dtype=float)
-    folded = np.abs(((a + 180.0) % 360.0) - 180.0)
-    g = 14.0 - np.minimum(12.0 * (folded / 70.0) ** 2, 25.0)
+    g = _fold_deg(np.asarray(angle_off_boresight_deg, dtype=float))
+    # 14 - min(12 (theta / 70)^2, 25), in place.
+    g /= 70.0
+    np.square(g, out=g)
+    g *= 12.0
+    np.minimum(g, 25.0, out=g)
+    np.subtract(14.0, g, out=g)
     return float(g) if np.ndim(angle_off_boresight_deg) == 0 else g
 
 
@@ -251,11 +288,13 @@ def build_coupling_table(
     rng stream): first the LOS uniforms for all terminal pairs, then
     terminal-pair shadowing, then terminal-to-base shadowing. Each is drawn
     whole; the first two on a pool thread while the calling thread runs the
-    terminal-pair wrap search. The terminal-pair clamp, LOS state, pathloss
-    and floor then run one row block (``layout._block_rows``) at a time, so
-    their temporaries stay in cache, in row stripes on the pool's threads
-    while the calling thread takes the terminal-to-site geometry. A table
-    of one stripe runs on the calling thread alone. Distances,
+    terminal-pair wrap search, which writes its distances into the
+    terminal-pair loss matrix. The clamp, LOS state, pathloss, shadowing and
+    floor then run one row block (``layout._block_rows``) at a time on a copy
+    of the block's distances in scratch that each thread reuses, and write the
+    block's losses over its distances. They run in row stripes on the pool's
+    threads while the calling thread takes the terminal-to-site geometry. A
+    table of one stripe runs on the calling thread alone. Distances,
     arrival angles and macro pathloss are taken per site and repeated over
     its three sectors; the antenna gain is per sector.
 
@@ -284,27 +323,37 @@ def build_coupling_table(
         rng.random(out=los_u)  # one LOS uniform per entry: part of the stream
         draw_shadowing(cfg.shadow_std_ueue_db, rng, out=shadow_uu)
 
-    (d_uu, _), _ = _run_all([
-        lambda: pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters),
+    # The wrap search writes its distances into loss_uu, which the pass
+    # below then overwrites with the losses, one row block at a time.
+    loss_uu = np.empty((n_tx, n_rx))
+    _run_all([
+        lambda: pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters, out=loss_uu),
         draw_pairs,
     ], pool=shared)
-    # Then the LOS state, pathloss and floor, one row block at a time, on the
-    # pool's threads while this one takes the terminal-to-site geometry.
+    # Then the clamp, LOS state, pathloss, shadowing and floor, on a copy of
+    # each block's distances in a running stripe's scratch, on the pool's
+    # threads while this one takes the terminal-to-site geometry.
     los = np.empty((n_tx, n_rx), dtype=bool)
-    loss_uu = np.empty((n_tx, n_rx))
 
     def pair_rows(lo, hi):
         """Rows lo..hi; returns their clamped and floored entry counts."""
+        scratch = free.pop()
+        dist, work, mask = scratch
         clamped = floored = 0
         for r0 in range(lo, hi, rows):
             blk = slice(r0, min(r0 + rows, hi))
-            d = d_uu[blk]
-            clamped += np.count_nonzero(d < MIN_UE_UE_DISTANCE_M)
+            loss = loss_uu[blk]
+            r = loss.shape[0]
+            d, w, m = dist[:r], work[:, :r], mask[:r]
+            np.copyto(d, loss)
+            clamped += np.count_nonzero(np.less(d, MIN_UE_UE_DISTANCE_M, out=m))
             np.maximum(d, MIN_UE_UE_DISTANCE_M, out=d)
-            np.less(los_u[blk], los_probability(d), out=los[blk])
-            loss = np.add(ue_ue_pathloss(d, los[blk], cfg), shadow_uu[blk], out=loss_uu[blk])
+            np.less(los_u[blk], los_probability(d, out=loss, work=w), out=los[blk])
+            ue_ue_pathloss(d, los[blk], cfg, out=loss, work=w[0])
+            loss += shadow_uu[blk]
             np.maximum(loss, cfg.min_pl_db, out=loss)
-            floored += np.count_nonzero(loss == cfg.min_pl_db)
+            floored += np.count_nonzero(np.equal(loss, cfg.min_pl_db, out=m))
+        free.append(scratch)
         return clamped, floored
 
     def site_geometry():
@@ -322,6 +371,9 @@ def build_coupling_table(
         pl = np.repeat(ue_enb_pathloss(np.maximum(d_site, 1e-6), cfg.min_pl_db), 3, axis=1)
         return gain, pl
 
+    shape = (min(rows, n_tx), n_rx)
+    free = _scratch_sets(stripes, lambda: (
+        np.empty(shape), np.empty((2, *shape)), np.empty(shape, dtype=bool)))
     (gain, pl_all_s), *counts = _run_all(
         [site_geometry] + [functools.partial(pair_rows, lo, hi) for lo, hi in stripes], pool=shared
     )

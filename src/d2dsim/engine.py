@@ -227,14 +227,16 @@ def _sinr_drop_samples(cfg, layout, settings, rc, drop_index) -> tuple[np.ndarra
     # Per subframe of the cycle: the active links (sector-major, positions
     # ascending), the active transmitters' gains at their receivers and each
     # link's own gain. Gathered once per drop; only the powers change with
-    # the sweep setting.
+    # the sweep setting. With every link on the air the gains are the pair
+    # rows as they stand, so a view serves and nothing is copied.
     pattern = activation_pattern(cfg.coordination, cfg.n_d2d_tx_per_sector)
     sector_base = links[:: cfg.n_d2d_tx_per_sector, None]
     active = []
     for on_air in pattern:
         sel = (sector_base + on_air).ravel()
         rows = n_cell + sel
-        active.append((sel, gain[np.ix_(rows, sel)], gain[rows, sel]))
+        cross = gain[n_cell:] if len(sel) == len(links) else gain[np.ix_(rows, sel)]
+        active.append((sel, cross, gain[rows, sel]))
 
     noise_ue_dbm = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_ue_db)
     noise_enb_dbm = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_enb_db)

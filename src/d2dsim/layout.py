@@ -114,6 +114,13 @@ def _stripes(n_rows: int, block_rows: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _scratch_sets(stripes: list, make: Callable[[], _T]) -> list[_T]:
+    """One ``make()`` per thread that may run the stripes, made on the calling
+    thread (see ``_run_all``): a running stripe pops one and appends it back
+    when it ends."""
+    return [make() for _ in range(min(_THREADS, len(stripes)))]
+
+
 def _run_all(tasks: list[Callable[[], _T]], *, pool: bool = True) -> list[_T]:
     """Run the zero-argument tasks at once: the first on the calling thread,
     the others on the pool's ``_THREADS - 1`` threads. The calling thread
@@ -282,7 +289,12 @@ def build_hex_grid(isd: float, n_rings: int, wraparound: bool) -> NetworkLayout:
 
 
 def pairwise_wrap_distance(
-    a_xy, b_xy, layout: NetworkLayout, *, counters: Optional[DropCounters] = None
+    a_xy,
+    b_xy,
+    layout: NetworkLayout,
+    *,
+    counters: Optional[DropCounters] = None,
+    out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance matrix (n, m) of min-over-offsets |a - (b + t)|.
 
@@ -296,19 +308,20 @@ def pairwise_wrap_distance(
     leaves float range. The returned distance is ``hypot(a - (b + t_k))`` on
     the winning offset k. The search runs in row blocks of ``_block_rows``,
     so its temporaries stay in cache, and splits the blocks into row stripes
-    over the drop's threads. ``counters``,
-    when given, gets the entries the fallback settled added to its
-    ``wrap_near_ties``.
+    over the drop's threads. ``counters``, when given, gets the entries the
+    fallback settled added to its ``wrap_near_ties``. ``out``, when given, is
+    the float64 (n, m) array the distances are written into and returned as.
     """
     a = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b = np.asarray(b_xy, dtype=float).reshape(-1, 2)
     offs = layout.offset_xy
     n, m = a.shape[0], b.shape[0]
-    dist = np.empty((n, m))
+    dist = np.empty((n, m)) if out is None else out
     best_k = np.zeros((n, m), dtype=np.int8)
     if dist.size == 0:
         return dist, best_k
     rows = min(n, _block_rows(m))
+    (a_x, a_y), (b_x, b_y) = a.T.copy(), b.T.copy()  # contiguous coordinates
     search = offs.shape[0] > 1  # without wraparound the identity is the only image
     project = False
     if search:
@@ -330,33 +343,41 @@ def pairwise_wrap_distance(
     def search_rows(lo, hi):
         """Rows lo..hi, one block at a time; returns their near ties."""
         scratch = free.pop()
-        t_x, t_y, score, neg, near, code = scratch
+        # score's planes: the three axis scores and the best less tol, then
+        # the image displacement's x and y.
+        score, neg, near, code = scratch
         near_ties = 0
         for r0 in range(lo, hi, rows):
             blk = slice(r0, min(r0 + rows, hi))
             k = best_k[blk]
             r = k.shape[0]
             if project:
-                s, sn, nr, c = score[:, :r], neg[:, :r], near[:, :r], code[:, :r]
+                s, sn, nr, c = score[:3, :r], neg[:, :r], near[:, :r], code[:, :r]
                 for ax in range(3):
                     np.subtract.outer(proj_a[ax, blk], proj_b[ax], out=s[ax])
                 np.less(s, 0.0, out=sn)
                 np.abs(s, out=s)
                 # Best score over identity (half_sq) and the three axes, less tol.
-                top = np.maximum(s[0], s[1], out=t_x[:r])
+                top = np.maximum(s[0], s[1], out=score[3, :r])
                 np.maximum(top, s[2], out=top)
                 np.maximum(top, half_sq, out=top)
                 top -= tol
                 np.greater_equal(s, top, out=nr)
                 # Outside near ties only the best candidate is within tol of it:
                 # axis j wins with offset j + 1, or j + 4 if its projection is < 0.
-                np.multiply(sn, np.int8(3), out=c)
+                # The flags are summed as int8 views of their 0/1 bytes.
+                sn8, nr8 = sn.view(np.int8), nr.view(np.int8)
+                np.multiply(sn8, np.int8(3), out=c)
                 c += axis_code
-                c *= nr
-                np.sum(c, axis=0, dtype=np.int8, out=k)
-                n_near = np.sum(nr, axis=0, dtype=np.int8)
-                n_near += top <= half_sq
-                i, j = np.nonzero(n_near >= 2)
+                c *= nr8
+                np.add(c[0], c[1], out=k)
+                k += c[2]
+                # Candidates within tol of the best, the identity among them.
+                n_near = np.add(nr8[0], nr8[1], out=c[0])
+                n_near += nr8[2]
+                n_near += np.less_equal(top, half_sq, out=sn[0]).view(np.int8)
+                # nonzero costs a pass even when it finds nothing.
+                i, j = np.nonzero(n_near >= 2) if n_near.max() >= 2 else ((), ())
             elif search:
                 i, j = np.indices((r, m)).reshape(2, -1)
             else:
@@ -373,22 +394,19 @@ def pairwise_wrap_distance(
                 )
                 near_ties += len(i)
             # mode="clip" leaves out= unbuffered; every index is in range.
-            dx = np.take(offs[:, 0], k, out=t_x[:r], mode="clip")
-            dy = np.take(offs[:, 1], k, out=t_y[:r], mode="clip")
-            np.subtract(a[blk, 0:1], np.add(dx, b[:, 0], out=dx), out=dx)
-            np.subtract(a[blk, 1:2], np.add(dy, b[:, 1], out=dy), out=dy)
+            dx = np.take(offs[:, 0], k, out=score[0, :r], mode="clip")
+            dy = np.take(offs[:, 1], k, out=score[1, :r], mode="clip")
+            np.subtract(a_x[blk, None], np.add(dx, b_x, out=dx), out=dx)
+            np.subtract(a_y[blk, None], np.add(dy, b_y, out=dy), out=dy)
             np.hypot(dx, dy, out=dist[blk])
         free.append(scratch)
         return near_ties
 
-    # A running stripe borrows one of a scratch set per thread (see _run_all).
     stripes = _stripes(n, rows)
     shape = (3, rows, m)
-    free = [
-        (*np.empty((2, rows, m)), np.empty(shape), np.empty(shape, dtype=bool),
-         np.empty(shape, dtype=bool), np.empty(shape, dtype=np.int8))
-        for _ in range(min(_THREADS, len(stripes)))
-    ]
+    free = _scratch_sets(stripes, lambda: (
+        np.empty((4, rows, m)), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool),
+        np.empty(shape, dtype=np.int8)))
     near_ties = sum(_run_all([functools.partial(search_rows, lo, hi) for lo, hi in stripes]))
     if counters is not None:
         counters.wrap_near_ties += near_ties

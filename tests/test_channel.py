@@ -8,6 +8,7 @@ import pytest
 from d2dsim import layout as layout_module
 from d2dsim.channel import (
     ChannelConfig,
+    _fold_deg,
     breakpoint_distance_m,
     build_coupling_table,
     draw_shadowing,
@@ -68,6 +69,19 @@ class TestLosProbability:
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):
             los_probability(-1.0)
+
+    def test_equals_the_two_branch_formula(self):
+        """One formula serves every distance: up to 18 m it gives exactly the
+        1.0 that a separate branch would, and beyond it the same bits, with
+        or without out= and work= buffers."""
+        d = np.concatenate([np.linspace(0.0, 40.0, 200_001), np.geomspace(40.0, 1e6, 20_001),
+                            [18.0, np.nextafter(18.0, 0.0), np.nextafter(18.0, 40.0), 5e-324]])
+        decay = np.exp(-d / 36.0)
+        ratio = np.minimum(18.0 / np.maximum(d, 1e-300), 1.0)
+        want = np.where(d <= 18.0, 1.0, ratio * (1.0 - decay) + decay)
+        out, work = np.empty_like(d), np.empty((2, *d.shape))
+        assert los_probability(d, out=out, work=work) is out
+        assert _bits(out) == _bits(want) == _bits(los_probability(d))
 
 
 class TestUeUePathloss:
@@ -153,6 +167,24 @@ class TestSectorAntennaGain:
     def test_angle_normalization(self):
         assert sector_antenna_gain(350.0) == pytest.approx(sector_antenna_gain(-10.0))
         assert sector_antenna_gain(540.0) == pytest.approx(sector_antenna_gain(180.0))
+
+    def test_fold_equals_the_remainder_fold(self):
+        """The fold takes fmod, not np.remainder, and keeps its bits: on
+        arrival angles in [-180, 180] (and their neighbouring floats) minus
+        each boresight, at the signed zeros, half and full turns and smallest
+        normals, and far beyond two turns; the gain keeps its bits too."""
+        arrival = np.linspace(-180.0, 180.0, 100_001)
+        arrival = np.concatenate([arrival, np.nextafter(arrival, -np.inf), np.nextafter(arrival, np.inf)])
+        special = np.array([0.0, 180.0, 360.0, 1e-300, 720.0, np.nextafter(720.0, 0.0)])
+        far = np.random.default_rng(5).uniform(720.0, 1e7, 10_000)
+        far = np.concatenate([far, [720.5, 1e15 + 0.5, 2.0**53 + 2.0, 1e300, np.finfo(float).max]])
+        a = np.concatenate([(arrival[:, None] - np.array(SECTOR_BORESIGHTS_DEG)).ravel(),
+                            special, -special, far, -far])
+        want = np.abs(((a + 180.0) % 360.0) - 180.0)
+        assert _bits(_fold_deg(a)) == _bits(want)
+        gain = 14.0 - np.minimum(12.0 * (want / 70.0) ** 2, 25.0)
+        assert _bits(sector_antenna_gain(a)) == _bits(gain)
+        assert [sector_antenna_gain(x) for x in a[::50_000].tolist()] == gain[::50_000].tolist()
 
 
 class TestShadowing:
@@ -403,6 +435,15 @@ def test_row_blocks_equal_the_full_matrix_oracle(case, block, monkeypatch):
     if block != "default":
         size = 1 if block == "one_row" else 10**9
         monkeypatch.setattr(layout_module, "_BLOCK_ENTRIES", size)
+    counters = _assert_table_equals_the_oracle(case)
+    if case == "lattice_ties":
+        assert counters.wrap_near_ties > 0
+
+
+def _assert_table_equals_the_oracle(case):
+    """Build case's table and its full-matrix oracle from the same streams;
+    assert every entry, count and the end stream state equal. Returns the
+    table's counters."""
     make, cfg = _TABLE_CASES[case]
     lay, terminals = make(np.random.default_rng(11))
     rng, ref = np.random.default_rng(12), np.random.default_rng(12)
@@ -418,8 +459,27 @@ def test_row_blocks_equal_the_full_matrix_oracle(case, block, monkeypatch):
         assert np.array_equal(*bits), name
     assert counters == ref_counters
     assert rng.bit_generator.state == ref.bit_generator.state
-    if case == "lattice_ties":
-        assert counters.wrap_near_ties > 0
+    return counters
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("block_entries", [64, 4096])
+@pytest.mark.parametrize("case", ["wide_area_cellular", "dense_discovery", "lattice_ties"])
+def test_pair_pass_in_place_equals_the_public_formulas(case, block_entries, threads, monkeypatch):
+    """The terminal-pair pass runs in the wrap search's distance buffer and
+    per-thread scratch; every entry and the clamped and floor counts equal
+    the public los_probability, ue_ue_pathloss, shadowing and floor on whole
+    matrices, for blocks of a few rows and on one and three threads."""
+    monkeypatch.setattr(layout_module, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(layout_module, "_THREADS", threads)
+    monkeypatch.setattr(layout_module, "_pool", None)  # a pool of `threads` threads
+    try:
+        counters = _assert_table_equals_the_oracle(case)
+    finally:
+        if layout_module._pool is not None:
+            layout_module._pool.shutdown()
+    assert counters.clamped_distances > 0 or case == "wide_area_cellular"
+    assert counters.floor_entries > 0 or case != "dense_discovery"
 
 
 def _bits(x):

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from collections.abc import Mapping
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dsim import cli, engine
+from d2dsim import layout as layout_module
 from d2dsim.channel import ChannelConfig, sector_endpoint, ue_endpoint, ue_ue_pathloss
 from d2dsim.engine import (
     ExperimentConfig,
@@ -244,6 +246,89 @@ class TestSinrExperiment:
             assert row["fraction_above"] == fraction_above(vals, -6.0)
             assert row["mean_db"] == pytest.approx(vals.mean())
             assert row["p5_db"] == percentile(vals, 0.05)
+
+
+def _bits(x):
+    x = np.ascontiguousarray(x)
+    return x.dtype, x.shape, x.view(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_cell, n_tx, mode",
+    [(1, 5, UNCOORDINATED), (2, 3, spatial_reuse(3))],
+    ids=["uncoordinated_with_cellular", "reuse_k_equals_n_tx"],
+)
+def test_all_on_air_slice_equals_the_gather(n_cell, n_tx, mode):
+    """With every link on the air the SINR pass multiplies by the pair rows
+    of the gain matrix as they stand, a view past the cellular rows (in the
+    first case 57 rows of 285 doubles: a start that is not 16-byte aligned).
+    Its products and samples have the bits of the np.ix_ gather, at every
+    power setting."""
+    cfg = ExperimentConfig(
+        experiment="sinr", n_cellular_per_sector=n_cell, n_d2d_tx_per_sector=n_tx,
+        coordination=mode, n_drops=1, seed=4,
+    )
+    lay = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
+    settings, rc = sweep_settings(cfg), RadioConfig()
+    samples, _ = engine._sinr_drop_samples(cfg, lay, settings, rc, 0)
+    terminals, table = build_drop(cfg, lay, 0)
+    n_c, links = terminals.n_cell, np.arange(terminals.n_pairs)
+    rows, gain = n_c + links, table.ue_ue_gain_lin
+    gathered = gain[np.ix_(rows, links)]
+    noise_ue = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_ue_db)
+    noise_enb = thermal_noise_dbm(rc.bandwidth_hz, rc.noise_figure_enb_db)
+    own_loss = table.ue_ue_loss_db[rows, links]
+    cell_loss = table.ue_sector_loss_db[np.arange(n_c), terminals.sector[:n_c]]
+    for si, setting in enumerate(settings):
+        p = 10.0 ** (open_loop_tx_power(replace(setting, noise_dbm=noise_ue), own_loss) / 10.0)
+        assert _bits(p @ gain[n_c:]) == _bits(p @ gathered)
+        p_cell = 10.0 ** (open_loop_tx_power(replace(setting, noise_dbm=noise_enb), cell_loss) / 10.0)
+        received = p @ gathered + p_cell @ gain[:n_c]
+        signal = p * gain[rows, links]
+        interference = np.maximum(received - signal, 0.0)
+        want = 10.0 * np.log10(signal / (interference + 10.0 ** (noise_ue / 10.0)))
+        assert _bits(samples["sinr_db"][samples["setting_id"] == si]) == _bits(want)
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_area_drop_peak_memory(monkeypatch):
+    """One drop of the 570-pair wide-area shape (57 sectors of 10 pairs, all
+    on the air, 13 power settings) on two threads keeps its traced peak under
+    14 MB, and its SINR pass, on a drop built beforehand, under 1 MB. They
+    were 15.4-16.5 MB and 3.0 MB when the drop held a separate distance
+    matrix, made temporaries in every pass and copied the 570 x 570 gains
+    (12.7 and 0.43 MB now)."""
+    monkeypatch.setattr(layout_module, "_THREADS", 2)
+    monkeypatch.setattr(layout_module, "_pool", None)
+    cfg = ExperimentConfig(experiment="sinr", n_drops=1)
+    lay = build_hex_grid(cfg.isd_m, cfg.n_rings, cfg.wraparound)
+    settings, rc = sweep_settings(cfg), RadioConfig()
+    try:
+        engine._sinr_drop_samples(cfg, lay, settings, rc, 0)  # starts the pool
+        (samples, _), peak = _traced_peak(
+            lambda: engine._sinr_drop_samples(cfg, lay, settings, rc, 1))
+        drop = build_drop(cfg, lay, 1)
+        drop[1].ue_ue_gain_lin  # cached on the table
+        monkeypatch.setattr(engine, "build_drop", lambda *args, **kwargs: drop)
+        (again, _), pass_peak = _traced_peak(
+            lambda: engine._sinr_drop_samples(cfg, lay, settings, rc, 1))
+    finally:
+        if layout_module._pool is not None:
+            layout_module._pool.shutdown()
+    assert samples.size == 570 * len(settings)
+    assert again.tobytes() == samples.tobytes()
+    assert peak < 14e6, peak
+    assert pass_peak < 1e6, pass_peak
 
 
 # Three sectors with 2 cellular terminals and 3 pairs each. Ids 0-5 are the
