@@ -290,9 +290,9 @@ def build_coupling_table(
     whole; the first two on a pool thread while the calling thread runs the
     terminal-pair wrap search, which writes its distances into the
     terminal-pair loss matrix. The clamp, LOS state, pathloss, shadowing and
-    floor then run one row block (``layout._block_rows``) at a time on a copy
-    of the block's distances in scratch that each thread reuses, and write the
-    block's losses over its distances. They run in row stripes on the pool's
+    floor then run one row block (``layout._block_rows``) at a time on the
+    block's clamped distances, in scratch that each thread reuses, and write
+    the block's losses over its distances. They run in row stripes on the pool's
     threads while the calling thread takes the terminal-to-site geometry. A
     table of one stripe runs on the calling thread alone. Distances,
     arrival angles and macro pathloss are taken per site and repeated over
@@ -330,8 +330,8 @@ def build_coupling_table(
         lambda: pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters, out=loss_uu),
         draw_pairs,
     ], pool=shared)
-    # Then the clamp, LOS state, pathloss, shadowing and floor, on a copy of
-    # each block's distances in a running stripe's scratch, on the pool's
+    # Then the clamp, LOS state, pathloss, shadowing and floor, on each
+    # block's clamped distances in a running stripe's scratch, on the pool's
     # threads while this one takes the terminal-to-site geometry.
     los = np.empty((n_tx, n_rx), dtype=bool)
 
@@ -345,9 +345,8 @@ def build_coupling_table(
             loss = loss_uu[blk]
             r = loss.shape[0]
             d, w, m = dist[:r], work[:, :r], mask[:r]
-            np.copyto(d, loss)
-            clamped += np.count_nonzero(np.less(d, MIN_UE_UE_DISTANCE_M, out=m))
-            np.maximum(d, MIN_UE_UE_DISTANCE_M, out=d)
+            clamped += np.count_nonzero(np.less(loss, MIN_UE_UE_DISTANCE_M, out=m))
+            np.maximum(loss, MIN_UE_UE_DISTANCE_M, out=d)
             np.less(los_u[blk], los_probability(d, out=loss, work=w), out=los[blk])
             ue_ue_pathloss(d, los[blk], cfg, out=loss, work=w[0])
             loss += shadow_uu[blk]

@@ -289,11 +289,7 @@ def build_hex_grid(isd: float, n_rings: int, wraparound: bool) -> NetworkLayout:
 
 
 def pairwise_wrap_distance(
-    a_xy,
-    b_xy,
-    layout: NetworkLayout,
-    *,
-    counters: Optional[DropCounters] = None,
+    a_xy, b_xy, layout: NetworkLayout, *, counters: Optional[DropCounters] = None,
     out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance matrix (n, m) of min-over-offsets |a - (b + t)|.
