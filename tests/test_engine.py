@@ -305,7 +305,7 @@ def test_wide_area_drop_peak_memory(monkeypatch):
     """One drop of the 570-pair wide-area shape (57 sectors of 10 pairs, all
     on the air, 13 power settings) on two threads keeps its traced peak under
     14 MB, and its SINR pass, on a drop built beforehand, under 1 MB. They
-    were 15.4-16.5 MB and 3.0 MB when the drop held a separate distance
+    were 15.1-15.6 MB and 3.0 MB when the drop held a separate distance
     matrix, made temporaries in every pass and copied the 570 x 570 gains
     (12.7 and 0.43 MB now)."""
     monkeypatch.setattr(layout_module, "_THREADS", 2)
