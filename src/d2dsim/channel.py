@@ -127,9 +127,11 @@ def ue_ue_pathloss(d, los, cfg: ChannelConfig, *, out=None, work=None):
     h = cfg.ue_height_m
     h_eff = h - 1.0
     pl_out = np.empty(d_arr.shape) if out is None else out
-    # Flat views: copy=False raises where a view cannot be had.
-    pl = np.reshape(pl_out, -1, copy=False)
-    log_d = np.reshape(np.empty(d_arr.shape) if work is None else work, -1, copy=False)
+    log_d = np.empty(d_arr.shape) if work is None else work
+    # Flat views, which only a C-contiguous buffer has: reshape would copy.
+    if not (pl_out.flags.c_contiguous and log_d.flags.c_contiguous):
+        raise ValueError("out and work must be C-contiguous")
+    pl, log_d = pl_out.reshape(-1), log_d.reshape(-1)
     np.log10(d_arr.reshape(-1), out=log_d)
     # NLOS everywhere, then each LOS branch on its own entries: most links are
     # NLOS (about 99% on wide-area drops), so a full pass per branch and a

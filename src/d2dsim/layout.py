@@ -142,7 +142,12 @@ def _run_all(tasks: list[Callable[[], _T]], *, pool: bool = True) -> list[_T]:
     if not pool or len(tasks) == 1 or _THREADS < 2:
         return [task() for task in tasks]
     with _pool_lock:
-        if _pool is None:
+        # A pool started for another _THREADS would run more stripes at once
+        # than there are scratch sets (_scratch_sets), or fewer than planned:
+        # it is replaced, and ends once its tasks have.
+        if _pool is None or _pool._max_workers != _THREADS - 1:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
             # Imported here, as it takes milliseconds that a process which
             # never splits a job would pay at start-up.
             from concurrent.futures import ThreadPoolExecutor

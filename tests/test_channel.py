@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -131,6 +133,20 @@ class TestUeUePathloss:
     def test_rejects_below_min_distance(self):
         with pytest.raises(ValueError):
             ue_ue_pathloss(2.9, False, CFG)
+
+    def test_buffers_keep_the_bits_and_must_be_contiguous(self):
+        """out= receives the allocating call's bits; a buffer with no flat
+        view is refused rather than written through a copy."""
+        rng = np.random.default_rng(5)
+        d = rng.uniform(3.0, 2000.0, (6, 40))
+        los = rng.random((6, 40)) < 0.3
+        out, work = np.empty((6, 40)), np.empty((6, 40))
+        assert ue_ue_pathloss(d, los, CFG, out=out, work=work) is out
+        assert out.tobytes() == ue_ue_pathloss(d, los, CFG).tobytes()
+        strided = np.empty((6, 80))[:, ::2]
+        for buffers in ({"out": strided}, {"work": strided}):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                ue_ue_pathloss(d, los, CFG, **buffers)
 
 
 class TestUeEnbPathloss:
@@ -520,3 +536,46 @@ def test_stripes_change_no_bit(case, monkeypatch):
     assert len(layout_module._stripes(len(tx_sel), layout_module._block_rows(len(rx_xy)))) == 2 * 3
     if case == "lattice_ties":
         assert runs[0]["wrap_counters"].wrap_near_ties > 0
+
+
+def test_a_pool_started_for_more_threads_is_not_reused(monkeypatch):
+    """A pool started at four threads and then used at two runs two tasks at
+    once, as many as a table's stripes have scratch sets: the table keeps
+    the bits of one thread and no stripe finds its free list empty."""
+    make, cfg = _TABLE_CASES["wide_area"]
+    lay, terminals = make(np.random.default_rng(11))
+
+    def table_bits():
+        table = build_coupling_table(lay, terminals, cfg, np.random.default_rng(12))
+        return [_bits(getattr(table, f.name)) for f in dataclasses.fields(table)]
+
+    monkeypatch.setattr(layout_module, "_THREADS", 1)
+    want = table_bits()
+    monkeypatch.setattr(layout_module, "_pool", None)
+    monkeypatch.setattr(layout_module, "_THREADS", 4)
+    running = peak = 0
+    lock = threading.Lock()
+
+    def task():
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+        time.sleep(0.05)
+        with lock:
+            running -= 1
+
+    pools = []
+    try:
+        layout_module._run_all([task] * 6)
+        pools.append(layout_module._pool)
+        assert peak == 4  # the sleeps overlap: a pool of three threads ran
+        monkeypatch.setattr(layout_module, "_THREADS", 2)
+        assert table_bits() == want
+        peak = 0
+        layout_module._run_all([task] * 6)
+        pools.append(layout_module._pool)
+        assert peak == 2
+    finally:
+        for pool in pools:
+            pool.shutdown()
