@@ -114,7 +114,7 @@ def ue_ue_pathloss(d, los, cfg: ChannelConfig, *, out=None, work=None):
     The signed d2d offset is added, then the result is floored at min_pl_db.
     ``out`` (a C-contiguous float64 array of the broadcast shape) receives
     the pathloss, and ``work`` (another) holds log10(d); each is allocated
-    when not given.
+    when not given, and a strided one raises ValueError.
     """
     d_arr, los_arr = np.broadcast_arrays(
         np.asarray(d, dtype=float), np.asarray(los, dtype=bool)
