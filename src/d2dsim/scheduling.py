@@ -14,19 +14,18 @@ fixed point.
 
 A `Flow` is an immutable (id, row, col, role) record: terminal `id`
 transmits from table row `row` to column `col` of the drop's terminal-row
-loss matrix (row and column order: see `CouplingTable`). The PF state lives
-in arrays indexed by position in flow id order: one flows x receivers
-coupling matrix gathered from the drop's table by those rows and the distinct
-columns, and per-flow averages. Flows that share a receiver, such as the
-cellular flows of one sector, share its column. The rates at the snapshot of
-subframe t are both what the flows granted at t are served and what the
-grants at t+1 are chosen from; they depend only on t's grant set. A run with
-no more possible grant sets than subframes computes them all before its loop
-and does the `pf_select` and `pf_update` steps inline on a grid with one row
-per sector of two or more flows, padded with cells that never win. It finds
-each subframe's memo row as a Python-int sum of rank x stride and adds its
-bits once per chunk of subframes. Any other run calls both rules every
-subframe.
+loss matrix (row and column order: see `CouplingTable`). A PF run gathers
+one flows x receivers coupling matrix from the drop's table, its rows in
+flow id order; flows that share a receiver, such as the cellular flows of
+one sector, share its column. The rates at the snapshot of subframe t are
+both what the flows granted at t are served and what the grants at t+1 are
+chosen from; they depend only on t's grant set. Every run does the
+`pf_select` and `pf_update` steps in one loop, on a grid with one row per
+sector padded with cells that never win, and adds its bits once per chunk
+of subframes. A run with no more possible grant sets than subframes reads
+its rates from a memo of every set, filled before the loop and indexed by a
+Python-int sum of rank x stride; any other run computes its granted set's
+rates in every subframe.
 """
 
 from __future__ import annotations
@@ -100,50 +99,31 @@ class Flow(NamedTuple):
     role: str  # "cellular" (to a sector) or "d2d" (to a terminal)
 
 
-def pf_select(
-    inst_rate_bps: np.ndarray,
-    avg_rate_bps: np.ndarray,
-    slots: np.ndarray,
-    out: np.ndarray | None = None,
-    work: tuple | None = None,
-) -> np.ndarray:
-    """Position of the flow maximizing inst/avg rate in each row of `slots`,
-    written into `out` if given.
+def pf_select(inst_rate_bps: np.ndarray, avg_rate_bps: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The PF selection rule: the position of the flow maximizing inst/avg
+    rate in each row of `slots`.
 
     `slots` is a (sectors x max flows) matrix of flow positions, padded at the
     end of each row with -1. Rows list their flows in id order, so the
-    first-occurrence argmax gives ties to the lowest id. `work` is
-    `_select_work(slots, len(inst_rate_bps))`, scratch buffers that a caller
-    may reuse across calls with the same slots.
+    first-occurrence argmax gives ties to the lowest id. This is the reference
+    rule: `run_pf_uplink` does its steps on its grid and gets its floats.
     """
-    # argmin is the cheapest reduction on a short array.
-    if avg_rate_bps[avg_rate_bps.argmin()] <= 0:
-        raise ValueError("PF average rates must be positive")
-    metric, ratio, slot_metric, best, row_start = work or _select_work(slots, len(inst_rate_bps))
-    np.divide(inst_rate_bps, avg_rate_bps, out=ratio)
-    # Every take passes mode="wrap", since the default mode buffers `out`:
-    # the -1 padding wraps to metric's last entry, -inf, which never wins.
-    metric.take(slots, out=slot_metric, mode="wrap")
-    slot_metric.argmax(axis=1, out=best)
-    np.add(row_start, best, out=best)
-    return slots.take(best, out=out, mode="wrap")
-
-
-def _select_work(slots: np.ndarray, n_flows: int) -> tuple:
-    """Scratch buffers of `pf_select` over n_flows flows, once `slots` is
-    checked to have a flow in every row."""
     if slots.size == 0 or slots[:, 0].min() < 0:
         raise ValueError("pf_select needs at least one flow per row")
-    metric = np.full(n_flows + 1, -np.inf)
-    row_start = np.arange(len(slots)) * slots.shape[1]
-    return metric, metric[:-1], np.empty(slots.shape), np.empty(len(slots), dtype=np.intp), row_start
+    if np.any(avg_rate_bps <= 0):
+        raise ValueError("PF average rates must be positive")
+    # A -1 pad reads the appended -inf, which never wins.
+    metric = np.append(inst_rate_bps / avg_rate_bps, -np.inf)
+    return slots[np.arange(len(slots)), metric[slots].argmax(axis=1)]
 
 
 def pf_update(
     avg_rate_bps: np.ndarray, served_rate_bps: np.ndarray, t_c: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Exponential moving average step, written into `out` (which may be
-    `avg_rate_bps`) if given; served rate is 0 when not scheduled."""
+    """The PF average update, an exponential moving average step, written
+    into `out` (which may be `avg_rate_bps`) if given; served rate is 0 when
+    not scheduled. This is the reference rule: `run_pf_uplink` does its steps
+    on its grid and gets its floats."""
     if t_c < 1:
         raise ValueError(f"t_c must be >= 1, got {t_c}")
     out = np.multiply(avg_rate_bps, 1.0 - 1.0 / t_c, out=out)
@@ -240,37 +220,36 @@ def run_pf_uplink(
     vectors depend only on the grant set, and `_snapshot_rates` computes them
     from one flows x receivers coupling matrix: a baseline run's flows send
     to their sectors' receivers only.
-    - Prefilled: when the possible grant sets, the product of the sectors'
-      flow counts, number no more than n_subframes, one batched call per
-      row block of sets (`layout._block_rows` of sectors x flows entries)
-      computes all of them before the loop, into a read-only memo of rates
-      and served rates / t_c per set. The memo and the averages lie on a
-      grid: one row per sector of two or more flows, its flows in id order,
-      padded at the end with cells of rate 0 that never win, then one cell
-      per sector of one flow, which is always granted. Each subframe does
-      one divide, one row-wise argmax, the set index as a Python sum of
-      rank x stride (`_grant_sets`), and the two update steps with its set's
-      memo rows. The loop runs in chunks of `layout._block_rows(n_flows)`
-      subframes; after each chunk `np.add.at` adds its bits in time order,
-      so the run keeps O(sets x flows) state for any n_subframes.
-    - Otherwise (direct) each subframe calls `pf_select`, the rule on its one
-      set into one n_flows buffer, and `pf_update`, and adds its served bits
-      and grants to per-flow sums: O(n_flows) state for any n_subframes.
-    The rule computes each set alone, so both ways serve the same floats, and
-    each flow's bits are summed in time order either way (adding 0.0 is
-    exact).
 
-    One call is one PF run. Only a direct run calls `pf_select` and
-    `pf_update`, so perfbench's call counts of both read 0 on
-    `throughput_single_site`. `run_throughput_experiment` makes one call per
-    run, in run order, with the flows and `n_subframes` first; perfbench
-    derives its grant counters and golden `grants_digest` from exactly those
-    calls, so batching runs into one call must change it.
+    The rates and averages lie on the grid of `slots`: one row per sector, its
+    flows in id order, padded at the end with cells of rate 0 that never win.
+    Each subframe does one divide, one row-wise argmax and the two update
+    steps; the averages are checked to be positive only once a per-run floor
+    allows 0. The loop runs in chunks of `layout._block_rows(n_flows)`
+    subframes and after each chunk `np.add.at` adds its bits in time order,
+    so the run's state does not grow with n_subframes. Rates come from one of
+    two sources:
+    - a memo, when the possible grant sets, the product of the sectors' flow
+      counts, number no more than n_subframes: one batched call per row block
+      of sets (`layout._block_rows` of sectors x flows entries) computes every
+      set's rates and served rates / t_c before the loop, and each subframe
+      finds its set's row as a Python sum of rank x stride (`_grant_sets`);
+    - otherwise one call per subframe on its granted set, put onto the grid.
+    `_snapshot_rates` computes each set alone, so both serve the same floats.
+
+    One call is one PF run. The loop calls neither `pf_select` nor
+    `pf_update`, so perfbench's call counts of both read 0.
+    `run_throughput_experiment` makes one call per run, in run order, with the
+    flows and `n_subframes` first; perfbench derives its grant counters and
+    golden `grants_digest` from exactly those calls, so batching runs into one
+    call must change it.
     """
     if n_subframes < 1:
         raise ValueError(f"n_subframes must be >= 1, got {n_subframes}")
+    if t_c < 1:
+        raise ValueError(f"t_c must be >= 1, got {t_c}")
     sectors = sorted(s for s in sector_flows if sector_flows[s])
-    # PF state is indexed by position in flow id order; slots lists each
+    # Flows are numbered by position in flow id order; slots lists each
     # sector's positions in ascending order, padded with -1.
     flows = sorted((f for s in sectors for f in sector_flows[s]), key=lambda f: f.id)
     n_flows = len(flows)
@@ -280,9 +259,17 @@ def run_pf_uplink(
     rows = [sorted(pos_of[f.id] for f in sector_flows[s]) for s in sectors]
     width = max(len(r) for r in rows)
     slots = np.array([r + [-1] * (width - len(r)) for r in rows])
-    sector_of_pos = np.empty(n_flows, dtype=int)
-    for si, r in enumerate(rows):
-        sector_of_pos[r] = si
+    # The grid: slots row by row, so cell c is in sector c // width. A pad's
+    # rate is 0; its average starts at 1.0 and it is served 1.0 (idle), so the
+    # average stays near 1.0 (+inf would turn NaN at t_c = 1, where keep is
+    # 0). So a pad divides to 0, comes after every flow of its row, never wins
+    # a tie and never trips the positivity check. cell_of_pos is a scatter,
+    # not a sort (see recv_cols).
+    grid = slots.ravel()
+    n_sectors, n_cells = len(sectors), len(grid)
+    real = np.flatnonzero(grid >= 0)
+    cell_of_pos = np.empty(n_flows, dtype=np.intp)
+    cell_of_pos[grid[real]] = real
 
     # loss_db[g, r]: loss from flow g's transmitter to receiver r, gathered
     # from the table block that holds the receiver's column. Flow f listens
@@ -318,121 +305,101 @@ def run_pf_uplink(
     # same SNRs, and their last-bit differences decide near-tied first grants.
     # Keeping both keeps published outputs byte-stable.
     snr_db = 10.0 * np.array([math.log10(r) for r in (signal_lin / noise_lin).tolist()])
-    avg = np.maximum(_shannon_rate_bps(snr_db, rc.bandwidth_hz, rc, snr_db), 1.0)
+    idle = np.ones(n_cells)
+    idle[cell_of_pos] = 0.0
+    avg = np.ones(n_cells)
+    avg[cell_of_pos] = np.maximum(_shannon_rate_bps(snr_db, rc.bandwidth_hz, rc, snr_db), 1.0)
 
-    # inst is each flow's rate at the current interference snapshot. It drives
+    # inst is each cell's rate at the current interference snapshot. It drives
     # the next grants, and it is also the served rate of every flow granted in
     # that snapshot: a granted flow's interference from the other grants is
     # exactly its snapshot entry. So a set's served vector is its inst at the
-    # granted positions and 0 elsewhere. own_at indexes a set's granted rows
-    # [sector of f, recv_of[f]]. Memo row i is the i-th set in product order
-    # and served_tc is served / t_c as pf_update divides; a direct run
-    # rewrites inst in place.
-    n_sectors = len(sectors)
-    own_at = sector_of_pos * n_recv + recv_of
+    # granted cells, idle elsewhere, and served_tc is served / t_c as
+    # pf_update divides. own_at indexes a set's granted rows
+    # [sector of f, recv_of[f]]. Grants use the previous subframe's
+    # interference snapshot (noise-only at t=0); service uses the grants
+    # concurrent at t.
+    own_at = cell_of_pos // width * n_recv + recv_of
     args = (coupling_lin, recv_of, own_at, signal_lin, noise_lin, rc)
+    flow_rates = _rates_from_interference(np.zeros(n_flows), signal_lin, noise_lin, rc)
+    inst = np.zeros(n_cells)
+    inst[cell_of_pos] = flow_rates
     n_sets = math.prod(map(len, rows))
-
-    # Grants use the previous subframe's interference snapshot (noise-only at
-    # t=0); service uses the grants concurrent at t.
-    inst = _rates_from_interference(np.zeros(n_flows), signal_lin, noise_lin, rc)
-    if n_sets <= n_subframes:
-        if t_c < 1:
-            raise ValueError(f"t_c must be >= 1, got {t_c}")
+    prefilled = n_sets <= n_subframes
+    chunk = _block_rows(n_flows)
+    if prefilled:
         every_set, stride = _grant_sets(rows)
-        # The grid: the slots rows of the sectors of two or more flows, in
-        # sector order, then one cell per sector of one flow. Such a sector
-        # always grants its flow, so it takes no part in the argmax, and its
-        # rank, always 0, none in the set index. A pad's rate is 0; its
-        # average starts at 1.0 and it is served 1.0, so the average stays
-        # near 1.0 (+inf would turn NaN at t_c = 1, where keep is 0). So a
-        # pad divides to 0, comes after every flow of its row, never wins a
-        # tie and never trips the positivity check.
-        multi = [s for s, r in enumerate(rows) if len(r) > 1]
-        grid = slots[multi].ravel().tolist() + [r[0] for r in rows if len(r) == 1]
-        n_cells = len(grid)
-        cell_of = {p: c for c, p in enumerate(grid)}
-        cell_of_pos = np.array([cell_of[p] for p in range(n_flows)])
+        strides = stride.tolist()
         set_cells = cell_of_pos.take(every_set)
         # Memo row i holds the i-th set's rates and served / t_c on the grid.
         # Each row block of sets is computed in flow order, then scattered.
-        rates = np.zeros((n_sets, n_cells))
+        memo_rates = np.zeros((n_sets, n_cells))
         block = _block_rows(n_sectors * n_flows)
         blk_rates = np.empty((min(block, n_sets), n_flows))
         for b in range(0, n_sets, block):
             sets = every_set[b : b + block]
             blk_work = _rate_work(sets.shape[:1], n_sectors, n_recv, n_flows)
             blk = _snapshot_rates(sets, *args, blk_rates[: len(sets)], blk_work)
-            rates[b : b + len(sets), cell_of_pos] = blk
-        served_tc = np.ones((n_sets, n_cells))
-        served_tc[:, cell_of_pos] = 0.0
-        at = set_cells + np.arange(n_sets)[:, None] * n_cells
-        served_tc.put(at, rates.take(at))
-        np.divide(served_tc, t_c, out=served_tc)
-        rates.flags.writeable = served_tc.flags.writeable = False
-        # The -1 pads of grid take the appended entry.
-        inst, avg = np.append(inst, 0.0)[grid], np.append(avg, 1.0)[grid]
-        ratio = np.empty(n_cells)
-        ratio_rows = ratio[: len(multi) * width].reshape(len(multi), width)
-        best = np.empty(len(multi), dtype=np.intp)
-        strides = stride[multi].tolist()
-        # Averages start >= 1.0, and each subframe multiplies them by keep and
-        # adds a served rate >= 0. Both float steps are monotone, so at
-        # subframe t every average is at least its floor, 1.0 times keep t
-        # times. pf_select's positivity check can fail only once that floor
-        # is 0.
-        keep = 1.0 - 1.0 / t_c
-        floor = 1.0
-        bits = np.zeros(n_cells)
-        grant_count = np.zeros(n_cells, dtype=np.intp)
-        # The loop runs in chunks of subframes and logs one chunk's set
-        # indices, so its state does not grow with n_subframes. After each
-        # chunk np.add.at adds the chunk's bits, which keeps each flow's sum
-        # in time order.
-        chunk = _block_rows(n_flows)
-        for t0 in range(0, n_subframes, chunk):
-            # floors[j] is the floor at subframe t0 + j.
-            floors = np.full(min(chunk, n_subframes - t0), keep)
-            floors[0] = floor
-            np.multiply.accumulate(floors, out=floors)
-            checked_from = t0 + np.count_nonzero(floors)
-            floor = floors[-1] * keep
-            entries = []
-            for t in range(t0, t0 + len(floors)):
-                if t >= checked_from and avg[avg.argmin()] <= 0:
-                    raise ValueError("PF average rates must be positive")
-                np.divide(inst, avg, out=ratio)
-                ratio_rows.argmax(axis=1, out=best)
-                entries.append(i := sum(map(operator.mul, best.tolist(), strides)))
-                inst = rates[i]
-                np.multiply(avg, keep, out=avg)
-                np.add(avg, served_tc[i], out=avg)
-            granted = set_cells[entries]
-            np.add.at(bits, granted, rates[np.array(entries)[:, None], granted] * SUBFRAME_S)
-            grant_count += np.bincount(granted.ravel(), minlength=n_cells)
-        bits, grant_count = bits[cell_of_pos], grant_count[cell_of_pos]
+            memo_rates[b : b + len(sets), cell_of_pos] = blk
+        set_served = memo_rates.take(set_cells + np.arange(n_sets)[:, None] * n_cells)
+        memo_served_tc = np.tile(idle, (n_sets, 1))
+        np.put_along_axis(memo_served_tc, set_cells, set_served, axis=1)
+        np.divide(memo_served_tc, t_c, out=memo_served_tc)
+        memo_rates.flags.writeable = memo_served_tc.flags.writeable = False
     else:
-        # Bits and grant counts are summed per subframe, so the run keeps no
-        # log. A flow not granted adds 0.0 to its bits, which is exact.
-        select_work = _select_work(slots, n_flows)
         work = _rate_work((), n_sectors, n_recv, n_flows)
-        grants = np.empty(n_sectors, dtype=np.intp)
-        served_rates = np.empty(n_sectors)
-        served = np.zeros(n_flows)
-        bits = np.zeros(n_flows)
-        grant_count = np.zeros(n_flows, dtype=np.intp)
-        for _ in range(n_subframes):
-            pf_select(inst, avg, slots, grants, select_work)
-            _snapshot_rates(grants, *args, inst, work).take(grants, out=served_rates, mode="wrap")
-            served.fill(0.0)
-            served.put(grants, served_rates)
-            pf_update(avg, served, t_c, out=avg)
-            bits += served * SUBFRAME_S
-            grant_count[grants] += 1
+        served_tc = np.empty(n_cells)
+        cell_log = np.empty((chunk, n_sectors), dtype=np.intp)
+        served_log = np.empty((chunk, n_sectors))
+
+    ratio = np.empty(n_cells)
+    ratio_rows = ratio.reshape(n_sectors, width)
+    best = np.empty(n_sectors, dtype=np.intp)
+    row_start = np.arange(n_sectors) * width
+    # Averages start >= 1.0, and each subframe multiplies them by keep and
+    # adds a served rate >= 0. Both float steps are monotone, so at subframe t
+    # every average is at least its floor, 1.0 times keep t times. pf_select's
+    # positivity check can fail only once that floor is 0.
+    keep = 1.0 - 1.0 / t_c
+    floor = 1.0
+    bits = np.zeros(n_cells)
+    grant_count = np.zeros(n_cells, dtype=np.intp)
+    for t0 in range(0, n_subframes, chunk):
+        # floors[j] is the floor at subframe t0 + j.
+        floors = np.full(min(chunk, n_subframes - t0), keep)
+        floors[0] = floor
+        np.multiply.accumulate(floors, out=floors)
+        checked_from = np.count_nonzero(floors)
+        floor = floors[-1] * keep
+        entries = []
+        for j in range(len(floors)):
+            if j >= checked_from and avg[avg.argmin()] <= 0:
+                raise ValueError("PF average rates must be positive")
+            np.divide(inst, avg, out=ratio)
+            ratio_rows.argmax(axis=1, out=best)
+            if prefilled:
+                entries.append(i := sum(map(operator.mul, best.tolist(), strides)))
+                inst, served_tc = memo_rates[i], memo_served_tc[i]
+            else:
+                cells = np.add(row_start, best, out=cell_log[j])
+                _snapshot_rates(grid[cells], *args, flow_rates, work)
+                inst.put(cell_of_pos, flow_rates)
+                np.copyto(served_tc, idle)
+                # mode="wrap" on valid indices: the default mode buffers out.
+                served_tc.put(cells, inst.take(cells, out=served_log[j], mode="wrap"))
+                np.divide(served_tc, t_c, out=served_tc)
+            np.multiply(avg, keep, out=avg)
+            np.add(avg, served_tc, out=avg)
+        if prefilled:
+            granted, served = set_cells[entries], set_served[entries]
+        else:
+            granted, served = cell_log[: len(floors)], served_log[: len(floors)]
+        np.add.at(bits, granted, served * SUBFRAME_S)
+        grant_count += np.bincount(granted.ravel(), minlength=n_cells)
 
     ids = [f.id for f in flows]
     duration_s = n_subframes * SUBFRAME_S
     return PfResult(
-        throughput_bps=dict(zip(ids, (bits / duration_s).tolist())),
-        granted_subframes=dict(zip(ids, grant_count.tolist())),
+        throughput_bps=dict(zip(ids, (bits[cell_of_pos] / duration_s).tolist())),
+        granted_subframes=dict(zip(ids, grant_count[cell_of_pos].tolist())),
     )

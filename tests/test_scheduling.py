@@ -728,9 +728,9 @@ def _record_rule_calls(monkeypatch):
 def test_memo_is_prefilled_when_every_grant_set_fits(monkeypatch, n_subframes, k_d2d):
     """3 sectors of 10 flows have 1,000 possible grant sets. A run of 1,000
     subframes computes all of them in batches before the loop and none
-    after, and calls neither pf_select nor pf_update; a run of 999 keeps no
-    memo and computes its granted set, alone, in every subframe, with one
-    call of each rule."""
+    after; a run of 999 keeps no memo and computes its granted set, alone,
+    in every subframe. Both run the one grid loop, which calls neither
+    pf_select nor pf_update."""
     sector_flows, table, dest = _engine_drop_flows(SINGLE_SITE, k_d2d)
     assert math.prod(map(len, sector_flows.values())) == 1000
     calls = _record_rate_calls(monkeypatch)
@@ -743,11 +743,10 @@ def test_memo_is_prefilled_when_every_grant_set_fits(monkeypatch, n_subframes, k
         assert all(c.ndim == 2 and len(c) > 1 for c in calls)
         assert len(computed) == len(set(computed)) == 1000
         assert set(log) <= set(computed)
-        assert rule_calls == {"pf_select": 0, "pf_update": 0}
     else:
         assert len(calls) == n_subframes and all(c.ndim == 1 for c in calls)
         assert computed == log
-        assert rule_calls == {"pf_select": n_subframes, "pf_update": n_subframes}
+    assert rule_calls == {"pf_select": 0, "pf_update": 0}
 
 
 def test_direct_run_memory_does_not_grow_with_its_subframes():
@@ -997,20 +996,25 @@ def _silence_flow(table, flow):
         table.ue_sector_loss_db[flow.row, flow.col - n_rx] = 3000.0
 
 
+@pytest.mark.parametrize(
+    "counts", [[1, 3, 2], [1, 12, 10, 10]], ids=["prefilled_6_sets", "direct_1200_sets"]
+)
 @pytest.mark.parametrize("chunk", [None, 100, 25], ids=["one_chunk", "chunks_of_100", "chunks_of_25"])
-def test_padded_sectors_past_the_floor_underflow_equal_the_oracle(monkeypatch, chunk):
-    """Sectors of 1, 3 and 2 flows with ids interleaved across them: the
-    3-flow and 2-flow sectors are rows of the grid, the second with one pad,
-    and the 1-flow sector is one cell after them. At t_c = 2 the averages'
-    floor is 0 from subframe 1,075 on, and a 1,100-subframe run still equals
-    the oracle, so no pad trips the positivity check. With one flow silenced
-    (rate 0, never granted) its average reaches 0 at subframe 1,075: the run
-    raises there, as the oracle's pf_select check does, whether the loop's
-    chunks of subframes end before it, around it or at it."""
+def test_padded_sectors_past_the_floor_underflow_equal_the_oracle(monkeypatch, chunk, counts):
+    """Sectors of 1, 3 and 2 flows, or of 1, 12, 10 and 10, with ids
+    interleaved across them: every sector is a row of the grid, padded to the
+    widest. The first has 6 grant sets, so its runs read the memo; the second
+    has 1,200, more than any run here, so its runs compute their rates
+    directly. At t_c = 2 the averages' floor is 0 from subframe 1,075 on, and
+    a 1,100-subframe run still equals the oracle, so no pad trips the
+    positivity check. With one flow silenced (rate 0, never granted) its
+    average reaches 0 at subframe 1,075: the run raises there, as the
+    oracle's pf_select check does, whether the loop's chunks of subframes end
+    before it, around it or at it."""
     if chunk is not None:
-        monkeypatch.setattr("d2dsim.layout._BLOCK_ENTRIES", 6 * chunk)
-    sector_flows, table, dest = _stub_sector_flows(np.random.default_rng(5), [1, 3, 2])
-    ids = [[f.id for f in sector_flows[s]] for s in (0, 1, 2)]
+        monkeypatch.setattr("d2dsim.layout._BLOCK_ENTRIES", sum(counts) * chunk)
+    sector_flows, table, dest = _stub_sector_flows(np.random.default_rng(5), counts)
+    ids = [[f.id for f in sector_flows[s]] for s in range(len(counts))]
     assert sorted(sum(ids, [])) != sum(ids, [])
     calls = _record_rule_calls(monkeypatch)
     expected = _array_pf_oracle(sector_flows, dest, 1100, RC, OPEN_LOOP, table, t_c=2)
@@ -1030,19 +1034,21 @@ def test_padded_sectors_past_the_floor_underflow_equal_the_oracle(monkeypatch, c
     assert calls == {"pf_select": 0, "pf_update": 0}
 
 
-def test_padded_sectors_at_t_c_one_raise_as_the_oracle_does():
+@pytest.mark.parametrize("n_subframes", [6, 5], ids=["prefilled", "direct"])
+def test_padded_sectors_at_t_c_one_raise_as_the_oracle_does(n_subframes):
     """At t_c = 1 every average is the last served rate, so a flow not granted
     in subframe 0 has average 0 in subframe 1 and the run raises there. Its 6
-    grant sets are prefilled; the pad of the 2-flow sector's row is served
-    1.0 and keeps an average of 1.0, where +inf would turn NaN (+inf times
-    keep = 0) and hide the 0 from the check."""
+    grant sets are prefilled at 6 subframes and computed directly at 5; the
+    pads of the sectors' rows are served 1.0 and keep an average of 1.0,
+    where +inf would turn NaN (+inf times keep = 0) and hide the 0 from the
+    check."""
     sector_flows, table, dest = _stub_sector_flows(np.random.default_rng(5), [1, 3, 2])
     log = []
     with pytest.raises(ValueError, match="positive"):
-        _array_pf_oracle(sector_flows, dest, 6, RC, OPEN_LOOP, table, t_c=1, grant_log=log)
+        _array_pf_oracle(sector_flows, dest, n_subframes, RC, OPEN_LOOP, table, t_c=1, grant_log=log)
     assert len(log) == 1
     with pytest.raises(ValueError, match="positive"):
-        run_pf_uplink(sector_flows, 6, RC, OPEN_LOOP, table, t_c=1)
+        run_pf_uplink(sector_flows, n_subframes, RC, OPEN_LOOP, table, t_c=1)
 
 
 @pytest.mark.parametrize("k_d2d", [0, 5], ids=["baseline", "offload"])
@@ -1087,10 +1093,21 @@ def test_average_underflowing_to_zero_raises_at_the_same_subframe():
         run_pf_uplink(sector_flows, 1076, RC, MAX_POWER, table, t_c=2)
 
 
-def test_t_c_below_one_raises():
-    sector_flows, table = _isolated_sector(2, [100.0, 100.0])
+@pytest.mark.parametrize(
+    "n_flows, n_subframes, t_c",
+    [(2, 5, 0), (2, 1, -3), (0, 5, 0), (0, 5, -3)],
+    ids=["prefilled", "direct", "no_flows", "empty_sectors"],
+)
+def test_t_c_below_one_raises(n_flows, n_subframes, t_c):
+    """t_c is checked on every call: 2 grant sets are prefilled at 5
+    subframes and computed directly at 1, and a run with no flows, given no
+    sectors or only empty ones, raises as well."""
+    if n_flows:
+        sector_flows, table = _isolated_sector(n_flows, [100.0] * n_flows)
+    else:
+        sector_flows, table = ({0: [], 4: []} if t_c < 0 else {}), None
     with pytest.raises(ValueError, match="t_c"):
-        run_pf_uplink(sector_flows, 5, RC, MAX_POWER, table, t_c=0)
+        run_pf_uplink(sector_flows, n_subframes, RC, MAX_POWER, table, t_c=t_c)
 
 
 @settings(max_examples=40)
