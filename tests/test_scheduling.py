@@ -1094,18 +1094,19 @@ def test_average_underflowing_to_zero_raises_at_the_same_subframe():
 
 
 @pytest.mark.parametrize(
-    "n_flows, n_subframes, t_c",
-    [(2, 5, 0), (2, 1, -3), (0, 5, 0), (0, 5, -3)],
+    "sector_flows, table, n_subframes, t_c",
+    [
+        (*_isolated_sector(2, [100.0, 100.0]), 5, 0),
+        (*_isolated_sector(2, [100.0, 100.0]), 1, -3),
+        ({}, None, 5, 0),
+        ({0: [], 4: []}, None, 5, -3),
+    ],
     ids=["prefilled", "direct", "no_flows", "empty_sectors"],
 )
-def test_t_c_below_one_raises(n_flows, n_subframes, t_c):
+def test_t_c_below_one_raises(sector_flows, table, n_subframes, t_c):
     """t_c is checked on every call: 2 grant sets are prefilled at 5
     subframes and computed directly at 1, and a run with no flows, given no
     sectors or only empty ones, raises as well."""
-    if n_flows:
-        sector_flows, table = _isolated_sector(n_flows, [100.0] * n_flows)
-    else:
-        sector_flows, table = ({0: [], 4: []} if t_c < 0 else {}), None
     with pytest.raises(ValueError, match="t_c"):
         run_pf_uplink(sector_flows, n_subframes, RC, MAX_POWER, table, t_c=t_c)
 
