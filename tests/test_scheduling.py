@@ -1051,6 +1051,43 @@ def test_padded_sectors_at_t_c_one_raise_as_the_oracle_does(n_subframes):
         run_pf_uplink(sector_flows, n_subframes, RC, OPEN_LOOP, table, t_c=1)
 
 
+def test_direct_run_averages_are_pf_update_floats(monkeypatch):
+    """12 sectors of 3 flows have 3^12 grant sets, so 300 subframes are
+    direct. Every loss is 300 dB, so each average starts at the 1.0 floor.
+    The snapshot rule is replaced by one that keeps pf_update's averages
+    alongside the loop: it serves each granted flow a drawn rate and gives
+    every other flow 2 or 4 times its next average, at random. Flows given
+    the same factor then tie at exactly 2.0 or 4.0 in the next selection, and
+    pf_select gives the tie to the lowest id. A loop whose averages differ
+    from pf_update's in a last bit, either way, breaks such ties another way
+    and grants differently from pf_select."""
+    t_c, n_subframes = 3, 300
+    sector_flows, table, _ = _stub_sector_flows(np.random.default_rng(3), [3] * 12)
+    table.ue_ue_loss_db[:] = table.ue_sector_loss_db[:] = 300.0
+    pos_of = {fid: i for i, fid in enumerate(sorted(f.id for fl in sector_flows.values() for f in fl))}
+    slots = np.array([sorted(pos_of[f.id] for f in sector_flows[s]) for s in range(12)])
+    rng = np.random.default_rng(4)
+    ref_inst, ref_avg = np.zeros(36), np.ones(36)
+    got, expected = [], []
+
+    def steered(grants, *args):
+        rates = args[-2]
+        got.append(grants.tolist())
+        expected.append(pf_select(ref_inst, ref_avg, slots).tolist())
+        served = np.zeros(36)
+        served[grants] = rng.uniform(1e5, 2e7, len(grants))
+        ref_avg[:] = pf_update(ref_avg, served, t_c)
+        rates[:] = np.where(rng.random(36) < 0.5, 2.0, 4.0) * ref_avg
+        rates[grants] = served[grants]
+        ref_inst[:] = rates
+        return rates
+
+    monkeypatch.setattr(scheduling, "_snapshot_rates", steered)
+    result = run_pf_uplink(sector_flows, n_subframes, RC, OPEN_LOOP, table, t_c=t_c)
+    assert len(got) == n_subframes and got == expected
+    assert sum(result.granted_subframes.values()) == 12 * n_subframes
+
+
 @pytest.mark.parametrize("k_d2d", [0, 5], ids=["baseline", "offload"])
 def test_57_one_flow_sectors_are_prefilled_and_equal_the_oracle(monkeypatch, k_d2d):
     """57 sectors of one flow each have one grant set: it is computed before
