@@ -996,21 +996,10 @@ def _silence_flow(table, flow):
         table.ue_sector_loss_db[flow.row, flow.col - n_rx] = 3000.0
 
 
-@pytest.mark.parametrize(
-    "counts", [[1, 3, 2], [1, 12, 10, 10]], ids=["prefilled_6_sets", "direct_1200_sets"]
-)
-@pytest.mark.parametrize("chunk", [None, 100, 25], ids=["one_chunk", "chunks_of_100", "chunks_of_25"])
-def test_padded_sectors_past_the_floor_underflow_equal_the_oracle(monkeypatch, chunk, counts):
-    """Sectors of 1, 3 and 2 flows, or of 1, 12, 10 and 10, with ids
-    interleaved across them: every sector is a row of the grid, padded to the
-    widest. The first has 6 grant sets, so its runs read the memo; the second
-    has 1,200, more than any run here, so its runs compute their rates
-    directly. At t_c = 2 the averages' floor is 0 from subframe 1,075 on, and
-    a 1,100-subframe run still equals the oracle, so no pad trips the
-    positivity check. With one flow silenced (rate 0, never granted) its
-    average reaches 0 at subframe 1,075: the run raises there, as the
-    oracle's pf_select check does, whether the loop's chunks of subframes end
-    before it, around it or at it."""
+def _check_padded_sectors_past_the_floor(monkeypatch, chunk, counts):
+    """Run the sectors of `counts` flows, ids interleaved across them, for
+    1,100 subframes at t_c = 2, then again with one flow silenced, against
+    the oracle; `chunk` subframes make one of the loop's chunks."""
     if chunk is not None:
         monkeypatch.setattr("d2dsim.layout._BLOCK_ENTRIES", sum(counts) * chunk)
     sector_flows, table, dest = _stub_sector_flows(np.random.default_rng(5), counts)
@@ -1034,14 +1023,34 @@ def test_padded_sectors_past_the_floor_underflow_equal_the_oracle(monkeypatch, c
     assert calls == {"pf_select": 0, "pf_update": 0}
 
 
-@pytest.mark.parametrize("n_subframes", [6, 5], ids=["prefilled", "direct"])
-def test_padded_sectors_at_t_c_one_raise_as_the_oracle_does(n_subframes):
-    """At t_c = 1 every average is the last served rate, so a flow not granted
-    in subframe 0 has average 0 in subframe 1 and the run raises there. Its 6
-    grant sets are prefilled at 6 subframes and computed directly at 5; the
-    pads of the sectors' rows are served 1.0 and keep an average of 1.0,
-    where +inf would turn NaN (+inf times keep = 0) and hide the 0 from the
-    check."""
+_CHUNKS = pytest.mark.parametrize(
+    "chunk", [None, 100, 25], ids=["one_chunk", "chunks_of_100", "chunks_of_25"]
+)
+
+
+@_CHUNKS
+def test_padded_sectors_past_the_floor_underflow_equal_the_oracle(monkeypatch, chunk):
+    """Sectors of 1, 3 and 2 flows with ids interleaved across them: every
+    sector is a row of the grid, the 1-flow and 2-flow ones padded to 3. Their
+    6 grant sets are prefilled, so the runs read the memo. At t_c = 2 the
+    averages' floor is 0 from subframe 1,075 on, and a 1,100-subframe run
+    still equals the oracle, so no pad trips the positivity check. With one
+    flow silenced (rate 0, never granted) its average reaches 0 at subframe
+    1,075: the run raises there, as the oracle's pf_select check does,
+    whether the loop's chunks of subframes end before it, around it or at
+    it."""
+    _check_padded_sectors_past_the_floor(monkeypatch, chunk, [1, 3, 2])
+
+
+@_CHUNKS
+def test_padded_direct_sectors_past_the_floor_underflow_equal_the_oracle(monkeypatch, chunk):
+    """As above with sectors of 1, 12, 10 and 10 flows: their 1,200 grant
+    sets are more than any run here has subframes, so the runs compute their
+    rates directly and still equal the oracle, floor and raise included."""
+    _check_padded_sectors_past_the_floor(monkeypatch, chunk, [1, 12, 10, 10])
+
+
+def _check_padded_sectors_at_t_c_one(n_subframes):
     sector_flows, table, dest = _stub_sector_flows(np.random.default_rng(5), [1, 3, 2])
     log = []
     with pytest.raises(ValueError, match="positive"):
@@ -1049,6 +1058,21 @@ def test_padded_sectors_at_t_c_one_raise_as_the_oracle_does(n_subframes):
     assert len(log) == 1
     with pytest.raises(ValueError, match="positive"):
         run_pf_uplink(sector_flows, n_subframes, RC, OPEN_LOOP, table, t_c=1)
+
+
+def test_padded_sectors_at_t_c_one_raise_as_the_oracle_does():
+    """At t_c = 1 every average is the last served rate, so a flow not granted
+    in subframe 0 has average 0 in subframe 1 and the run raises there. Its 6
+    grant sets are prefilled; the pads of the sectors' rows are served 1.0
+    and keep an average of 1.0, where +inf would turn NaN (+inf times keep =
+    0) and hide the 0 from the check."""
+    _check_padded_sectors_at_t_c_one(6)
+
+
+def test_padded_direct_sectors_at_t_c_one_raise_as_the_oracle_does():
+    """As above at 5 subframes, fewer than the 6 grant sets, so the rates are
+    computed directly: the run raises in subframe 1 all the same."""
+    _check_padded_sectors_at_t_c_one(5)
 
 
 def test_direct_run_averages_are_pf_update_floats(monkeypatch):
@@ -1130,20 +1154,26 @@ def test_average_underflowing_to_zero_raises_at_the_same_subframe():
         run_pf_uplink(sector_flows, 1076, RC, MAX_POWER, table, t_c=2)
 
 
+def test_t_c_below_one_raises():
+    sector_flows, table = _isolated_sector(2, [100.0, 100.0])
+    with pytest.raises(ValueError, match="t_c"):
+        run_pf_uplink(sector_flows, 5, RC, MAX_POWER, table, t_c=0)
+
+
 @pytest.mark.parametrize(
     "sector_flows, table, n_subframes, t_c",
     [
-        (*_isolated_sector(2, [100.0, 100.0]), 5, 0),
         (*_isolated_sector(2, [100.0, 100.0]), 1, -3),
         ({}, None, 5, 0),
         ({0: [], 4: []}, None, 5, -3),
     ],
-    ids=["prefilled", "direct", "no_flows", "empty_sectors"],
+    ids=["direct", "no_flows", "empty_sectors"],
 )
-def test_t_c_below_one_raises(sector_flows, table, n_subframes, t_c):
-    """t_c is checked on every call: 2 grant sets are prefilled at 5
-    subframes and computed directly at 1, and a run with no flows, given no
-    sectors or only empty ones, raises as well."""
+def test_t_c_below_one_raises_on_every_path(sector_flows, table, n_subframes, t_c):
+    """t_c is checked on every call, not only where the grant sets are
+    prefilled as above: 2 grant sets are computed directly at 1 subframe,
+    and a run with no flows, given no sectors or only empty ones, raises as
+    well."""
     with pytest.raises(ValueError, match="t_c"):
         run_pf_uplink(sector_flows, n_subframes, RC, MAX_POWER, table, t_c=t_c)
 
