@@ -23,9 +23,9 @@ chosen from; they depend only on t's grant set. Every run does the
 `pf_select` and `pf_update` steps in one loop, on a grid with one row per
 sector padded with cells that never win, and adds its bits once per chunk
 of subframes. A run with no more possible grant sets than subframes reads
-its rates from a memo of every set, filled before the loop and indexed by a
-Python-int sum of rank x stride; any other run computes its granted set's
-rates in every subframe.
+its rates from a memo of every set, filled before the loop, through a list
+of each set's row views indexed by a Python-int sum of rank x stride; any
+other run computes its granted set's rates in every subframe.
 """
 
 from __future__ import annotations
@@ -193,7 +193,8 @@ def _rates_from_interference(
 def _grant_sets(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Every set of one entry per row in `itertools.product` order, and the
     strides: the set of ranks r_s in row s is row sum(r_s * stride[s])."""
-    every_set = np.array(list(itertools.product(*rows)), dtype=np.intp)
+    n_sets, flat = math.prod(map(len, rows)), itertools.chain.from_iterable(itertools.product(*rows))
+    every_set = np.fromiter(flat, np.intp, n_sets * len(rows)).reshape(n_sets, len(rows))
     return every_set, np.array([math.prod(map(len, rows[s + 1 :])) for s in range(len(rows))])
 
 
@@ -232,8 +233,11 @@ def run_pf_uplink(
     - a memo, when the possible grant sets, the product of the sectors' flow
       counts, number no more than n_subframes: one batched call per row block
       of sets (`layout._block_rows` of sectors x flows entries) computes every
-      set's rates and served rates / t_c before the loop, and each subframe
-      finds its set's row as a Python sum of rank x stride (`_grant_sets`);
+      set's rates and served rates / t_c before the loop. A list holds each
+      set's two row views (rates, served / t_c), made once and freed at
+      return, so a subframe is a divide, a row-wise argmax, the Python sum of
+      rank x stride (`_grant_sets`), one list index, a multiply and an add,
+      and creates no array;
     - otherwise one call per subframe on its granted set, put onto the grid.
     `_snapshot_rates` computes each set alone, so both serve the same floats.
 
@@ -346,6 +350,8 @@ def run_pf_uplink(
         np.put_along_axis(memo_served_tc, set_cells, set_served, axis=1)
         np.divide(memo_served_tc, t_c, out=memo_served_tc)
         memo_rates.flags.writeable = memo_served_tc.flags.writeable = False
+        # Set i's two row views, made once: a subframe indexes a list.
+        memo_rows = list(zip(memo_rates, memo_served_tc))
     else:
         work = _rate_work((), n_sectors, n_recv, n_flows)
         served_tc = np.empty(n_cells)
@@ -364,6 +370,9 @@ def run_pf_uplink(
     floor = 1.0
     bits = np.zeros(n_cells)
     grant_count = np.zeros(n_cells, dtype=np.intp)
+    # Bound once, outputs by position; a 0-d keep multiplies faster, same bits.
+    divide, multiply, add, argmax, ranks = np.divide, np.multiply, np.add, ratio_rows.argmax, best.tolist
+    keep_0d = np.array(keep)
     for t0 in range(0, n_subframes, chunk):
         # floors[j] is the floor at subframe t0 + j.
         floors = np.full(min(chunk, n_subframes - t0), keep)
@@ -375,11 +384,11 @@ def run_pf_uplink(
         for j in range(len(floors)):
             if j >= checked_from and avg[avg.argmin()] <= 0:
                 raise ValueError("PF average rates must be positive")
-            np.divide(inst, avg, out=ratio)
-            ratio_rows.argmax(axis=1, out=best)
+            divide(inst, avg, ratio)
+            argmax(1, best)
             if prefilled:
-                entries.append(i := sum(map(operator.mul, best.tolist(), strides)))
-                inst, served_tc = memo_rates[i], memo_served_tc[i]
+                entries.append(i := sum(map(operator.mul, ranks(), strides)))
+                inst, served_tc = memo_rows[i]
             else:
                 cells = np.add(row_start, best, out=cell_log[j])
                 _snapshot_rates(grid[cells], *args, flow_rates, work)
@@ -388,8 +397,8 @@ def run_pf_uplink(
                 # mode="wrap" on valid indices: the default mode buffers out.
                 served_tc.put(cells, inst.take(cells, out=served_log[j], mode="wrap"))
                 np.divide(served_tc, t_c, out=served_tc)
-            np.multiply(avg, keep, out=avg)
-            np.add(avg, served_tc, out=avg)
+            multiply(avg, keep_0d, avg)
+            add(avg, served_tc, avg)
         if prefilled:
             granted, served = set_cells[entries], set_served[entries]
         else:

@@ -788,6 +788,25 @@ def test_prefilled_run_memory_does_not_grow_with_its_subframes():
     assert peaks[1] - peaks[0] < 0.3e6, peaks
 
 
+def test_prefilled_run_frees_its_memo_rows_at_return():
+    """A single-site run's 1,000 grant sets are prefilled, and the loop reads
+    them through a list of two row views per set. Once the call returns, the
+    traced memory is within 50 kB of what it was before it: the memo, its
+    row views and the list all go with the call."""
+    sector_flows, table, _ = _engine_drop_flows(SINGLE_SITE, SINGLE_SITE.k_d2d)
+    assert math.prod(map(len, sector_flows.values())) == 1000
+    run_pf_uplink(sector_flows, 2000, RC, MAX_POWER, table)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_pf_uplink(sector_flows, 2000, RC, MAX_POWER, table)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before > 2 * 1000 * 30 * 8
+    assert after - before < 50e3, after - before
+
+
 def _record_coupling_shapes(monkeypatch):
     """Make run_pf_uplink's snapshot-rate rule log the shape of the coupling
     matrix of each call."""
@@ -1110,6 +1129,71 @@ def test_direct_run_averages_are_pf_update_floats(monkeypatch):
     result = run_pf_uplink(sector_flows, n_subframes, RC, OPEN_LOOP, table, t_c=t_c)
     assert len(got) == n_subframes and got == expected
     assert sum(result.granted_subframes.values()) == 12 * n_subframes
+
+
+def _reciprocal_update(avg_rate_bps, served_rate_bps, t_c):
+    """pf_update with served * (1 / t_c) for served / t_c: the two round
+    differently on about a third of served rates at t_c = 3 and 7."""
+    return (1.0 - 1.0 / t_c) * avg_rate_bps + served_rate_bps * (1.0 / t_c)
+
+
+def _steered_memo_run(slots, n_subframes, t_c, memo, rng, update):
+    """A PF run of pf_select and `update` on rates read from `memo` by grant
+    set, starting at rate 0 and average 1.0. A set met for the first time is
+    given its rates then: a drawn rate for each granted flow, and 2 or 4
+    times its next average, at random, for every other flow. Returns the
+    grant sets in subframe order."""
+    inst, avg, log = np.zeros(slots.size), np.ones(slots.size), []
+    for _ in range(n_subframes):
+        grants = pf_select(inst, avg, slots)
+        log.append(key := tuple(grants.tolist()))
+        served = np.zeros(slots.size)
+        if key not in memo:
+            served[grants] = rng.uniform(1e5, 2e7, len(grants))
+            memo[key] = np.where(rng.random(slots.size) < 0.5, 2.0, 4.0) * update(avg, served, t_c)
+            memo[key][grants] = served[grants]
+        inst = memo[key]
+        served[grants] = inst[grants]
+        avg = update(avg, served, t_c)
+    return log
+
+
+@pytest.mark.parametrize("t_c, seed", [(t_c, seed) for t_c in (3, 7) for seed in range(6)])
+def test_prefilled_run_averages_are_pf_update_floats(monkeypatch, t_c, seed):
+    """3 sectors of 4 flows have 64 grant sets, so 300 subframes are
+    prefilled. Every loss is 300 dB, so each rate starts at 0 and each
+    average at 1.0. The memo's rates are steered as in the direct test
+    above: a reference run of pf_select and pf_update gives each set, when
+    it first meets it, rates that tie flows at exactly 2 or 4 times their
+    next averages. On these inputs a reference that adds served * (1 / t_c)
+    grants differently from one that adds served / t_c, and the run equals
+    the divide reference: its memo's served / t_c and its average step are
+    pf_update's floats."""
+    sector_flows, table, _ = _stub_sector_flows(np.random.default_rng(seed), [4, 4, 4])
+    table.ue_ue_loss_db[:] = table.ue_sector_loss_db[:] = 300.0
+    ids = sorted(f.id for fl in sector_flows.values() for f in fl)
+    pos_of = {fid: i for i, fid in enumerate(ids)}
+    slots = np.array([sorted(pos_of[f.id] for f in sector_flows[s]) for s in range(3)])
+    memo = {}
+    log = _steered_memo_run(slots, 300, t_c, memo, np.random.default_rng(seed), pf_update)
+    replay = dict(memo)
+    assert _steered_memo_run(slots, 300, t_c, replay, np.random.default_rng(seed), _reciprocal_update) != log
+
+    def steered(grants, *args):
+        rates = args[-2]
+        rates[:] = [memo.get(tuple(g), np.zeros(12)) for g in grants.tolist()]
+        return rates
+
+    monkeypatch.setattr(scheduling, "_snapshot_rates", steered)
+    got = run_pf_uplink(sector_flows, 300, RC, OPEN_LOOP, table, t_c=t_c)
+    bits, count = np.zeros(len(ids)), np.zeros(len(ids), dtype=int)
+    for key in log:
+        bits[list(key)] += memo[key][list(key)] * SUBFRAME_S
+        count[list(key)] += 1
+    expected = PfResult(
+        dict(zip(ids, (bits / (300 * SUBFRAME_S)).tolist())), dict(zip(ids, count.tolist()))
+    )
+    _assert_bit_equal(got, expected)
 
 
 @pytest.mark.parametrize("k_d2d", [0, 5], ids=["baseline", "offload"])
