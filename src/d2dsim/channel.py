@@ -12,17 +12,17 @@ SINR is computed on these large-scale couplings only.
 
 The coupling table is built on the drop's threads (see `layout`): the pair
 draws run next to the wrap search, on the one stream in their fixed order,
-and the LOS, pathloss and floor pass and the linear gains run in row stripes.
-The wrap search writes its distances into the loss matrix, and the pass
-turns them into losses one row block at a time in per-thread scratch, through
-the ``out=`` and ``work=`` buffers of the LOS and pathloss formulas; so a drop
-holds no separate distance matrix, and a block makes no temporaries. The
-table is the same for any number of threads.
+and the LOS, pathloss and floor pass and the linear gains are row-block
+kernels of ``layout._in_row_blocks``. The wrap search writes its distances
+into the loss matrix, and the pass turns them into losses one row block at a
+time in a running stripe's scratch, through the ``out=`` and ``work=``
+buffers of the LOS and pathloss formulas; so a drop holds no separate
+distance matrix, and a block makes no temporaries. The table is the same for
+any number of threads.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,8 +36,8 @@ from .layout import (
     NetworkLayout,
     Terminals,
     _block_rows,
+    _in_row_blocks,
     _run_all,
-    _scratch_sets,
     _stripes,
     pairwise_wrap_distance,
 )
@@ -245,17 +245,16 @@ class CouplingTable:
     @cached_property
     def ue_ue_gain_lin(self) -> np.ndarray:
         """Linear power gain 10^(-loss/10) of every terminal pair entry,
-        computed in row stripes on the drop's threads (see `layout`)."""
+        computed in row blocks on the drop's threads (see `layout`)."""
         loss = self.ue_ue_loss_db
         gain = np.empty_like(loss)
 
-        def gain_rows(lo, hi):
-            g = gain[lo:hi]
-            np.divide(loss[lo:hi], -10.0, out=g)  # the bits of -loss / 10
+        def gain_rows(rows, _):
+            g = gain[rows]
+            np.divide(loss[rows], -10.0, out=g)  # the bits of -loss / 10
             np.power(10.0, g, out=g)
 
-        _run_all([functools.partial(gain_rows, lo, hi)
-                  for lo, hi in _stripes(loss.shape[0], _block_rows(loss.shape[1]))])
+        _in_row_blocks(loss.shape[0], _block_rows(loss.shape[1]), gain_rows)
         return gain
 
     def loss_db(self, tx, rx) -> float:
@@ -292,11 +291,11 @@ def build_coupling_table(
     whole; the first two on a pool thread while the calling thread runs the
     terminal-pair wrap search, which writes its distances into the
     terminal-pair loss matrix. The clamp, LOS state, pathloss, shadowing and
-    floor then run one row block (``layout._block_rows``) at a time on the
-    block's clamped distances, in scratch that each thread reuses, and write
-    the block's losses over its distances. They run in row stripes on the pool's
-    threads while the calling thread takes the terminal-to-site geometry. A
-    table of one stripe runs on the calling thread alone. Distances,
+    floor then run as a kernel of ``layout._in_row_blocks``: on each row
+    block's clamped distances, in a running stripe's scratch, writing the
+    block's losses over its distances, while the calling thread takes the
+    terminal-to-site geometry. A table of one stripe runs on the calling
+    thread alone. Distances,
     arrival angles and macro pathloss are taken per site and repeated over
     its three sectors; the antenna gain is per sector.
 
@@ -317,8 +316,6 @@ def build_coupling_table(
     # else draws from rng until both are done. A table whose pair rows make
     # one stripe is too small to share, and runs on this thread alone.
     rows = _block_rows(n_rx)
-    stripes = _stripes(n_tx, rows)
-    shared = len(stripes) > 1
     los_u, shadow_uu = np.empty((n_tx, n_rx)), np.empty((n_tx, n_rx))
 
     def draw_pairs():
@@ -331,31 +328,23 @@ def build_coupling_table(
     _run_all([
         lambda: pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters, out=loss_uu),
         draw_pairs,
-    ], pool=shared)
+    ], pool=len(_stripes(n_tx, rows)) > 1)
     # Then the clamp, LOS state, pathloss, shadowing and floor, on each
     # block's clamped distances in a running stripe's scratch, on the pool's
     # threads while this one takes the terminal-to-site geometry.
     los = np.empty((n_tx, n_rx), dtype=bool)
 
-    def pair_rows(lo, hi):
-        """Rows lo..hi; returns their clamped and floored entry counts."""
-        scratch = free.pop()
-        dist, work, mask = scratch
-        clamped = floored = 0
-        for r0 in range(lo, hi, rows):
-            blk = slice(r0, min(r0 + rows, hi))
-            loss = loss_uu[blk]
-            r = loss.shape[0]
-            d, w, m = dist[:r], work[:, :r], mask[:r]
-            clamped += np.count_nonzero(np.less(loss, MIN_UE_UE_DISTANCE_M, out=m))
-            np.maximum(loss, MIN_UE_UE_DISTANCE_M, out=d)
-            np.less(los_u[blk], los_probability(d, out=loss, work=w), out=los[blk])
-            ue_ue_pathloss(d, los[blk], cfg, out=loss, work=w[0])
-            loss += shadow_uu[blk]
-            np.maximum(loss, cfg.min_pl_db, out=loss)
-            floored += np.count_nonzero(np.equal(loss, cfg.min_pl_db, out=m))
-        free.append(scratch)
-        return clamped, floored
+    def pair_rows(blk, scratch):
+        """The rows of slice blk; returns their clamped and floored entry counts."""
+        loss = loss_uu[blk]
+        d, w0, w1, m = (x[: loss.shape[0]] for x in scratch)
+        clamped = np.count_nonzero(np.less(loss, MIN_UE_UE_DISTANCE_M, out=m))
+        np.maximum(loss, MIN_UE_UE_DISTANCE_M, out=d)
+        np.less(los_u[blk], los_probability(d, out=loss, work=(w0, w1)), out=los[blk])
+        ue_ue_pathloss(d, los[blk], cfg, out=loss, work=w0)
+        loss += shadow_uu[blk]
+        np.maximum(loss, cfg.min_pl_db, out=loss)
+        return clamped, np.count_nonzero(np.equal(loss, cfg.min_pl_db, out=m))
 
     def site_geometry():
         """Sector gains and macro pathloss, terminals x sectors. Distances and
@@ -373,14 +362,12 @@ def build_coupling_table(
         return gain, pl
 
     shape = (min(rows, n_tx), n_rx)
-    free = _scratch_sets(stripes, lambda: (
-        np.empty(shape), np.empty((2, *shape)), np.empty(shape, dtype=bool)))
-    (gain, pl_all_s), *counts = _run_all(
-        [site_geometry] + [functools.partial(pair_rows, lo, hi) for lo, hi in stripes], pool=shared
-    )
+    (gain, pl_all_s), counts = _in_row_blocks(n_tx, rows, pair_rows, lambda: (
+        np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)),
+        first=site_geometry)
     if counters is not None:
-        counters.clamped_distances += int(sum(c for c, _ in counts))
-        counters.floor_entries += int(sum(f for _, f in counts))
+        counters.clamped_distances += sum(c for c, _ in counts)
+        counters.floor_entries += sum(f for _, f in counts)
 
     shadow_us = draw_shadowing(cfg.shadow_std_enbue_db, rng, out=np.empty((n_tx, n_sec)))
     loss_us = np.maximum(pl_all_s[tx_sel] + shadow_us, cfg.min_pl_db) - gain[tx_sel]

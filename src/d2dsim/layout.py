@@ -36,14 +36,14 @@ loop (``sectors_of_points``): one receivers x sites distance matrix per drop
 instead of one per receiver. The samplers return position and sector arrays.
 
 A drop's array work uses up to one thread per CPU the process may run on.
-Row-blocked kernels take ``_block_rows`` rows, about ``_BLOCK_ENTRIES``
-entries, at a time. ``_stripes`` cuts one into contiguous row stripes, two
-per thread, and ``_run_all`` runs independent tasks at once, the first on the
-calling thread and the rest on a thread pool that starts on first use. The
-wrap search here and the coupling table in ``channel`` run this way. Every
-entry takes the same operations in any stripe, and counts are summed in
-stripe order, so the outputs do not depend on the number of threads. A
-forked child does not inherit the pool; it starts its own.
+``_in_row_blocks`` runs a kernel on blocks of ``_block_rows`` rows, about
+``_BLOCK_ENTRIES`` entries, in row stripes (``_stripes``), two per thread, and
+``_run_all`` runs independent tasks at once, the first on the calling thread
+and the rest on a thread pool that starts on first use. The wrap search here
+and the coupling table in ``channel`` are such kernels. Every entry takes the
+same operations in any stripe, and results come back in row order, so the
+outputs do not depend on the number of threads. A forked child does not
+inherit the pool; it starts its own.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import os
 import threading
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Optional, TypeVar
+from typing import Any, Callable, Optional, TypeVar
 
 import numpy as np
 
@@ -114,20 +114,14 @@ def _stripes(n_rows: int, block_rows: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _scratch_sets(stripes: list, make: Callable[[], _T]) -> list[_T]:
-    """One ``make()`` per thread that may run the stripes, made on the calling
-    thread (see ``_run_all``): a running stripe pops one and appends it back
-    when it ends."""
-    return [make() for _ in range(min(_THREADS, len(stripes)))]
-
-
 def _run_all(tasks: list[Callable[[], _T]], *, pool: bool = True) -> list[_T]:
     """Run the zero-argument tasks at once: the first on the calling thread,
-    the others on the pool's ``_THREADS - 1`` threads. The calling thread
-    then runs, in order, each task no pool thread has started, so no more
-    threads run than there are CPUs. Returns the results in task order once
-    every task has ended. With one thread, or with ``pool`` false for work
-    too small to share, the tasks run in turn on the calling thread.
+    the rest on up to ``_THREADS - 1`` pool threads and the calling thread,
+    which take them in order, so at most ``_THREADS`` run at once. Returns the
+    results in task order once every task has ended; a task's exception
+    propagates once no task is running. With one thread, or with ``pool``
+    false for work too small to share, the tasks run in turn on the calling
+    thread.
 
     Only the first task may call a drop, table, wrap-search, scheduling or
     CLI function: a profiler may wrap those with code that is not
@@ -141,33 +135,54 @@ def _run_all(tasks: list[Callable[[], _T]], *, pool: bool = True) -> list[_T]:
     global _pool
     if not pool or len(tasks) == 1 or _THREADS < 2:
         return [task() for task in tasks]
-    with _pool_lock:
-        # A pool started for another _THREADS would run more stripes at once
-        # than there are scratch sets (_scratch_sets), or fewer than planned:
-        # it is replaced, and ends once its tasks have.
-        if _pool is None or _pool._max_workers != _THREADS - 1:
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            # Imported here, as it takes milliseconds that a process which
-            # never splits a job would pay at start-up.
-            from concurrent.futures import ThreadPoolExecutor
+    # Imported here, as it takes milliseconds that a process which never
+    # splits a job would pay at start-up.
+    from concurrent.futures import ThreadPoolExecutor, wait
 
+    results: list = [None] * len(tasks)
+    todo = iter(range(1, len(tasks)))  # shared: each index is taken once, by any thread
+
+    def drain():
+        for i in todo:
+            results[i] = tasks[i]()
+
+    with _pool_lock:
+        if _pool is None:
             _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="d2dsim")
-        futures = [_pool.submit(task) for task in tasks[1:]]
-    results = [None] * len(tasks)
+        jobs = [_pool.submit(drain) for _ in range(min(_THREADS, len(tasks)) - 1)]
     try:
         results[0] = tasks[0]()
-        for i, future in enumerate(futures, 1):
-            if future.cancel():  # no pool thread has started it
-                results[i] = tasks[i]()
+        drain()
     finally:
-        for future in futures:
-            if not future.cancel():  # after a failure, what has not started never will
-                future.exception()  # waits: the tasks write into the caller's arrays
-    for i, future in enumerate(futures, 1):
-        if not future.cancelled():
-            results[i] = future.result()
+        wait(jobs)  # the tasks write into the caller's arrays
+    for job in jobs:
+        job.result()  # raises a pool task's exception
     return results
+
+
+def _in_row_blocks(n_rows: int, block_rows: int, kernel: Callable[[slice, Any], _T],
+                   make_scratch: Callable[[], Any] = tuple, *,
+                   first: Optional[Callable[[], Any]] = None) -> tuple[Any, list[_T]]:
+    """Run ``kernel(rows, scratch)`` on each slice ``rows`` of ``block_rows``
+    rows of ``range(n_rows)``, in row stripes (``_stripes``) on the drop's
+    threads when there is more than one, and ``first()`` as ``_run_all``'s
+    first task. A running stripe passes its blocks one of the
+    ``make_scratch()`` sets made on the calling thread, one per stripe that
+    may run at once. Returns ``first()``'s result (None without it) and the
+    blocks' results in row order."""
+    stripes = _stripes(n_rows, block_rows)
+    free = [make_scratch() for _ in range(min(_THREADS, len(stripes)))]
+
+    def stripe(lo: int, hi: int) -> list[_T]:
+        scratch = free.pop()
+        done = [kernel(slice(r0, min(r0 + block_rows, hi)), scratch)
+                for r0 in range(lo, hi, block_rows)]
+        free.append(scratch)
+        return done
+
+    tasks = [functools.partial(stripe, lo, hi) for lo, hi in stripes]
+    head, *parts = _run_all([first or (lambda: None), *tasks], pool=len(stripes) > 1)
+    return head, [done for part in parts for done in part]
 
 
 @dataclass
@@ -307,11 +322,12 @@ def pairwise_wrap_distance(
     the largest coordinate of a, of b and of the offsets, summed), go to the
     ``hypot`` argmin over all offsets; so does every entry when that bound
     leaves float range. The returned distance is ``hypot(a - (b + t_k))`` on
-    the winning offset k. The search runs in row blocks of ``_block_rows``,
-    so its temporaries stay in cache, and splits the blocks into row stripes
-    over the drop's threads. ``counters``, when given, gets the entries the
-    fallback settled added to its ``wrap_near_ties``. ``out``, when given, is
-    the float64 (n, m) array the distances are written into and returned as.
+    the winning offset k. The search is a kernel of ``_in_row_blocks``: one
+    block of ``_block_rows`` rows at a time, so its temporaries stay in
+    cache, in row stripes on the drop's threads. ``counters``, when given,
+    gets the entries the fallback settled added to its ``wrap_near_ties``.
+    ``out``, when given, is the float64 (n, m) array the distances are
+    written into and returned as.
     """
     a = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b = np.asarray(b_xy, dtype=float).reshape(-1, 2)
@@ -341,76 +357,68 @@ def pairwise_wrap_distance(
         proj_b = b[:, 0] * axes[:, 0:1] + b[:, 1] * axes[:, 1:2]
         axis_code = np.arange(1, 4, dtype=np.int8)[:, None, None]
 
-    def search_rows(lo, hi):
-        """Rows lo..hi, one block at a time; returns their near ties."""
-        scratch = free.pop()
+    def search_rows(blk, scratch):
+        """The rows of slice blk; returns their near ties."""
         # score's planes: the three axis scores and the best less tol, then
         # the image displacement's x and y.
         score, neg, near, code = scratch
-        near_ties = 0
-        for r0 in range(lo, hi, rows):
-            blk = slice(r0, min(r0 + rows, hi))
-            k = best_k[blk]
-            r = k.shape[0]
-            if project:
-                s, sn, nr, c = score[:3, :r], neg[:, :r], near[:, :r], code[:, :r]
-                for ax in range(3):
-                    np.subtract.outer(proj_a[ax, blk], proj_b[ax], out=s[ax])
-                np.less(s, 0.0, out=sn)
-                np.abs(s, out=s)
-                # Best score over identity (half_sq) and the three axes, less tol.
-                top = np.maximum(s[0], s[1], out=score[3, :r])
-                np.maximum(top, s[2], out=top)
-                np.maximum(top, half_sq, out=top)
-                top -= tol
-                np.greater_equal(s, top, out=nr)
-                # Outside near ties only the best candidate is within tol of it:
-                # axis j wins with offset j + 1, or j + 4 if its projection is < 0.
-                # The flags are summed as int8 views of their 0/1 bytes.
-                sn8, nr8 = sn.view(np.int8), nr.view(np.int8)
-                np.multiply(sn8, np.int8(3), out=c)
-                c += axis_code
-                c *= nr8
-                np.add(c[0], c[1], out=k)
-                k += c[2]
-                # Candidates within tol of the best, the identity among them.
-                n_near = np.add(nr8[0], nr8[1], out=c[0])
-                n_near += nr8[2]
-                n_near += np.less_equal(top, half_sq, out=sn[0]).view(np.int8)
-                # nonzero costs a pass even when it finds nothing.
-                i, j = np.nonzero(n_near >= 2) if n_near.max() >= 2 else ((), ())
-            elif search:
-                i, j = np.indices((r, m)).reshape(2, -1)
-            else:
-                i = ()
-            if len(i):
-                # argmin takes the first minimum, so the identity wins exact ties.
-                ai = a[r0 + i]
-                k[i, j] = np.argmin(
-                    np.hypot(
-                        ai[:, 0:1] - (b[j, 0:1] + offs[:, 0]),
-                        ai[:, 1:2] - (b[j, 1:2] + offs[:, 1]),
-                    ),
-                    axis=1,
-                )
-                near_ties += len(i)
-            # mode="clip" leaves out= unbuffered; every index is in range.
-            dx = np.take(offs[:, 0], k, out=score[0, :r], mode="clip")
-            dy = np.take(offs[:, 1], k, out=score[1, :r], mode="clip")
-            np.subtract(a_x[blk, None], np.add(dx, b_x, out=dx), out=dx)
-            np.subtract(a_y[blk, None], np.add(dy, b_y, out=dy), out=dy)
-            np.hypot(dx, dy, out=dist[blk])
-        free.append(scratch)
-        return near_ties
+        k = best_k[blk]
+        r = k.shape[0]
+        if project:
+            s, sn, nr, c = score[:3, :r], neg[:, :r], near[:, :r], code[:, :r]
+            for ax in range(3):
+                np.subtract.outer(proj_a[ax, blk], proj_b[ax], out=s[ax])
+            np.less(s, 0.0, out=sn)
+            np.abs(s, out=s)
+            # Best score over identity (half_sq) and the three axes, less tol.
+            top = np.maximum(s[0], s[1], out=score[3, :r])
+            np.maximum(top, s[2], out=top)
+            np.maximum(top, half_sq, out=top)
+            top -= tol
+            np.greater_equal(s, top, out=nr)
+            # Outside near ties only the best candidate is within tol of it:
+            # axis j wins with offset j + 1, or j + 4 if its projection is < 0.
+            # The flags are summed as int8 views of their 0/1 bytes.
+            sn8, nr8 = sn.view(np.int8), nr.view(np.int8)
+            np.multiply(sn8, np.int8(3), out=c)
+            c += axis_code
+            c *= nr8
+            np.add(c[0], c[1], out=k)
+            k += c[2]
+            # Candidates within tol of the best, the identity among them.
+            n_near = np.add(nr8[0], nr8[1], out=c[0])
+            n_near += nr8[2]
+            n_near += np.less_equal(top, half_sq, out=sn[0]).view(np.int8)
+            # nonzero costs a pass even when it finds nothing.
+            i, j = np.nonzero(n_near >= 2) if n_near.max() >= 2 else ((), ())
+        elif search:
+            i, j = np.indices((r, m)).reshape(2, -1)
+        else:
+            i = ()
+        if len(i):
+            # argmin takes the first minimum, so the identity wins exact ties.
+            ai = a[blk.start + i]
+            k[i, j] = np.argmin(
+                np.hypot(
+                    ai[:, 0:1] - (b[j, 0:1] + offs[:, 0]),
+                    ai[:, 1:2] - (b[j, 1:2] + offs[:, 1]),
+                ),
+                axis=1,
+            )
+        # mode="clip" leaves out= unbuffered; every index is in range.
+        dx = np.take(offs[:, 0], k, out=score[0, :r], mode="clip")
+        dy = np.take(offs[:, 1], k, out=score[1, :r], mode="clip")
+        np.subtract(a_x[blk, None], np.add(dx, b_x, out=dx), out=dx)
+        np.subtract(a_y[blk, None], np.add(dy, b_y, out=dy), out=dy)
+        np.hypot(dx, dy, out=dist[blk])
+        return len(i)
 
-    stripes = _stripes(n, rows)
     shape = (3, rows, m)
-    free = _scratch_sets(stripes, lambda: (
+    _, near_ties = _in_row_blocks(n, rows, search_rows, lambda: (
         np.empty((4, rows, m)), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool),
         np.empty(shape, dtype=np.int8)))
-    near_ties = sum(_run_all([functools.partial(search_rows, lo, hi) for lo, hi in stripes]))
     if counters is not None:
-        counters.wrap_near_ties += near_ties
+        counters.wrap_near_ties += sum(near_ties)
     return dist, best_k
 
 

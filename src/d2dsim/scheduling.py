@@ -117,17 +117,13 @@ def pf_select(inst_rate_bps: np.ndarray, avg_rate_bps: np.ndarray, slots: np.nda
     return slots[np.arange(len(slots)), metric[slots].argmax(axis=1)]
 
 
-def pf_update(
-    avg_rate_bps: np.ndarray, served_rate_bps: np.ndarray, t_c: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The PF average update, an exponential moving average step, written
-    into `out` (which may be `avg_rate_bps`) if given; served rate is 0 when
-    not scheduled. This is the reference rule: `run_pf_uplink` does its steps
-    on its grid and gets its floats."""
+def pf_update(avg_rate_bps: np.ndarray, served_rate_bps: np.ndarray, t_c: int) -> np.ndarray:
+    """The PF average update, an exponential moving average step; served rate
+    is 0 when not scheduled. This is the reference rule: `run_pf_uplink` does
+    its steps on its grid and gets its floats."""
     if t_c < 1:
         raise ValueError(f"t_c must be >= 1, got {t_c}")
-    out = np.multiply(avg_rate_bps, 1.0 - 1.0 / t_c, out=out)
-    return np.add(out, served_rate_bps / t_c, out=out)
+    return avg_rate_bps * (1.0 - 1.0 / t_c) + served_rate_bps / t_c
 
 
 @dataclass(frozen=True)

@@ -258,9 +258,6 @@ class TestPfUpdate:
         assert pick.size >= 10
         avg, served, expected = avg[pick], served[pick], expected[pick]
         assert pf_update(avg, served, t_c).tolist() == expected.tolist()
-        # In place, as the PF loop calls it.
-        assert pf_update(avg, served, t_c, out=avg) is avg
-        assert avg.tolist() == expected.tolist()
 
 
 def _isolated_sector(n_flows, loss_to_enb, seed=0):

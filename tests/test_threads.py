@@ -1,9 +1,13 @@
 """The threads a drop's array work runs on: which functions they may call, and
 a forked child's own pool."""
 
+import importlib.util
 import multiprocessing
 import os
+import pathlib
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,24 +25,21 @@ MODULES = {
     "cli": cli,
 }
 
-# The public functions perfbench's tracer wraps (TARGETS in
-# perfbench/tracing.py), by defining module. Its wrappers keep call stacks
-# that are not thread-safe, so only the calling thread may call these.
-TRACED = (
-    ("engine", "run_experiment"),
-    ("engine", "build_drop"),
-    ("layout", "drop_d2d_pairs"),
-    ("channel", "build_coupling_table"),
-    ("scheduling", "run_pf_uplink"),
-    ("cli", "parse_config"),
-    ("cli", "emit_reports"),
-    ("layout", "sector_of_point"),
-    ("layout", "pairwise_wrap_distance"),
-    ("channel", "CouplingTable.loss_db"),
-    ("radio", "rate_from_sinr"),
-    ("scheduling", "pf_select"),
-    ("scheduling", "pf_update"),
-)
+
+def _tracer_targets():
+    """perfbench/tracing.py's TARGETS, loaded from its file: perfbench is a
+    directory of scripts, not a package."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.TARGETS
+
+
+# The public functions perfbench's tracer wraps, by defining module. Its
+# wrappers keep call stacks that are not thread-safe, so only the calling
+# thread may call these.
+TRACED = tuple((module_name, path) for module_name, path, _ in _tracer_targets())
 
 # 57 sectors of 4 pairs: 228 x 228 terminal-pair entries, more than one row
 # block, so the drop's work is split over the threads.
@@ -63,6 +64,83 @@ def fresh_pool(monkeypatch):
     yield
     if layout._pool is not None:
         layout._pool.shutdown()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("failing", [None, 0, 4], ids=["none", "first", "later"])
+def test_run_all_ends_every_task_before_it_returns_or_raises(failing, threads, monkeypatch):
+    """On a fresh pool: each task runs once and the results come back in task
+    order; when the first task or a later one (run by the pool or the calling
+    thread) raises, the exception propagates once no task is running. At most
+    _THREADS tasks run at once."""
+    monkeypatch.setattr(layout, "_THREADS", threads)
+    monkeypatch.setattr(layout, "_pool", None)
+    lock = threading.Lock()
+    running = peak = 0
+    ran = [0] * 6
+
+    def task(i):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+            ran[i] += 1
+        try:
+            time.sleep(0.02)
+            if i == failing:
+                raise RuntimeError(f"task {i}")
+        finally:
+            with lock:
+                running -= 1
+        return i
+
+    tasks = [lambda i=i: task(i) for i in range(6)]
+    try:
+        if failing is None:
+            assert layout._run_all(tasks) == list(range(6))
+            assert ran == [1] * 6
+        else:
+            with pytest.raises(RuntimeError, match=f"task {failing}"):
+                layout._run_all(tasks)
+            assert running == 0
+            assert max(ran) == 1
+        assert layout._pool is not None and peak <= threads
+    finally:
+        if layout._pool is not None:
+            layout._pool.shutdown()
+
+
+def test_row_blocks_take_each_block_once_under_fast_switching(monkeypatch):
+    """Four threads on a fresh pool, switching every microsecond: the
+    threads share _run_all's task iterator and _in_row_blocks' scratch sets,
+    yet each block runs once, results come back in row order, and no scratch
+    set is in use by two stripes at once."""
+    monkeypatch.setattr(layout, "_THREADS", 4)
+    monkeypatch.setattr(layout, "_pool", None)
+    lock = threading.Lock()
+    ran = [0] * 400
+
+    def kernel(rows, scratch):
+        with lock:
+            assert not scratch, "a scratch set in use by two stripes"
+            scratch.append(rows.start)
+            ran[rows.start] += 1
+        time.sleep(0)
+        with lock:
+            scratch.pop()
+        return rows.start
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, got = layout._in_row_blocks(len(ran), 1, kernel, list)
+        assert layout._pool is not None
+    finally:
+        sys.setswitchinterval(interval)
+        if layout._pool is not None:
+            layout._pool.shutdown()
+    assert got == list(range(len(ran)))
+    assert ran == [1] * len(ran)
 
 
 @pytest.mark.parametrize("experiment", sorted(TINY_RUNS))
