@@ -1,5 +1,6 @@
-"""The threads a drop's array work runs on: which functions they may call, and
-a forked child's own pool."""
+"""The threads a drop's array work runs on: how `_run_all` and `_in_row_blocks`
+share it out and end it, which functions they may call, and a forked child's
+own pool."""
 
 import importlib.util
 import multiprocessing
