@@ -10,15 +10,15 @@ probability. Terminal-to-base links use the standard macro model
 ordered link (no cross-link correlation). Fast fading is not modeled; every
 SINR is computed on these large-scale couplings only.
 
-The coupling table is built on the drop's threads (see `layout`): the pair
-draws run next to the wrap search, on the one stream in their fixed order,
-and the LOS, pathloss and floor pass and the linear gains are row-block
-kernels of ``layout._in_row_blocks``. The wrap search writes its distances
-into the loss matrix, and the pass turns them into losses one row block at a
-time in a running stripe's scratch, through the ``out=`` and ``work=``
-buffers of the LOS and pathloss formulas; so a drop holds no separate
-distance matrix, and a block makes no temporaries. The table is the same for
-any number of threads.
+The coupling table is built on the drop's threads (see `layout`): the wrap
+search, the LOS, pathloss and floor pass and the linear gains are row-block
+kernels of ``layout._in_row_blocks``, and the pair draws are the search's
+first task, on the one stream in their fixed order. The wrap search writes
+its distances into the loss matrix, and the pass turns them into losses one
+row block at a time in its thread's scratch, through the ``out=`` and
+``work=`` buffers of the LOS and pathloss formulas; so a drop holds no
+separate distance matrix, and a block makes no temporaries. The table is the
+same for any number of threads.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .layout import (
     Terminals,
     _block_rows,
     _in_row_blocks,
-    _run_all,
-    _stripes,
     pairwise_wrap_distance,
 )
 
@@ -288,16 +286,16 @@ def build_coupling_table(
     fixed order so the table is a pure function of (layout, terminals, cfg,
     rng stream): first the LOS uniforms for all terminal pairs, then
     terminal-pair shadowing, then terminal-to-base shadowing. Each is drawn
-    whole; the first two on a pool thread while the calling thread runs the
-    terminal-pair wrap search, which writes its distances into the
-    terminal-pair loss matrix. The clamp, LOS state, pathloss, shadowing and
-    floor then run as a kernel of ``layout._in_row_blocks``: on each row
-    block's clamped distances, in a running stripe's scratch, writing the
-    block's losses over its distances, while the calling thread takes the
-    terminal-to-site geometry. A table of one stripe runs on the calling
-    thread alone. Distances,
-    arrival angles and macro pathloss are taken per site and repeated over
-    its three sectors; the antenna gain is per sector.
+    whole; the first two as the first task of the terminal-pair wrap search,
+    on the calling thread while the pool's threads start on the search,
+    which writes its distances into the terminal-pair loss matrix. The
+    clamp, LOS state, pathloss, shadowing and floor then run as a kernel of
+    ``layout._in_row_blocks``: on each row block's clamped distances, in its
+    thread's scratch, writing the block's losses over its distances, with
+    the terminal-to-site geometry as the first task. A table of one row
+    block runs on the calling thread alone. Distances, arrival angles and
+    macro pathloss are taken per site and repeated over its three sectors;
+    the antenna gain is per sector.
 
     Cross-link terminal distances below the drop minimum are clamped to it
     before the pathloss call; an interferer may legitimately land arbitrarily
@@ -312,10 +310,8 @@ def build_coupling_table(
     n_sec = layout.n_sectors
 
     # Terminal -> terminal entries. The LOS uniforms and the pair shadowing
-    # are drawn on a pool thread while this one runs the wrap search; nothing
-    # else draws from rng until both are done. A table whose pair rows make
-    # one stripe is too small to share, and runs on this thread alone.
-    rows = _block_rows(n_rx)
+    # are drawn on this thread while the pool's threads start on the wrap
+    # search; nothing else draws from rng until both are done.
     los_u, shadow_uu = np.empty((n_tx, n_rx)), np.empty((n_tx, n_rx))
 
     def draw_pairs():
@@ -325,13 +321,12 @@ def build_coupling_table(
     # The wrap search writes its distances into loss_uu, which the pass
     # below then overwrites with the losses, one row block at a time.
     loss_uu = np.empty((n_tx, n_rx))
-    _run_all([
-        lambda: pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters, out=loss_uu),
-        draw_pairs,
-    ], pool=len(_stripes(n_tx, rows)) > 1)
+    pairwise_wrap_distance(tx_xy, rx_xy, layout, counters=counters, out=loss_uu,
+                           first=draw_pairs)
     # Then the clamp, LOS state, pathloss, shadowing and floor, on each
-    # block's clamped distances in a running stripe's scratch, on the pool's
-    # threads while this one takes the terminal-to-site geometry.
+    # block's clamped distances in its thread's scratch, while this thread
+    # first takes the terminal-to-site geometry.
+    rows = _block_rows(n_rx)
     los = np.empty((n_tx, n_rx), dtype=bool)
 
     def pair_rows(blk, scratch):

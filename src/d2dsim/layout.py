@@ -36,19 +36,19 @@ loop (``sectors_of_points``): one receivers x sites distance matrix per drop
 instead of one per receiver. The samplers return position and sector arrays.
 
 A drop's array work uses up to one thread per CPU the process may run on.
-``_in_row_blocks`` runs a kernel on blocks of ``_block_rows`` rows, about
-``_BLOCK_ENTRIES`` entries, in row stripes (``_stripes``), two per thread, and
-``_run_all`` runs independent tasks at once, the first on the calling thread
-and the rest on a thread pool that starts on first use. The wrap search here
-and the coupling table in ``channel`` are such kernels. Every entry takes the
-same operations in any stripe, and results come back in row order, so the
-outputs do not depend on the number of threads. A forked child does not
-inherit the pool; it starts its own.
+``_in_row_blocks`` is the one code that shares it out: it runs a kernel on
+blocks of ``_block_rows`` rows, about ``_BLOCK_ENTRIES`` entries, which the
+calling thread and the jobs of a thread pool that starts on first use take
+from one shared iterator, and it runs one ``first`` task on the calling
+thread next to them. The wrap search here and the coupling table in
+``channel`` are such kernels. Every entry takes the same operations in any
+block on any thread, and results come back in row order, so the outputs do
+not depend on the number of threads. A forked child does not inherit the
+pool; it starts its own.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -85,7 +85,7 @@ _THREADS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
-_pool = None  # the ThreadPoolExecutor of _run_all, started on first use
+_pool = None  # the ThreadPoolExecutor of _in_row_blocks, started on first use
 _pool_lock = threading.Lock()
 
 _T = TypeVar("_T")
@@ -105,84 +105,58 @@ def _block_rows(n_cols: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(n_cols, 1))
 
 
-def _stripes(n_rows: int, block_rows: int) -> list[tuple[int, int]]:
-    """Contiguous row ranges ``[lo, hi)`` that cover ``range(n_rows)``: two
-    per thread, but no more than there are blocks of ``block_rows`` rows, so
-    a one-block job stays on the calling thread."""
-    k = max(1, min(2 * _THREADS, -(-n_rows // block_rows)))
-    bounds = [n_rows * i // k for i in range(k + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _run_all(tasks: list[Callable[[], _T]], *, pool: bool = True) -> list[_T]:
-    """Run the zero-argument tasks at once: the first on the calling thread,
-    the rest on up to ``_THREADS - 1`` pool threads and the calling thread,
-    which take them in order, so at most ``_THREADS`` run at once. Returns the
-    results in task order once every task has ended; a task's exception
-    propagates once no task is running. With one thread, or with ``pool``
-    false for work too small to share, the tasks run in turn on the calling
-    thread.
-
-    Only the first task may call a drop, table, wrap-search, scheduling or
-    CLI function: a profiler may wrap those with code that is not
-    thread-safe. The others run internal kernels, which may use the pure
-    pathloss and LOS formulas. They write their results with ``out=`` into
-    arrays the calling thread allocated (glibc keeps what a thread frees in
-    that thread's own arena, which raises peak memory), and set any
-    ``np.errstate`` they need themselves: pool threads start with numpy's
-    default.
-    """
-    global _pool
-    if not pool or len(tasks) == 1 or _THREADS < 2:
-        return [task() for task in tasks]
-    # Imported here, as it takes milliseconds that a process which never
-    # splits a job would pay at start-up.
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    results: list = [None] * len(tasks)
-    todo = iter(range(1, len(tasks)))  # shared: each index is taken once, by any thread
-
-    def drain():
-        for i in todo:
-            results[i] = tasks[i]()
-
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="d2dsim")
-        jobs = [_pool.submit(drain) for _ in range(min(_THREADS, len(tasks)) - 1)]
-    try:
-        results[0] = tasks[0]()
-        drain()
-    finally:
-        wait(jobs)  # the tasks write into the caller's arrays
-    for job in jobs:
-        job.result()  # raises a pool task's exception
-    return results
-
-
 def _in_row_blocks(n_rows: int, block_rows: int, kernel: Callable[[slice, Any], _T],
                    make_scratch: Callable[[], Any] = tuple, *,
                    first: Optional[Callable[[], Any]] = None) -> tuple[Any, list[_T]]:
     """Run ``kernel(rows, scratch)`` on each slice ``rows`` of ``block_rows``
-    rows of ``range(n_rows)``, in row stripes (``_stripes``) on the drop's
-    threads when there is more than one, and ``first()`` as ``_run_all``'s
-    first task. A running stripe passes its blocks one of the
-    ``make_scratch()`` sets made on the calling thread, one per stripe that
-    may run at once. Returns ``first()``'s result (None without it) and the
-    blocks' results in row order."""
-    stripes = _stripes(n_rows, block_rows)
-    free = [make_scratch() for _ in range(min(_THREADS, len(stripes)))]
+    rows of ``range(n_rows)``, and ``first()`` on the calling thread before
+    that thread takes a block. The calling thread and up to ``_THREADS - 1``
+    pool jobs take the blocks from one shared iterator, so at most
+    ``_THREADS`` blocks run at once; a job of one block, or a process of one
+    thread, submits nothing. Each of them holds one ``make_scratch()`` set,
+    made on the calling thread, for its whole life. Returns ``first()``'s
+    result (None without it) and the blocks' results in row order once every
+    block has ended; an exception of ``first`` or of a kernel propagates then.
+    ``first`` may itself run ``_in_row_blocks``: those jobs queue behind
+    these, and its calling thread takes every block they leave.
 
-    def stripe(lo: int, hi: int) -> list[_T]:
-        scratch = free.pop()
-        done = [kernel(slice(r0, min(r0 + block_rows, hi)), scratch)
-                for r0 in range(lo, hi, block_rows)]
-        free.append(scratch)
-        return done
+    Only ``first`` may call a drop, table, wrap-search, scheduling or CLI
+    function: a profiler may wrap those with code that is not thread-safe.
+    Kernels run internal code, which may use the pure pathloss and LOS
+    formulas. They write their results with ``out=`` into arrays the calling
+    thread allocated (glibc keeps what a thread frees in that thread's own
+    arena, which raises peak memory), and set any ``np.errstate`` they need
+    themselves: pool threads start with numpy's default.
+    """
+    global _pool
+    starts = range(0, n_rows, block_rows)
+    results: list = [None] * len(starts)
+    todo = enumerate(starts)  # shared: each block is taken once, by any thread
 
-    tasks = [functools.partial(stripe, lo, hi) for lo, hi in stripes]
-    head, *parts = _run_all([first or (lambda: None), *tasks], pool=len(stripes) > 1)
-    return head, [done for part in parts for done in part]
+    def drain(scratch) -> None:
+        for i, r0 in todo:
+            results[i] = kernel(slice(r0, min(r0 + block_rows, n_rows)), scratch)
+
+    jobs = []
+    n_jobs = min(_THREADS, len(starts)) - 1
+    if n_jobs > 0:
+        # Imported here, as it takes milliseconds that a process which never
+        # splits a job would pay at start-up.
+        from concurrent.futures import ThreadPoolExecutor, wait
+
+        with _pool_lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="d2dsim")
+            jobs = [_pool.submit(drain, make_scratch()) for _ in range(n_jobs)]
+    try:
+        head = first() if first is not None else None
+        drain(make_scratch())
+    finally:
+        if jobs:
+            wait(jobs)  # the kernels write into the caller's arrays
+    for job in jobs:
+        job.result()  # raises a pool job's exception
+    return head, results
 
 
 @dataclass
@@ -310,7 +284,7 @@ def build_hex_grid(isd: float, n_rings: int, wraparound: bool) -> NetworkLayout:
 
 def pairwise_wrap_distance(
     a_xy, b_xy, layout: NetworkLayout, *, counters: Optional[DropCounters] = None,
-    out: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None, first: Optional[Callable[[], Any]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance matrix (n, m) of min-over-offsets |a - (b + t)|.
 
@@ -324,10 +298,12 @@ def pairwise_wrap_distance(
     leaves float range. The returned distance is ``hypot(a - (b + t_k))`` on
     the winning offset k. The search is a kernel of ``_in_row_blocks``: one
     block of ``_block_rows`` rows at a time, so its temporaries stay in
-    cache, in row stripes on the drop's threads. ``counters``, when given,
-    gets the entries the fallback settled added to its ``wrap_near_ties``.
-    ``out``, when given, is the float64 (n, m) array the distances are
-    written into and returned as.
+    cache, on the drop's threads. ``counters``, when given, gets the entries
+    the fallback settled added to its ``wrap_near_ties``. ``out``, when
+    given, is the float64 (n, m) array the distances are written into and
+    returned as. ``first``, when given, is ``_in_row_blocks``' first task
+    (its result is dropped): it runs once on the calling thread, before that
+    thread takes a block, and also when there are no entries.
     """
     a = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b = np.asarray(b_xy, dtype=float).reshape(-1, 2)
@@ -336,6 +312,8 @@ def pairwise_wrap_distance(
     dist = np.empty((n, m)) if out is None else out
     best_k = np.zeros((n, m), dtype=np.int8)
     if dist.size == 0:
+        if first is not None:
+            first()
         return dist, best_k
     rows = min(n, _block_rows(m))
     (a_x, a_y), (b_x, b_y) = a.T.copy(), b.T.copy()  # contiguous coordinates
@@ -416,7 +394,7 @@ def pairwise_wrap_distance(
     shape = (3, rows, m)
     _, near_ties = _in_row_blocks(n, rows, search_rows, lambda: (
         np.empty((4, rows, m)), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool),
-        np.empty(shape, dtype=np.int8)))
+        np.empty(shape, dtype=np.int8)), first=first)
     if counters is not None:
         counters.wrap_near_ties += sum(near_ties)
     return dist, best_k

@@ -1,11 +1,13 @@
-"""The threads a drop's array work runs on: how `_run_all` and `_in_row_blocks`
-share it out and end it, which functions they may call, and a forked child's
-own pool."""
+"""The threads a drop's array work runs on: how `_in_row_blocks` shares row
+blocks out and ends them, when its `first` task runs, that small work starts
+no pool, which functions the threads may call, and a forked child's own
+pool."""
 
 import importlib.util
 import multiprocessing
 import os
 import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -68,24 +70,26 @@ def fresh_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [2, 3])
-@pytest.mark.parametrize("failing", [None, 0, 4], ids=["none", "first", "later"])
+@pytest.mark.parametrize("failing", [None, "first", 0, 4],
+                         ids=["none", "first", "first_block", "later"])
 def test_run_all_ends_every_task_before_it_returns_or_raises(failing, threads, monkeypatch):
-    """On a fresh pool: each task runs once and the results come back in task
-    order; when the first task or a later one (run by the pool or the calling
-    thread) raises, the exception propagates once no task is running. At most
-    _THREADS tasks run at once."""
+    """`_in_row_blocks` on a fresh pool, six one-row blocks and a `first`
+    task: each block runs once and the results come back in row order; when
+    `first`, the first block or a later one (run by the pool or the calling
+    thread) raises, the exception propagates once no block is running. At
+    most _THREADS of `first` and the blocks run at once."""
     monkeypatch.setattr(layout, "_THREADS", threads)
     monkeypatch.setattr(layout, "_pool", None)
     lock = threading.Lock()
     running = peak = 0
     ran = [0] * 6
+    firsts = 0
 
     def task(i):
         nonlocal running, peak
         with lock:
             running += 1
             peak = max(peak, running)
-            ran[i] += 1
         try:
             time.sleep(0.02)
             if i == failing:
@@ -95,27 +99,135 @@ def test_run_all_ends_every_task_before_it_returns_or_raises(failing, threads, m
                 running -= 1
         return i
 
-    tasks = [lambda i=i: task(i) for i in range(6)]
+    def kernel(rows, _):
+        with lock:
+            ran[rows.start] += 1
+        return task(rows.start)
+
+    def first():
+        nonlocal firsts
+        firsts += 1
+        return task("first")
+
     try:
         if failing is None:
-            assert layout._run_all(tasks) == list(range(6))
+            assert layout._in_row_blocks(6, 1, kernel, first=first) == ("first", list(range(6)))
             assert ran == [1] * 6
         else:
             with pytest.raises(RuntimeError, match=f"task {failing}"):
-                layout._run_all(tasks)
+                layout._in_row_blocks(6, 1, kernel, first=first)
             assert running == 0
             assert max(ran) == 1
+        assert firsts == 1
         assert layout._pool is not None and peak <= threads
     finally:
         if layout._pool is not None:
             layout._pool.shutdown()
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, 40])
+def test_first_runs_once_on_the_calling_thread_before_it_takes_a_block(n_rows, monkeypatch):
+    """Three threads on a fresh pool: `first` runs once, on the calling
+    thread, and that thread takes no block before it ends, also when there
+    is one block (no pool) or no rows. With more blocks than threads the
+    pool's threads take blocks while `first` runs."""
+    monkeypatch.setattr(layout, "_THREADS", 3)
+    monkeypatch.setattr(layout, "_pool", None)
+    caller = threading.get_ident()
+    lock = threading.Lock()
+    events = []
+    pool_block = threading.Event()
+
+    def kernel(rows, _):
+        with lock:
+            events.append(("block", threading.get_ident()))
+        if threading.get_ident() != caller:
+            pool_block.set()
+        return rows.start
+
+    def first():
+        with lock:
+            events.append(("first", threading.get_ident()))
+        if n_rows > 1:
+            assert pool_block.wait(30), "no pool thread took a block while first ran"
+        with lock:
+            events.append(("first ended", threading.get_ident()))
+        return "head"
+
+    try:
+        head, got = layout._in_row_blocks(n_rows, 1, kernel, first=first)
+    finally:
+        if layout._pool is not None:
+            layout._pool.shutdown()
+    assert (head, got) == ("head", list(range(n_rows)))
+    assert [e for e in events if e[0] != "block"] == [("first", caller), ("first ended", caller)]
+    ended = events.index(("first ended", caller))
+    assert ("block", caller) not in events[:ended]
+    assert (layout._pool is not None) == (n_rows > 1)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (300, 400)])
+def test_wrap_search_runs_first_once_on_the_calling_thread(shape, monkeypatch):
+    """`pairwise_wrap_distance` hands `first` to its runner: at three threads
+    it runs once on the calling thread, also when a point set is empty, and
+    the distances and images are those of a search without it at one
+    thread."""
+    lay = build_hex_grid(500.0, 2, True)
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(-1500, 1500, (shape[0], 2)), rng.uniform(-1500, 1500, (shape[1], 2))
+    monkeypatch.setattr(layout, "_THREADS", 1)
+    want = layout.pairwise_wrap_distance(a, b, lay)
+    monkeypatch.setattr(layout, "_THREADS", 3)
+    monkeypatch.setattr(layout, "_pool", None)
+    calls = []
+    try:
+        got = layout.pairwise_wrap_distance(a, b, lay, first=lambda: calls.append(threading.get_ident()))
+        # Only the search of 300 x 400 entries has more than one row block.
+        assert (layout._pool is not None) == (shape == (300, 400))
+    finally:
+        if layout._pool is not None:
+            layout._pool.shutdown()
+    assert calls == [threading.get_ident()]
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape == shape and x.tobytes() == y.tobytes()
+
+
+# The shape of the benchmark's throughput_single_site workload (one site of 30
+# pairs), at fewer subframes: every table and wrap search is one row block.
+_SINGLE_SITE = (
+    "experiment = throughput\nisd_m = 500\nn_rings = 0\nwraparound = false\n"
+    "n_cellular_per_sector = 0\nn_d2d_tx_per_sector = 10\nd2d_range_m = 50\n"
+    "alpha_list =\nsnr_target_db_list =\nno_power_control = true\n"
+    "n_drops = 2\nn_subframes = 200\nk_d2d = 5\n"
+)
+
+
+def test_small_work_starts_no_pool(tmp_path):
+    """A single-site throughput run at two threads splits no work: in a fresh
+    process it leaves the pool unstarted and `concurrent.futures` unimported."""
+    config = tmp_path / "run.cfg"
+    config.write_text(_SINGLE_SITE + f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from d2dsim import cli, layout\n"
+        "layout._THREADS = 2\n"
+        "assert cli.main([sys.argv[1], '--quiet']) == 0\n"
+        "print(layout._pool is None, 'concurrent.futures' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(layout.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, str(config)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]
+    assert (tmp_path / "out" / "summary.txt").is_file()
+
+
 def test_row_blocks_take_each_block_once_under_fast_switching(monkeypatch):
     """Four threads on a fresh pool, switching every microsecond: the
-    threads share _run_all's task iterator and _in_row_blocks' scratch sets,
-    yet each block runs once, results come back in row order, and no scratch
-    set is in use by two stripes at once."""
+    threads share _in_row_blocks' block iterator, yet each block runs once,
+    results come back in row order, and no scratch set is in use by two
+    threads at once."""
     monkeypatch.setattr(layout, "_THREADS", 4)
     monkeypatch.setattr(layout, "_pool", None)
     lock = threading.Lock()
@@ -123,7 +235,7 @@ def test_row_blocks_take_each_block_once_under_fast_switching(monkeypatch):
 
     def kernel(rows, scratch):
         with lock:
-            assert not scratch, "a scratch set in use by two stripes"
+            assert not scratch, "a scratch set in use by two threads"
             scratch.append(rows.start)
             ran[rows.start] += 1
         time.sleep(0)
