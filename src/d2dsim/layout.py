@@ -36,7 +36,7 @@ loop (``sectors_of_points``): one receivers x sites distance matrix per drop
 instead of one per receiver. The samplers return position and sector arrays.
 
 A drop's array work uses up to one thread per CPU the process may run on.
-``_in_row_blocks`` is the one code that shares it out: it runs a kernel on
+``_in_row_blocks`` is the only code that shares it out: it runs a kernel on
 blocks of ``_block_rows`` rows, about ``_BLOCK_ENTRIES`` entries, which the
 calling thread and the jobs of a thread pool that starts on first use take
 from one shared iterator, and it runs one ``first`` task on the calling
@@ -117,8 +117,9 @@ def _in_row_blocks(n_rows: int, block_rows: int, kernel: Callable[[slice, Any], 
     made on the calling thread, for its whole life. Returns ``first()``'s
     result (None without it) and the blocks' results in row order once every
     block has ended; an exception of ``first`` or of a kernel propagates then.
-    ``first`` may itself run ``_in_row_blocks``: those jobs queue behind
-    these, and its calling thread takes every block they leave.
+    ``first`` may itself call ``_in_row_blocks``: that call's jobs queue
+    behind these, so the calling thread may take all of its blocks and then
+    wait until these jobs end.
 
     Only ``first`` may call a drop, table, wrap-search, scheduling or CLI
     function: a profiler may wrap those with code that is not thread-safe.

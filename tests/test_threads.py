@@ -166,7 +166,8 @@ def test_first_runs_once_on_the_calling_thread_before_it_takes_a_block(n_rows, m
     assert (layout._pool is not None) == (n_rows > 1)
 
 
-@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (300, 400)])
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (300, 400)],
+                         ids=["no_rows", "no_columns", "no_points", "300x400"])
 def test_wrap_search_runs_first_once_on_the_calling_thread(shape, monkeypatch):
     """`pairwise_wrap_distance` hands `first` to its runner: at three threads
     it runs once on the calling thread, also when a point set is empty, and
